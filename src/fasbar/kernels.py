@@ -12,6 +12,10 @@ For the analytic kinds, d(n, m) = |x_n - x_m| / lambda is the port distance
 in carrier wavelengths and eta is a correlation length in the same unit.
 The channel statistics themselves only depend on positions through x/lambda,
 so this keeps a kernel meaningful across carriers at a fixed aperture.
+``build_port_geometry`` always lays the ports out on a uniform grid, so
+d(n, m) depends on |n - m| alone: the analytic kernels evaluate their
+profile on the N lags (x_n - x_0) / lambda and expand it into a symmetric
+Toeplitz matrix instead of evaluating it on all N^2 port pairs.
 
 All constructors add ``jitter`` to the diagonal (default 1e-9 * trace/N)
 so downstream Cholesky factorizations stay positive definite even for
@@ -24,6 +28,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.special import jv
 
 from .channels import SPEED_OF_LIGHT
@@ -69,12 +74,19 @@ class Kernel:
         fingerprints match; plans store this string so a reconstruction
         stage can verify it was given weights built from the kernel the
         caller thinks it was.
+
+        Computed on first access and cached on the instance, so the matrix
+        must not be mutated afterwards (the constructors here store it
+        read-only).  The matrix buffer is hashed in place, without a copy.
         """
-        digest = hashlib.sha256()
-        head = f"{self.kind}|{self.num_ports}|{self.alpha!r}|{self.eta!r}|{self.order}|{self.jitter!r}"
-        digest.update(head.encode())
-        digest.update(np.ascontiguousarray(self.matrix, dtype="<c16").tobytes())
-        return digest.hexdigest()
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            digest = hashlib.sha256()
+            head = f"{self.kind}|{self.num_ports}|{self.alpha!r}|{self.eta!r}|{self.order}|{self.jitter!r}"
+            digest.update(head.encode())
+            digest.update(np.ascontiguousarray(self.matrix, dtype="<c16"))
+            cached = self.__dict__["_fingerprint"] = digest.hexdigest()
+        return cached
 
 
 @dataclass(frozen=True)
@@ -101,15 +113,23 @@ def _carrier_hz(geom):
     return SPEED_OF_LIGHT / geom.wavelength
 
 
+def _lags(geom):
+    """Distance of every port from port 0 in carrier wavelengths."""
+    return (geom.positions - geom.positions[0]) / geom.wavelength
+
+
 def _finish(matrix, kind, alpha, eta, order, jitter, carrier_hz):
+    """Load the diagonal and freeze.
+
+    ``matrix`` must be exactly Hermitian and owned by the caller: a complex
+    input is loaded in place.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     if jitter is None:
         jitter = _default_jitter(matrix)
     if jitter < 0.0:
         raise ValueError("jitter must be nonnegative")
-    matrix = matrix + jitter * np.eye(matrix.shape[0])
-    # enforce exact Hermitian storage; analytic kinds are already symmetric
-    matrix = 0.5 * (matrix + matrix.conj().T)
+    matrix.real[np.diag_indices_from(matrix)] += jitter
     matrix.flags.writeable = False
     return Kernel(matrix, kind, float(alpha), float(eta), int(order), float(jitter), float(carrier_hz))
 
@@ -135,9 +155,8 @@ def kernel_exponential(geom, alpha=1.0, eta=None, jitter=None):
         eta = default_eta()
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    dist = np.abs(geom.positions[:, None] - geom.positions[None, :]) / geom.wavelength
-    mat = alpha**2 * np.exp(-((dist / eta) ** 2))
-    return _finish(mat, EXPONENTIAL, alpha, eta, 0, jitter, _carrier_hz(geom))
+    profile = alpha**2 * np.exp(-((_lags(geom) / eta) ** 2))
+    return _finish(toeplitz(profile), EXPONENTIAL, alpha, eta, 0, jitter, _carrier_hz(geom))
 
 
 def kernel_bessel(geom, alpha=1.0, eta=None, order=0, jitter=None):
@@ -155,9 +174,8 @@ def kernel_bessel(geom, alpha=1.0, eta=None, order=0, jitter=None):
         eta = default_eta()
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    dist = np.abs(geom.positions[:, None] - geom.positions[None, :]) / geom.wavelength
-    mat = alpha**2 * jv(order, dist / eta)
-    return _finish(mat, BESSEL, alpha, eta, order, jitter, _carrier_hz(geom))
+    profile = alpha**2 * jv(order, _lags(geom) / eta)
+    return _finish(toeplitz(profile), BESSEL, alpha, eta, order, jitter, _carrier_hz(geom))
 
 
 def kernel_covariance(training_channels, jitter=None, carrier_hz=0.0):

@@ -5,14 +5,19 @@ prior covariance Sigma and measurements y = h(Omega) + z, z ~ CN(0, s2*I).
 Everything expensive then happens before any pilot is received:
 
 Stage 1 (offline).  Greedily pick the port with the largest posterior
-variance, fold the hypothetical measurement into the posterior covariance
-with a rank-one Schur update, and repeat until P timeslots of M ports each
-are scheduled.  The selected order is frozen into switch matrices and the
-MAP weight matrix
+variance, repeat until P timeslots of M ports each are scheduled, and
+precompute the MAP weight matrix
 
-    w = (Sigma(Omega, Omega) + s2*I)^{-1} Sigma(Omega, :)
+    w = (Sigma(Omega, Omega) + s2*I)^{-1} Sigma(Omega, :),
 
-is precomputed, since the posterior mean depends on the data only linearly.
+since the posterior mean depends on the data only linearly.  Greedy
+max-variance selection with noise s2 is a pivoted, incomplete Cholesky
+factorization of Sigma with s2 added at each pivot (Harbrecht, Peters &
+Schneider, 2012), so one pass over K = P*M pivots gives the port order,
+the posterior variances and the Cholesky factor of the measured-port
+system together.  It costs O(N*K^2) time and O(N*K) memory beyond the
+kernel.  ``initial_posterior``/``posterior_update_one`` keep the dense
+rank-one recursion over the full N x N posterior as a reference.
 
 Stage 2 (online).  Reconstruct hhat = w^H y.  One matrix-vector product,
 O(N) per measurement; no kernel, no factorization.
@@ -27,7 +32,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 #: posterior-variance-plus-noise denominators below this times trace/N
 #: indicate a collapsed prior; raising the kernel jitter is the fix
@@ -35,6 +40,13 @@ _DENOM_FLOOR_SCALE = 1e-14
 
 #: acceptable max-norm residual of the weight solve, relative to max|Sigma|
 _WEIGHT_RESIDUAL_TOL = 1e-8
+
+#: final posterior variances below this times the largest prior variance
+#: mean the prior covariance is not positive semidefinite
+_NEGATIVE_VARIANCE_TOL = 1e-10
+
+#: matrix entries per block when scanning the kernel for max|Sigma|
+_SCAN_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -221,13 +233,26 @@ def compute_weights(kernel, order, noise_power):
         ) from err
     # C-ordered so the online product sums identically after a save/load cycle
     weights = np.ascontiguousarray(cho_solve(factor, cross))
+    _check_weight_residual(sigma, gram, cross, weights)
+    return weights
+
+
+def _max_abs(matrix):
+    """max|matrix| scanned in row blocks, so no N x N temporary is made."""
+    rows = max(1, _SCAN_BLOCK_ENTRIES // matrix.shape[1])
+    return max(
+        float(np.abs(matrix[i : i + rows]).max()) for i in range(0, matrix.shape[0], rows)
+    )
+
+
+def _check_weight_residual(sigma, gram, cross, weights):
+    """Raise LinAlgError unless |gram w - cross|_max < tol * max|Sigma|."""
     residual = np.abs(gram @ weights - cross).max()
-    bound = _WEIGHT_RESIDUAL_TOL * np.abs(sigma).max()
+    bound = _WEIGHT_RESIDUAL_TOL * _max_abs(sigma)
     if not residual < bound:
         raise np.linalg.LinAlgError(
             f"weight solve residual {residual:.3e} exceeds {bound:.3e}; system too ill-conditioned"
         )
-    return weights
 
 
 def plan_to_switch_matrices(order, num_timeslots, antennas_per_slot, num_ports):
@@ -253,12 +278,21 @@ def stacked_switch_matrix(plan):
 def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     """Stage 1: pick ports greedily by posterior variance and freeze weights.
 
-    Each of the P*M iterations measures (hypothetically) the port whose
-    current posterior variance is largest, ties broken toward the smallest
-    index, then shrinks the covariance with a rank-one update.  The selected
-    order, per-slot switch matrices, solved weight matrix, and final
-    posterior diagonal are packaged into a SamplingPlan; nothing about the
-    received pilots is needed, so all of this runs offline.
+    Each of the K = P*M iterations measures (hypothetically) the port j
+    whose current posterior variance var[j] is largest, ties broken toward
+    the smallest index.  Measuring j adds the column
+
+        b = (Sigma(:, j) - B B(j, :)^H) / sqrt(var[j] + s2)
+
+    to the block B (N x K so far) and lowers every variance by |b|^2; the
+    posterior covariance Sigma - B B^H is never formed.  The rows of B at
+    the measured ports, below the diagonal, plus the pivots sqrt(var[j] +
+    s2) on it, are the Cholesky factor L of Sigma(Omega, Omega) + s2*I, so
+    the weights take one triangular solve L^H w = B^H.  Time is O(N*K^2),
+    memory O(N*K) beyond the kernel.  The selected order, per-slot switch
+    matrices, weights and final variances are packaged into a
+    SamplingPlan; nothing about the received pilots is needed, so all of
+    this runs offline.
 
     Parameters
     ----------
@@ -274,22 +308,63 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     Returns
     -------
     SamplingPlan
+
+    Raises
+    ------
+    ValueError
+        For bad dimensions or noise power, or if the final variances show
+        the prior covariance is not positive semidefinite.
+    numpy.linalg.LinAlgError
+        If a pivot collapses to numerical zero or the weight solve misses
+        its residual bound.
     """
     p, m = int(num_timeslots), int(antennas_per_slot)
     if p < 1 or m < 1:
         raise ValueError("num_timeslots and antennas_per_slot must be positive")
     n = kernel.num_ports
-    if p * m > n:
-        raise ValueError(f"plan asks for {p * m} measurements but only {n} ports exist")
-    state = initial_posterior(kernel, noise_power)
-    for _ in range(p * m):
-        scores = state.variances.copy()
-        scores[list(state.measured)] = -np.inf
-        state = posterior_update_one(state, int(np.argmax(scores)))
-    order = state.measured
-    weights = compute_weights(kernel, order, noise_power)
-    post_diag = state.variances.copy()
-    post_diag.flags.writeable = False
+    k = p * m
+    if k > n:
+        raise ValueError(f"plan asks for {k} measurements but only {n} ports exist")
+    if noise_power < 0.0:
+        raise ValueError("noise_power must be nonnegative")
+    sigma = kernel.matrix
+    var = sigma.diagonal().real.copy()
+    prior_max = float(var.max())
+    measured = np.zeros(n, dtype=bool)
+    # row i of bh is column i of B, conjugated: bh = B^H, shape (K, N)
+    bh = np.empty((k, n), dtype=complex)
+    order = []
+    pivots = np.empty(k)
+    for i in range(k):
+        j = int(np.argmax(np.where(measured, -np.inf, var)))
+        pivot = var[j] + noise_power
+        floor = _DENOM_FLOOR_SCALE * float(var.sum()) / n
+        if pivot <= max(floor, 0.0):
+            raise np.linalg.LinAlgError(
+                "posterior variance plus noise is numerically zero; increase the kernel jitter"
+            )
+        pivots[i] = np.sqrt(pivot)
+        # conj of the posterior covariance column Sigma(:, j) - B B(j, :)^H
+        row = sigma[:, j].conj() - bh[:i, j].conj() @ bh[:i]
+        bh[i] = row / pivots[i]
+        var -= bh[i].real ** 2 + bh[i].imag ** 2
+        measured[j] = True
+        order.append(j)
+    if var.min() < -_NEGATIVE_VARIANCE_TOL * prior_max:
+        raise ValueError(
+            f"prior covariance is not positive semidefinite: a posterior variance "
+            f"reached {var.min():.3e}"
+        )
+    idx = np.asarray(order)
+    # L = tril(B(Omega, :), -1) + diag(pivots), and B(Omega, :) = bh[:, Omega]^H
+    factor = np.tril(bh[:, idx].conj().T, -1)
+    factor[np.diag_indices(k)] = pivots
+    # C-ordered so the online product sums identically after a save/load cycle
+    weights = np.ascontiguousarray(solve_triangular(factor, bh, lower=True, trans="C"))
+    gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
+    _check_weight_residual(sigma, gram, sigma[idx, :], weights)
+    order = tuple(order)
+    var.flags.writeable = False
     weights.flags.writeable = False
     return SamplingPlan(
         num_ports=n,
@@ -300,7 +375,7 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
         weights=weights,
         noise_power_design=float(noise_power),
         kernel_fingerprint=kernel.fingerprint,
-        post_diag=post_diag,
+        post_diag=var,
     )
 
 

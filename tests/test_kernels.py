@@ -6,12 +6,16 @@ closed forms, so the scipy routines the package uses are never their own
 oracle.
 """
 
+import hashlib
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
+import fasbar.kernels
 from fasbar import (
     SscModelParams,
     build_port_geometry,
@@ -127,6 +131,34 @@ class TestBesselKernel:
             kernel_bessel(geom, order=-1)
 
 
+class TestLagBuiltKernels:
+    """The analytic kernels are expanded from N lags; check every pair."""
+
+    @staticmethod
+    def pairwise_distance(geom):
+        return np.abs(geom.positions[:, None] - geom.positions[None, :]) / geom.wavelength
+
+    def test_exponential_matches_pairwise_formula(self):
+        geom = build_port_geometry(256, 10.0, 3.5e9)
+        k = kernel_exponential(geom, alpha=1.3, eta=0.3, jitter=0.0)
+        expected = 1.3**2 * np.exp(-((self.pairwise_distance(geom) / 0.3) ** 2))
+        assert np.max(np.abs(k.matrix - expected)) < 1e-14
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_bessel_matches_pairwise_formula(self, order):
+        geom = build_port_geometry(256, 10.0, 3.5e9)
+        k = kernel_bessel(geom, alpha=1.3, order=order, jitter=0.0)
+        expected = 1.3**2 * jv(order, self.pairwise_distance(geom) / k.eta)
+        assert np.max(np.abs(k.matrix - expected)) < 1e-14
+
+    def test_jitter_lands_on_the_diagonal_only(self):
+        geom = build_port_geometry(32, 10.0, 3.5e9)
+        bare = kernel_bessel(geom, jitter=0.0).matrix
+        loaded = kernel_bessel(geom, jitter=0.25).matrix
+        assert np.array_equal(loaded - bare, 0.25 * np.eye(32))
+        assert np.array_equal(loaded, loaded.conj().T)
+
+
 class TestCovarianceKernel:
     def test_single_channel_outer_product(self):
         rng = np.random.default_rng(5)
@@ -205,6 +237,23 @@ class TestValidateAndFingerprint:
             kernel_exponential(geom, eta=0.2).fingerprint,
         }
         assert len(prints) == 4
+
+    def test_fingerprint_hashes_once_and_keeps_its_digest(self, monkeypatch):
+        geom = build_port_geometry(16, 5.0, 3.5e9)
+        k = kernel_exponential(geom)
+        head = f"{k.kind}|{k.num_ports}|{k.alpha!r}|{k.eta!r}|{k.order}|{k.jitter!r}"
+        expected = hashlib.sha256(head.encode() + k.matrix.astype("<c16").tobytes()).hexdigest()
+        calls = []
+
+        def counting_sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(fasbar.kernels, "hashlib", SimpleNamespace(sha256=counting_sha256))
+        first = k.fingerprint
+        second = k.fingerprint
+        assert first == second == expected
+        assert len(calls) == 1
 
     def test_fingerprint_stable_across_rebuilds(self):
         geom = build_port_geometry(16, 5.0, 3.5e9)

@@ -6,24 +6,33 @@ Oracles used here and nowhere in the package:
   block formula Sigma - Sigma(:,O) (Sigma(O,O)+s2 I)^-1 Sigma(O,:);
 * inverse_weights  - weights via an explicit matrix inverse;
 * greedy_oracle    - port selection re-derived with batch recomputation at
-  every step.
+  every step;
+* reference_design - the dense rank-one chain (initial_posterior +
+  posterior_update_one + compute_weights) that the pivoted-Cholesky
+  design_plan must reproduce.
 
 Hand-frozen cases (the diag(1,2,3) walk-through, identity-kernel weights)
 were worked out by hand first.
 """
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fasbar.sbar
 from fasbar import (
     Kernel,
     PilotObservation,
+    SscModelParams,
     build_port_geometry,
     compute_weights,
     design_plan,
+    generate_ssc_channel,
     initial_posterior,
+    kernel_bessel,
+    kernel_covariance,
     kernel_exponential,
     plan_to_switch_matrices,
     posterior_update_one,
@@ -57,6 +66,40 @@ def greedy_oracle(sigma, num_picks, noise_power):
         diag[order] = -np.inf
         order.append(int(np.argmax(diag)))
     return tuple(order)
+
+
+def reference_design(kernel, num_picks, noise_power):
+    """Greedy design through the dense rank-one chain.
+
+    Returns (order, posterior variances after every pick, weights).
+    """
+    state = initial_posterior(kernel, noise_power)
+    history = [state.variances.copy()]
+    for _ in range(num_picks):
+        scores = state.variances.copy()
+        scores[list(state.measured)] = -np.inf
+        state = posterior_update_one(state, int(np.argmax(scores)))
+        history.append(state.variances.copy())
+    return state.measured, history, compute_weights(kernel, state.measured, noise_power)
+
+
+def assert_matches_reference(kernel, p, m, noise_power):
+    """design_plan agrees with the reference chain, or differs at a tie only.
+
+    Same order: post_diag within 1e-12 absolute, weights within 1e-10
+    relative.  A different order is accepted only if the first differing
+    pick scored within 1e-12 * max variance of the reference's pick.
+    """
+    plan = design_plan(kernel, p, m, noise_power)
+    order, history, weights = reference_design(kernel, p * m, noise_power)
+    if plan.order != order:
+        step = next(i for i, (a, b) in enumerate(zip(plan.order, order)) if a != b)
+        variances = history[step]
+        gap = abs(variances[plan.order[step]] - variances[order[step]])
+        assert gap <= 1e-12 * variances.max(), f"pick {step} differs by {gap:.3e}, not a tie"
+        return
+    assert np.abs(plan.post_diag - history[-1]).max() <= 1e-12
+    assert np.abs(plan.weights - weights).max() <= 1e-10 * np.abs(weights).max()
 
 
 def random_psd_kernel(rng, n, base=0.1):
@@ -189,6 +232,67 @@ class TestDesignPlan:
         geom = build_port_geometry(8, 2.0, 1e9)
         with pytest.raises(ValueError):
             design_plan(kernel_exponential(geom), p, m, 0.5)
+
+
+class TestPivotedCholeskyDesign:
+    def test_matches_reference_chain_on_random_psd_kernels(self):
+        rng = np.random.default_rng(77)
+        for _ in range(25):
+            n = int(rng.integers(4, 40))
+            kernel = random_psd_kernel(rng, n, base=float(rng.uniform(1e-3, 1.0)))
+            m = int(rng.integers(1, 4))
+            p = int(rng.integers(1, n // m + 1))
+            assert_matches_reference(kernel, p, m, float(rng.uniform(0.0, 2.0)))
+
+    @pytest.mark.parametrize("kind", ["exponential", "bessel", "covariance"])
+    @pytest.mark.parametrize("p", [1, 5, 10])
+    def test_matches_reference_chain_on_the_three_kinds_at_256_ports(self, kind, p):
+        geom = build_port_geometry(256, 10.0, 3.5e9)
+        if kind == "exponential":
+            kernel = kernel_exponential(geom)
+        elif kind == "bessel":
+            kernel = kernel_bessel(geom)
+        else:
+            kernel = kernel_covariance(
+                [generate_ssc_channel(geom, SscModelParams(rng_seed=s)) for s in range(40)]
+            )
+        assert_matches_reference(kernel, p, 4, 2.56)
+
+    def test_matches_reference_chain_up_to_ties_at_1024_ports(self):
+        # far from the measured ports the variances sit within an ulp of the
+        # prior, so the two recursions may break such a tie differently
+        kernel = kernel_exponential(build_port_geometry(1024, 10.0, 3.5e9))
+        assert_matches_reference(kernel, 10, 4, 10.24)
+
+    def test_runs_without_the_dense_chain(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("design_plan must not use the dense chain")
+
+        for name in ("initial_posterior", "posterior_update_one", "compute_weights", "cho_factor"):
+            monkeypatch.setattr(fasbar.sbar, name, forbidden)
+        geom = build_port_geometry(64, 10.0, 3.5e9)
+        plan = design_plan(kernel_bessel(geom), 4, 4, 0.64)
+        assert len(plan.order) == 16
+
+    def test_indefinite_prior_rejected(self):
+        # J_1(0) = 0, so this kernel has a zero diagonal and is indefinite
+        geom = build_port_geometry(64, 10.0, 3.5e9)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            design_plan(kernel_bessel(geom, order=1), 1, 4, 2.56)
+
+    def test_memory_stays_linear_in_ports(self):
+        # a quarter of one complex N x N matrix; the dense chain copies N^2
+        # at every step
+        n = 2048
+        kernel = kernel_bessel(build_port_geometry(n, 10.0, 3.5e9))
+        kernel.fingerprint  # hashed once up front, like a cached kernel
+        tracemalloc.start()
+        try:
+            design_plan(kernel, 10, 4, n / 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 4
 
 
 class TestComputeWeights:
