@@ -218,6 +218,16 @@ def draw_port_noise(num_ports, noise_power, rng_seed):
     return scale * (rng.standard_normal(num_ports) + 1j * rng.standard_normal(num_ports))
 
 
+def _checked_ports(ports, num_ports):
+    """``ports`` as an int array, once they are known to be distinct and in range."""
+    ports = np.asarray(ports, dtype=int)
+    if ports.size and (ports.min() < 0 or ports.max() >= num_ports):
+        raise ValueError("port index out of range")
+    if ports.size != np.unique(ports).size:
+        raise ValueError("ports must be distinct")
+    return ports
+
+
 def observe_ports(h_values, ports, noise_power, rng_seed):
     """Measure the channel at the given ports with additive noise.
 
@@ -225,11 +235,7 @@ def observe_ports(h_values, ports, noise_power, rng_seed):
     noise vector from ``draw_port_noise``.
     """
     h_values = np.asarray(h_values)
-    ports = np.asarray(ports, dtype=int)
-    if ports.size and (ports.min() < 0 or ports.max() >= h_values.size):
-        raise ValueError("port index out of range")
-    if ports.size != np.unique(ports).size:
-        raise ValueError("ports must be distinct")
+    ports = _checked_ports(ports, h_values.size)
     noise = draw_port_noise(h_values.size, noise_power, rng_seed)
     return h_values[ports] + noise[ports]
 

@@ -1,8 +1,8 @@
 """Monte-Carlo NMSE benchmarking of estimation schemes.
 
-A sweep walks pilot budgets P and SNR points, draws one clustered channel
-per trial, measures it with every configured scheme, and records the
-normalized squared error.  Fairness and reproducibility rest on three
+A sweep walks SNR points and trials, draws one clustered channel and one
+per-port noise vector per trial, measures them at every pilot budget P
+with every configured scheme, and records the normalized squared error.  Fairness and reproducibility rest on three
 rules:
 
 * every scheme of a trial sees the same channel and the same per-port
@@ -29,13 +29,14 @@ from .baselines import (
     selmmse_ports,
 )
 from .channels import (
+    PilotObservation,
     SscModelParams,
+    _checked_ports,
     build_port_geometry,
+    draw_port_noise,
     generate_ssc_channel,
     noise_power_for_snr,
-    observe_ports,
 )
-from .channels import PilotObservation
 from .kernels import BESSEL, COVARIANCE, EXPONENTIAL, kernel_bessel, kernel_covariance, kernel_exponential
 from .sbar import design_plan, reconstruct
 
@@ -239,8 +240,11 @@ def _scheme_kernel(scheme, config, geom):
 def run_sweep(config, use_plan_cache=True, plan_cache=None):
     """Run the configured sweep and return records in canonical order.
 
-    Records come back sorted by (scheme position, P, snr, trial) no matter
-    how the work was interleaved.  Plans are designed once per
+    The loop runs over SNR, then trial; each trial synthesizes its channel
+    and its per-port noise vector once, then every pilot budget P and every
+    scheme measures that one noisy channel at its own ports.  Records come
+    back sorted by (scheme position, P, snr, trial) no matter how the work
+    was interleaved.  Plans are designed once per
     (kernel, P, M, noise power) and reused across trials when
     ``use_plan_cache`` is set; passing a dict as ``plan_cache`` exposes the
     designed plans to the caller.  Caching cannot change any record:
@@ -270,31 +274,32 @@ def run_sweep(config, use_plan_cache=True, plan_cache=None):
 
     scheme_pos = {scheme: i for i, scheme in enumerate(config.schemes)}
     records = []
-    for p in config.pilot_counts:
-        pm = p * m
-        for snr in config.snr_db:
-            noise_power = noise_power_for_snr(n, snr)
-            for trial in range(config.trials):
-                ch_seed = channel_seed(config.base_seed, snr, trial)
-                nz_seed = noise_seed(config.base_seed, snr, trial)
-                channel = generate_ssc_channel(geom, replace(config.channel, rng_seed=ch_seed))
+    for snr in config.snr_db:
+        noise_power = noise_power_for_snr(n, snr)
+        for trial in range(config.trials):
+            ch_seed = channel_seed(config.base_seed, snr, trial)
+            channel = generate_ssc_channel(geom, replace(config.channel, rng_seed=ch_seed)).values
+            # h + z at every port; each scheme reads the ports it measures
+            received = channel + draw_port_noise(n, noise_power, noise_seed(config.base_seed, snr, trial))
+            for p in config.pilot_counts:
+                pm = p * m
                 for scheme in config.schemes:
                     if scheme.method == SBAR:
                         plan = plan_for(scheme, p, noise_power)
-                        y = observe_ports(channel.values, plan.order, noise_power, nz_seed)
+                        y = received[_checked_ports(plan.order, n)]
                         obs = PilotObservation(y, noise_power, plan.plan_id)
                         tic = time.perf_counter_ns()
                         estimate = reconstruct(plan, obs).estimate
                         wall = time.perf_counter_ns() - tic
                     elif scheme.method == SELMMSE:
                         ports = selmmse_ports(n, pm)
-                        y = observe_ports(channel.values, ports, noise_power, nz_seed)
+                        y = received[_checked_ports(ports, n)]
                         tic = time.perf_counter_ns()
                         estimate = estimate_selmmse(y, ports, n).values
                         wall = time.perf_counter_ns() - tic
                     else:
                         ports = random_ports(n, pm, ports_seed(config.base_seed, p, snr, trial))
-                        y = observe_ports(channel.values, ports, noise_power, nz_seed)
+                        y = received[_checked_ports(ports, n)]
                         tic = time.perf_counter_ns()
                         estimate = estimate_fas_omp(
                             y,
@@ -314,7 +319,7 @@ def run_sweep(config, use_plan_cache=True, plan_cache=None):
                             snr_db=float(snr),
                             trial=trial,
                             seed=ch_seed,
-                            nmse=nmse(channel.values, estimate),
+                            nmse=nmse(channel, estimate),
                             wall_time_stage2_ns=int(wall) if config.record_timing else 0,
                         )
                     )

@@ -6,11 +6,14 @@ in the acceptance suite.
 """
 
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
+import fasbar.harness
 from fasbar import (
     ExperimentConfig,
     SchemeSpec,
@@ -131,6 +134,48 @@ class TestRunSweep:
             by_trial.setdefault(r.trial, set()).add(r.seed)
         for seeds in by_trial.values():
             assert len(seeds) == 1  # paired draws: same channel everywhere
+
+    def test_each_trial_draws_one_channel_and_one_noise_vector(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(fasbar.harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(fasbar.harness, name, wrapper)
+
+        counted("generate_ssc_channel")
+        counted("draw_port_noise")
+        cfg = small_config(
+            pilot_counts=(1, 2, 3),
+            snr_db=(10.0, 20.0),
+            trials=4,
+            schemes=(
+                SchemeSpec("sbar", kernel="covariance", train_timeslots=5),
+                SchemeSpec("selmmse"),
+                SchemeSpec("fas-omp"),
+            ),
+        )
+        run_sweep(cfg)
+        evaluations = len(cfg.snr_db) * cfg.trials
+        assert calls["generate_ssc_channel"] == evaluations + 5  # plus the training ensemble
+        assert calls["draw_port_noise"] == evaluations
+
+    def test_pilot_budgets_see_the_same_channels_and_noise(self):
+        # common random numbers: a joint sweep holds exactly the single-budget records
+        cfg = small_config(
+            num_ports=32,
+            pilot_counts=(2, 6),
+            schemes=(SchemeSpec("sbar", kernel="exponential"), SchemeSpec("selmmse"), SchemeSpec("fas-omp")),
+            record_timing=False,
+        )
+        joint = run_sweep(cfg)
+        single = [r for p in cfg.pilot_counts for r in run_sweep(replace(cfg, pilot_counts=(p,)))]
+        key = lambda r: (r.scheme, r.kernel_kind, r.num_timeslots, r.snr_db, r.trial)
+        assert sorted(joint, key=key) == sorted(single, key=key)
 
     def test_canonical_record_order(self):
         records = run_sweep(small_config())
