@@ -12,9 +12,20 @@ The synthetic channel is a clustered sum of plane waves,
 
 with i.i.d. CN(0, 1) ray gains g, so that E||h||^2 = N regardless of the
 number of clusters C or rays per cluster R.
+
+The ports sit on a uniform grid x_n = n*d, so writing n = q*b + r with
+b = ceil(sqrt(N)) factors every plane-wave phase as
+
+    exp(-j*2*pi*x_n*s/lambda) = exp(-j*2*pi*q*b*d*s/lambda) * exp(-j*2*pi*r*d*s/lambda).
+
+Two small tables of ceil(N/b) and b rows per direction then give all N
+responses: ~2*sqrt(N) complex exponentials per ray instead of N, at a
+cost of ~1e-14 absolute against the direct formula.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -136,16 +147,35 @@ def build_port_geometry(num_ports, aperture_in_wavelengths, carrier_hz):
     return PortGeometry(num_ports, float(aperture_in_wavelengths), wavelength, positions)
 
 
+def _phase_table(geom, sin_angles):
+    """Factored plane-wave phases: port q*b + r responds with hi[q] * lo[r].
+
+    With b = ceil(sqrt(N)) and port spacing d, exp(-j*2*pi*n*d*s/lambda)
+    splits into hi[q] = exp(-j*2*pi*q*b*d*s/lambda) and lo[r] =
+    exp(-j*2*pi*r*d*s/lambda), tables of shape (ceil(N/b), K) and (b, K).
+    """
+    s = np.atleast_1d(np.asarray(sin_angles, dtype=float))
+    b = math.isqrt(geom.num_ports - 1) + 1
+    step = (-2.0 * np.pi * geom.spacing / geom.wavelength) * s
+    lo = np.exp(1j * np.outer(np.arange(b), step))
+    hi = np.exp(1j * np.outer(np.arange(0, geom.num_ports, b), step))
+    return hi, lo
+
+
 def steering_matrix(geom, sin_angles):
     """Plane-wave phase response of every port for each direction.
 
     Entry (n, k) is exp(-j * 2*pi * x_n * s_k / lambda) for s_k the k-th
     value of ``sin_angles``.  Entries have unit modulus; columns therefore
-    have Euclidean norm sqrt(N).
+    have Euclidean norm sqrt(N).  The ports sit on a uniform grid, so each
+    entry is the product of two phases from ``_phase_table``; that takes
+    about 2*sqrt(N) complex exponentials per direction instead of N, and
+    differs from the direct formula by ~1e-14 (the phase rounding of
+    2*pi*W*|s| radians).  An entry with s_k = 0 is exactly 1.
     """
-    s = np.atleast_1d(np.asarray(sin_angles, dtype=float))
-    phase = (-2.0j * np.pi / geom.wavelength) * np.outer(geom.positions, s)
-    return np.exp(phase)
+    hi, lo = _phase_table(geom, sin_angles)
+    k = lo.shape[1]
+    return (hi[:, None, :] * lo[None, :, :]).reshape(-1, k)[: geom.num_ports]
 
 
 def ssc_channel_from_rays(geom, ray_angles_rad, ray_gains):
@@ -158,7 +188,9 @@ def ssc_channel_from_rays(geom, ray_angles_rad, ray_gains):
         h = steering(sin(angles)) @ gains / sqrt(K),
 
     so a single ray with gain 1 and angle 0 yields the all-ones vector and
-    ||h||^2 = N exactly.
+    ||h||^2 = N exactly.  The sum runs on the factored phase table, as
+    h(q*b + r) = sum_k hi[q, k] * g_k * lo[r, k], so the N x K steering
+    matrix is never formed.
     """
     angles = np.atleast_1d(np.asarray(ray_angles_rad, dtype=float))
     gains = np.atleast_1d(np.asarray(ray_gains, dtype=complex))
@@ -166,8 +198,8 @@ def ssc_channel_from_rays(geom, ray_angles_rad, ray_gains):
         raise ValueError("ray_angles_rad and ray_gains must have matching shapes")
     if angles.size == 0:
         raise ValueError("at least one ray is required")
-    response = steering_matrix(geom, np.sin(angles))
-    values = response @ gains / np.sqrt(angles.size)
+    hi, lo = _phase_table(geom, np.sin(angles))
+    values = ((hi * gains) @ lo.T).ravel()[: geom.num_ports] / np.sqrt(angles.size)
     return ChannelRealization(values, SSC)
 
 

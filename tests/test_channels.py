@@ -69,6 +69,28 @@ class TestSscChannel:
         mat = steering_matrix(geom, np.linspace(-1, 1, 11))
         assert np.allclose(np.abs(mat), 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 1000, 1024])
+    def test_factored_steering_matches_direct_formula(self, n):
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        s = np.concatenate([np.linspace(-1.0, 1.0, 201), np.random.default_rng(n).uniform(-1, 1, 50)])
+        direct = np.exp(-2j * np.pi * np.outer(geom.positions, s) / geom.wavelength)
+        mat = steering_matrix(geom, s)
+        assert mat.shape == (n, s.size)
+        assert np.abs(mat - direct).max() <= 1e-12
+        assert np.all(steering_matrix(geom, [0.0]) == 1.0)
+
+    @pytest.mark.parametrize("n", [2, 17, 1000])
+    def test_ray_sum_matches_direct_formula(self, n):
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        rng = np.random.default_rng(n)
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, 300)
+        gains = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        phase = -2j * np.pi * np.outer(geom.positions, np.sin(angles)) / geom.wavelength
+        direct = np.exp(phase) @ gains / np.sqrt(300)
+        values = ssc_channel_from_rays(geom, angles, gains).values
+        assert values.shape == (n,)
+        assert np.abs(values - direct).max() <= 1e-12 * np.abs(gains).sum() / np.sqrt(300)
+
     def test_same_seed_reproduces_bit_for_bit(self):
         geom = build_port_geometry(64, 10.0, 3.5e9)
         params = SscModelParams(rng_seed=1234)
