@@ -2,11 +2,12 @@
 
 A sweep walks SNR points and trials, draws one clustered channel and one
 per-port noise vector per trial, measures them at every pilot budget P
-with every configured scheme, and records the normalized squared error.  Fairness and reproducibility rest on three
-rules:
+with every configured scheme, and records the normalized squared error.
+Fairness and reproducibility rest on three rules:
 
-* every scheme of a trial sees the same channel and the same per-port
-  noise vector, so differences are attributable to the scheme alone;
+* every scheme and every pilot budget of a trial sees the same channel
+  and the same per-port noise vector, so differences are attributable to
+  the scheme and the budget alone;
 * all randomness derives from ``base_seed`` through a fixed integer mix,
   so a config reproduces its records (and its CSV) bit for bit;
 * covariance training seeds live in a separate stream from evaluation
@@ -136,6 +137,15 @@ class ExperimentConfig:
             raise ValueError("snr_db must not be empty")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
+        seen = set()
+        for scheme in self.schemes:
+            identity = (scheme.label, scheme.kernel_kind)
+            if identity in seen:
+                raise ValueError(
+                    f"two schemes share scheme {identity[0]!r} with kernel kind {identity[1]!r}; "
+                    "their records could not be told apart"
+                )
+            seen.add(identity)
         for p in self.pilot_counts:
             if p < 1:
                 raise ValueError("pilot counts must be positive")
@@ -278,9 +288,9 @@ def run_sweep(config, use_plan_cache=True, plan_cache=None):
         noise_power = noise_power_for_snr(n, snr)
         for trial in range(config.trials):
             ch_seed = channel_seed(config.base_seed, snr, trial)
-            channel = generate_ssc_channel(geom, replace(config.channel, rng_seed=ch_seed)).values
+            h = generate_ssc_channel(geom, replace(config.channel, rng_seed=ch_seed)).values
             # h + z at every port; each scheme reads the ports it measures
-            received = channel + draw_port_noise(n, noise_power, noise_seed(config.base_seed, snr, trial))
+            received = h + draw_port_noise(n, noise_power, noise_seed(config.base_seed, snr, trial))
             for p in config.pilot_counts:
                 pm = p * m
                 for scheme in config.schemes:
@@ -319,7 +329,7 @@ def run_sweep(config, use_plan_cache=True, plan_cache=None):
                             snr_db=float(snr),
                             trial=trial,
                             seed=ch_seed,
-                            nmse=nmse(channel, estimate),
+                            nmse=nmse(h, estimate),
                             wall_time_stage2_ns=int(wall) if config.record_timing else 0,
                         )
                     )

@@ -38,15 +38,16 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 #: indicate a collapsed prior; raising the kernel jitter is the fix
 _DENOM_FLOOR_SCALE = 1e-14
 
-#: acceptable max-norm residual of the weight solve, relative to max|Sigma|
+#: acceptable max-norm residual of the weight solve, relative to the largest
+#: prior variance (max|Sigma| for a positive semidefinite prior)
 _WEIGHT_RESIDUAL_TOL = 1e-8
+
+#: relative tolerance between an observation's noise power and the design value
+_NOISE_POWER_RTOL = 1e-12
 
 #: final posterior variances below this times the largest prior variance
 #: mean the prior covariance is not positive semidefinite
 _NEGATIVE_VARIANCE_TOL = 1e-10
-
-#: matrix entries per block when scanning the kernel for max|Sigma|
-_SCAN_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -139,27 +140,36 @@ class SamplingPlan:
 
     @property
     def plan_id(self) -> str:
-        """Content fingerprint used to bind observations to this plan."""
-        head = "|".join(
-            [
-                str(self.num_ports),
-                str(self.num_timeslots),
-                str(self.antennas_per_slot),
-                repr(self.noise_power_design),
-                self.kernel_fingerprint,
-                ",".join(str(p) for p in self.order),
-            ]
-        )
-        return hashlib.sha256(head.encode()).hexdigest()
+        """Content fingerprint used to bind observations to this plan.
+
+        Computed on first access and cached on the instance; every field it
+        covers is frozen.
+        """
+        cached = self.__dict__.get("_plan_id")
+        if cached is None:
+            head = "|".join(
+                [
+                    str(self.num_ports),
+                    str(self.num_timeslots),
+                    str(self.antennas_per_slot),
+                    repr(self.noise_power_design),
+                    self.kernel_fingerprint,
+                    ",".join(str(p) for p in self.order),
+                ]
+            )
+            cached = self.__dict__["_plan_id"] = hashlib.sha256(head.encode()).hexdigest()
+        return cached
 
 
 @dataclass(frozen=True)
 class Reconstruction:
     """Estimate of the full channel plus design-time uncertainty.
 
-    ``confidence_lo``/``confidence_hi`` shift both the real and imaginary
-    parts of the estimate by three posterior variances, giving a per-part
-    band [Re(est) -+ 3*var] and [Im(est) -+ 3*var].
+    The posterior of each port is CN(est, var), so its real and imaginary
+    parts each have standard deviation sigma = sqrt(var / 2).
+    ``confidence_lo``/``confidence_hi`` shift both parts of the estimate
+    by three of those sigmas, giving the per-part three-sigma band
+    [Re(est) -+ 3*sigma] and [Im(est) -+ 3*sigma].
     """
 
     estimate: np.ndarray
@@ -233,22 +243,19 @@ def compute_weights(kernel, order, noise_power):
         ) from err
     # C-ordered so the online product sums identically after a save/load cycle
     weights = np.ascontiguousarray(cho_solve(factor, cross))
-    _check_weight_residual(sigma, gram, cross, weights)
+    _check_weight_residual(float(sigma.diagonal().real.max()), gram, cross, weights)
     return weights
 
 
-def _max_abs(matrix):
-    """max|matrix| scanned in row blocks, so no N x N temporary is made."""
-    rows = max(1, _SCAN_BLOCK_ENTRIES // matrix.shape[1])
-    return max(
-        float(np.abs(matrix[i : i + rows]).max()) for i in range(0, matrix.shape[0], rows)
-    )
+def _check_weight_residual(scale, gram, cross, weights):
+    """Raise LinAlgError unless |gram w - cross|_max < tol * scale.
 
-
-def _check_weight_residual(sigma, gram, cross, weights):
-    """Raise LinAlgError unless |gram w - cross|_max < tol * max|Sigma|."""
+    ``scale`` is the largest prior variance max_i Sigma(i, i), which is
+    max|Sigma| for a positive semidefinite prior (|Sigma(i, j)|^2 <=
+    Sigma(i, i) * Sigma(j, j)), found without scanning all N^2 entries.
+    """
     residual = np.abs(gram @ weights - cross).max()
-    bound = _WEIGHT_RESIDUAL_TOL * _max_abs(sigma)
+    bound = _WEIGHT_RESIDUAL_TOL * scale
     if not residual < bound:
         raise np.linalg.LinAlgError(
             f"weight solve residual {residual:.3e} exceeds {bound:.3e}; system too ill-conditioned"
@@ -362,7 +369,7 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     # C-ordered so the online product sums identically after a save/load cycle
     weights = np.ascontiguousarray(solve_triangular(factor, bh, lower=True, trans="C"))
     gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
-    _check_weight_residual(sigma, gram, sigma[idx, :], weights)
+    _check_weight_residual(prior_max, gram, sigma[idx, :], weights)
     order = tuple(order)
     var.flags.writeable = False
     weights.flags.writeable = False
@@ -389,21 +396,23 @@ def reconstruct(plan, observation):
     Returns
     -------
     Reconstruction
-        Estimate, design-time posterior variances, and the +-3-variance
-        band around the real and imaginary parts.
+        Estimate, design-time posterior variances, and the three-sigma
+        band around the real and imaginary parts, sigma = sqrt(var / 2).
     """
     y = np.asarray(observation.values)
     if y.ndim != 1 or y.size != plan.num_measurements:
         raise ValueError("observation length does not match the plan")
     if observation.plan_id != plan.plan_id:
         raise ValueError("observation is bound to a different plan")
-    if not np.isclose(observation.noise_power, plan.noise_power_design, rtol=1e-12, atol=0.0):
+    s2, design = observation.noise_power, plan.noise_power_design
+    if not (s2 == design or abs(s2 - design) <= _NOISE_POWER_RTOL * abs(design)):
         raise ValueError(
             f"observation noise power {observation.noise_power!r} differs from "
             f"design value {plan.noise_power_design!r}"
         )
     # w^H y computed as (y^H w)^H so the weight matrix is streamed, not copied
     estimate = np.conj(y.conj() @ plan.weights)
-    band = 3.0 * plan.post_diag
+    # per-part sigma of CN(est, var); rounding can leave var a hair below 0
+    band = 3.0 * np.sqrt(np.maximum(plan.post_diag, 0.0) / 2.0)
     shift = band * (1.0 + 1.0j)
     return Reconstruction(estimate, plan.post_diag, estimate - shift, estimate + shift)

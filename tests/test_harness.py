@@ -98,6 +98,14 @@ class TestConfigValidation:
         cfg = small_config(training_seeds=(1, 2, 3))
         assert cfg.training_seeds == (1, 2, 3)
 
+    def test_duplicate_scheme_identity_rejected(self):
+        # an eta sweep of two bessel schemes would share one CSV label
+        twins = (SchemeSpec("sbar", kernel="bessel", eta=0.2), SchemeSpec("sbar", kernel="bessel", eta=0.8))
+        with pytest.raises(ValueError, match="'sbar'.*'bessel'"):
+            small_config(schemes=twins)
+        with pytest.raises(ValueError, match="fas-omp"):
+            small_config(schemes=(SchemeSpec("fas-omp"), SchemeSpec("fas-omp", max_atoms=4)))
+
     def test_unknown_scheme_method_rejected(self):
         with pytest.raises(ValueError):
             SchemeSpec("lmmse")

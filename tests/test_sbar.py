@@ -15,11 +15,15 @@ Hand-frozen cases (the diag(1,2,3) walk-through, identity-kernel weights)
 were worked out by hand first.
 """
 
+import hashlib
 import inspect
 import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, norm
 
 import fasbar.sbar
 from fasbar import (
@@ -382,12 +386,62 @@ class TestReconstruct:
         rec = reconstruct(plan, zero_obs)
         assert np.array_equal(rec.estimate, np.zeros(16, dtype=complex))
 
-    def test_confidence_band_is_three_variances_per_part(self):
+    def test_confidence_band_is_three_sigma_per_part(self):
         _, plan, _, obs = self._setup()
         rec = reconstruct(plan, obs)
         assert np.array_equal(rec.post_variance, plan.post_diag)
-        assert np.allclose(rec.confidence_lo.real, rec.estimate.real - 3 * plan.post_diag)
-        assert np.allclose(rec.confidence_hi.imag, rec.estimate.imag + 3 * plan.post_diag)
+        sigma = np.sqrt(plan.post_diag / 2)
+        assert np.allclose(rec.confidence_lo.real, rec.estimate.real - 3 * sigma)
+        assert np.allclose(rec.confidence_lo.imag, rec.estimate.imag - 3 * sigma)
+        assert np.allclose(rec.confidence_hi.real, rec.estimate.real + 3 * sigma)
+        assert np.allclose(rec.confidence_hi.imag, rec.estimate.imag + 3 * sigma)
+
+    def test_variances_and_band_are_calibrated_under_a_matched_prior(self):
+        # channels drawn from the design kernel itself: the error at port i is CN(0, post_diag[i])
+        n, trials, noise = 48, 4000, 0.05
+        kernel = kernel_bessel(build_port_geometry(n, 6.0, 3.5e9))
+        plan = design_plan(kernel, 3, 2, noise)
+        vals, vecs = np.linalg.eigh(kernel.matrix)
+        root = vecs * np.sqrt(np.maximum(vals, 0.0))
+        rng = np.random.default_rng(2024)
+
+        def cn(*shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+        errors = np.empty((trials, n), dtype=complex)
+        inside = np.zeros(2)
+        for t in range(trials):
+            h = root @ cn(n)
+            y = h[list(plan.order)] + np.sqrt(noise) * cn(plan.num_measurements)
+            rec = reconstruct(plan, PilotObservation(y, noise, plan.plan_id))
+            errors[t] = h - rec.estimate
+            inside += [
+                np.count_nonzero((rec.confidence_lo.real <= h.real) & (h.real <= rec.confidence_hi.real)),
+                np.count_nonzero((rec.confidence_lo.imag <= h.imag) & (h.imag <= rec.confidence_hi.imag)),
+            ]
+        # 2 * sum_t |e_ti|^2 / v_i is chi-square with 2*trials degrees of freedom at every port
+        stat = 2 * np.sum(np.abs(errors) ** 2, axis=0) / plan.post_diag
+        tail = 1e-6 / (2 * n)
+        assert chi2.ppf(tail, 2 * trials) < stat.min()
+        assert stat.max() < chi2.ppf(1 - tail, 2 * trials)
+        nominal = 2 * norm.cdf(3.0) - 1  # 99.73 %
+        coverage = inside / (trials * n)
+        assert np.all(np.abs(coverage - nominal) < 0.003), coverage
+
+    def test_plan_id_is_hashed_once_per_plan(self, monkeypatch):
+        _, plan, _, obs = self._setup()
+        fresh = replace(plan)
+        calls = []
+
+        def counting_sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(fasbar.sbar, "hashlib", SimpleNamespace(sha256=counting_sha256))
+        for _ in range(5):
+            reconstruct(fresh, obs)
+        assert fresh.plan_id == plan.plan_id
+        assert len(calls) == 1
 
     def test_observation_binding_enforced(self):
         _, plan, _, obs = self._setup()
