@@ -254,11 +254,14 @@ def run_sweep(config, use_plan_cache=True, plan_cache=None):
     and its per-port noise vector once, then every pilot budget P and every
     scheme measures that one noisy channel at its own ports.  Records come
     back sorted by (scheme position, P, snr, trial) no matter how the work
-    was interleaved.  Plans are designed once per
-    (kernel, P, M, noise power) and reused across trials when
-    ``use_plan_cache`` is set; passing a dict as ``plan_cache`` exposes the
-    designed plans to the caller.  Caching cannot change any record:
-    ``design_plan`` is deterministic in its inputs.
+    was interleaved.  Each SNR point looks up its plans and checks the
+    sbar and selmmse port sets once, before its trials; fas-omp draws its
+    random ports per trial.  Plans are designed once per
+    (kernel, P, M, noise power) and reused across SNR points and calls
+    when ``use_plan_cache`` is set, once per SNR point otherwise; passing a
+    dict as ``plan_cache`` exposes the designed plans to the caller.
+    Caching cannot change any record: ``design_plan`` is deterministic in
+    its inputs.
     """
     geom = build_port_geometry(config.num_ports, config.aperture_wavelengths, config.carrier_hz)
     n, m = config.num_ports, config.antennas_per_slot
@@ -286,29 +289,37 @@ def run_sweep(config, use_plan_cache=True, plan_cache=None):
     records = []
     for snr in config.snr_db:
         noise_power = noise_power_for_snr(n, snr)
+        # sbar plans and the sbar and selmmse port sets do not depend on the trial
+        plans, fixed_ports = {}, {}
+        for p in config.pilot_counts:
+            for scheme in config.schemes:
+                if scheme.method == SBAR:
+                    plans[p, scheme] = plan_for(scheme, p, noise_power)
+                    fixed_ports[p, scheme] = _checked_ports(plans[p, scheme].order, n)
+                elif scheme.method == SELMMSE:
+                    fixed_ports[p, scheme] = _checked_ports(selmmse_ports(n, p * m), n)
         for trial in range(config.trials):
             ch_seed = channel_seed(config.base_seed, snr, trial)
             h = generate_ssc_channel(geom, replace(config.channel, rng_seed=ch_seed)).values
             # h + z at every port; each scheme reads the ports it measures
             received = h + draw_port_noise(n, noise_power, noise_seed(config.base_seed, snr, trial))
             for p in config.pilot_counts:
-                pm = p * m
                 for scheme in config.schemes:
                     if scheme.method == SBAR:
-                        plan = plan_for(scheme, p, noise_power)
-                        y = received[_checked_ports(plan.order, n)]
+                        plan = plans[p, scheme]
+                        y = received[fixed_ports[p, scheme]]
                         obs = PilotObservation(y, noise_power, plan.plan_id)
                         tic = time.perf_counter_ns()
                         estimate = reconstruct(plan, obs).estimate
                         wall = time.perf_counter_ns() - tic
                     elif scheme.method == SELMMSE:
-                        ports = selmmse_ports(n, pm)
-                        y = received[_checked_ports(ports, n)]
+                        ports = fixed_ports[p, scheme]
+                        y = received[ports]
                         tic = time.perf_counter_ns()
                         estimate = estimate_selmmse(y, ports, n).values
                         wall = time.perf_counter_ns() - tic
                     else:
-                        ports = random_ports(n, pm, ports_seed(config.base_seed, p, snr, trial))
+                        ports = random_ports(n, p * m, ports_seed(config.base_seed, p, snr, trial))
                         y = received[_checked_ports(ports, n)]
                         tic = time.perf_counter_ns()
                         estimate = estimate_fas_omp(
