@@ -80,8 +80,14 @@ def estimate_selmmse(y, ports, num_ports):
         raise ValueError("at least one measurement is required")
     srt = np.argsort(ports, kind="stable")
     ports_sorted, y_sorted = ports[srt], y[srt]
-    dist = np.abs(np.arange(int(num_ports))[:, None] - ports_sorted[None, :])
-    nearest = np.argmin(dist, axis=1)  # argmin takes the first, hence lower, port on ties
+    grid = np.arange(int(num_ports))
+    above = np.searchsorted(ports_sorted, grid)  # first measured port >= each port
+    below = np.maximum(above - 1, 0)
+    above = np.minimum(above, ports.size - 1)
+    # equal distance goes to the lower port
+    nearest = np.where(grid - ports_sorted[below] <= ports_sorted[above] - grid, below, above)
+    # a port listed twice answers with its first listing
+    nearest = np.searchsorted(ports_sorted, ports_sorted[nearest])
     return ChannelRealization(y_sorted[nearest], EXTERNAL)
 
 

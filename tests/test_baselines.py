@@ -92,6 +92,29 @@ class TestSelmmse:
             best = ports[dists == dists.min()].min()  # lower port wins ties
             assert est.values[port] == y[list(ports).index(best)]
 
+    def test_matches_bruteforce_nearest_oracle_n1024(self):
+        rng = np.random.default_rng(6)
+        n, pm = 1024, 40
+        ports = selmmse_ports(n, pm)
+        y = rng.standard_normal(pm) + 1j * rng.standard_normal(pm)
+        est = estimate_selmmse(y, ports, n)
+        for port in range(n):
+            dists = np.abs(ports - port)
+            best = ports[dists == dists.min()].min()  # lower port wins ties
+            assert est.values[port] == y[list(ports).index(best)]
+
+    def test_matches_distance_matrix_argmin(self):
+        # the N x PM distance-matrix rule, on unsorted ports with repeats
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            ports = rng.integers(0, n, int(rng.integers(1, 12)))
+            y = rng.standard_normal(ports.size) + 1j * rng.standard_normal(ports.size)
+            srt = np.argsort(ports, kind="stable")
+            dist = np.abs(np.arange(n)[:, None] - ports[srt][None, :])
+            expected = y[srt][np.argmin(dist, axis=1)]
+            assert np.array_equal(estimate_selmmse(y, ports, n).values, expected)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_selmmse(np.ones(3), [0, 2], 4)
