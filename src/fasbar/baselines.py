@@ -11,10 +11,12 @@ Two conventional references for the planned Bayesian scheme:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .channels import EXTERNAL, ChannelRealization, steering_matrix
 
@@ -103,11 +105,23 @@ def random_ports(num_ports, num_measurements, rng_seed):
 def omp_solve(measured_atoms, y, max_atoms, residual_tol):
     """Orthogonal matching pursuit on an explicit measurement matrix.
 
-    Greedily picks the atom most correlated with the residual, refits all
-    picked atoms by least squares, and stops when max_atoms are used or the
-    residual drops below residual_tol * ||y||.  A rank-deficient refit stops
-    the pursuit early with a RankDeficientFitWarning, keeping the last
-    full-rank fit.
+    Greedily picks the atom most correlated with the residual, |a_g^H r|,
+    and stops when max_atoms are used or the residual drops below
+    residual_tol * ||y||.  The picked atoms A_S are kept as a thin QR
+    factor A_S = Q R: each pick orthogonalizes its atom against Q by
+    classical Gram-Schmidt applied twice, appending one column to Q and
+    to the upper-triangular R, and the residual loses its projection on
+    the new column.  The least-squares coefficients come at the end from
+    one triangular solve R x = Q^H y.
+
+    A pick is rank deficient, by the rule of ``np.linalg.lstsq`` with
+    ``rcond=None`` applied to R (which has the singular values of A_S),
+    when it would use more atoms k than the m rows, when r_kk = 0, or when
+    s_min(R) <= eps * max(m, k) * s_max(R).  The bounds
+    s_min >= 1 / ||R^-1||_F and s_max <= ||R||_F, both updated in O(k^2)
+    per pick, certify most picks; only when they cannot is R's SVD taken.
+    A rank-deficient pick stops the pursuit early with a
+    RankDeficientFitWarning, keeping the last full-rank fit.
 
     Returns
     -------
@@ -125,30 +139,73 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
         raise ValueError("residual_tol must be nonnegative")
     norm_y = float(np.linalg.norm(y))
     support: list = []
-    coeffs = np.zeros(0, dtype=complex)
-    residual = y.astype(complex)
     norms = [norm_y]
     if norm_y == 0.0:
-        return coeffs, support, norms
-    for _ in range(int(max_atoms)):
+        return np.zeros(0, dtype=complex), support, norms
+    m = y.size
+    size = min(int(max_atoms), m)
+    dtype = np.result_type(a, y, 1.0)
+    q_rows = np.zeros((size, m), dtype=dtype)  # q_k as rows
+    qh_rows = np.zeros((size, m), dtype=dtype)  # their conjugates, so Q^H v = qh_rows @ v
+    r = np.zeros((size, size), dtype=dtype)
+    r_inv = np.zeros((size, size), dtype=dtype)
+    r_fro2 = r_inv_fro2 = 0.0  # squared Frobenius norms of R and R^-1
+    picked = np.zeros(size, dtype=np.intp)
+    eps = np.finfo(float).eps
+    residual_h = np.conj(y).astype(complex)  # r^H, so a^H r is the conjugate of residual_h @ a
+    for k in range(int(max_atoms)):
         if norms[-1] <= residual_tol * norm_y:
             break
-        corr = np.abs(a.conj().T @ residual)
-        corr[support] = -1.0  # an atom is never picked twice
-        pick = int(np.argmax(corr))
-        trial = support + [pick]
-        sol, _, rank, _ = np.linalg.lstsq(a[:, trial], y, rcond=None)
-        if rank < len(trial):
-            warnings.warn(
-                "matching pursuit hit a rank-deficient refit; stopping early",
-                RankDeficientFitWarning,
-                stacklevel=2,
-            )
+        corr = np.abs(residual_h @ a)
+        corr[picked[:k]] = -1.0  # an atom is never picked twice
+        pick = int(corr.argmax())
+        if k == m:
+            _warn_rank_deficient()
             break
-        support, coeffs = trial, sol
-        residual = y - a[:, support] @ coeffs
-        norms.append(float(np.linalg.norm(residual)))
+        atom = a[:, pick]
+        col = qh_rows[:k] @ atom
+        w = atom - col @ q_rows[:k]
+        again = qh_rows[:k] @ w
+        w -= again @ q_rows[:k]
+        col += again
+        r_kk = math.sqrt(np.vdot(w, w).real)
+        if r_kk == 0.0:
+            _warn_rank_deficient()
+            break
+        r[:k, k], r[k, k] = col, r_kk
+        inv_kk = 1.0 / r_kk
+        inv_col = r_inv[:k, :k] @ col  # times -inv_kk, R^-1's new column above the diagonal
+        fro2 = r_fro2 + np.vdot(col, col).real + r_kk * r_kk
+        inv_fro2 = r_inv_fro2 + (np.vdot(inv_col, inv_col).real + 1.0) * inv_kk * inv_kk
+        rcond = eps * max(m, k + 1)
+        # 1/||R^-1||_F > rcond * ||R||_F certifies full rank without an SVD
+        if not fro2 * inv_fro2 * rcond * rcond < 1.0:
+            sv = np.linalg.svd(r[: k + 1, : k + 1], compute_uv=False)
+            if sv[-1] <= rcond * sv[0]:
+                _warn_rank_deficient()
+                break
+        np.multiply(w, inv_kk, out=q_rows[k])
+        np.conjugate(q_rows[k], out=qh_rows[k])
+        np.multiply(inv_col, -inv_kk, out=r_inv[:k, k])
+        r_inv[k, k] = inv_kk
+        r_fro2, r_inv_fro2 = fro2, inv_fro2
+        picked[k] = pick
+        support.append(pick)
+        residual_h -= (q_rows[k] @ residual_h) * qh_rows[k]
+        norms.append(math.sqrt(np.vdot(residual_h, residual_h).real))
+    k = len(support)
+    if k == 0:
+        return np.zeros(0, dtype=complex), support, norms
+    coeffs = solve_triangular(r[:k, :k], qh_rows[:k] @ y)
     return coeffs, support, norms
+
+
+def _warn_rank_deficient():
+    warnings.warn(
+        "matching pursuit hit a rank-deficient refit; stopping early",
+        RankDeficientFitWarning,
+        stacklevel=3,
+    )
 
 
 def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):

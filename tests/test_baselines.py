@@ -2,22 +2,51 @@
 
 The nearest-hold scheme is checked against a brute-force per-port loop,
 and the pursuit against planted on-grid sparse channels it must recover
-exactly in the noiseless case.
+exactly in the noiseless case, and against a reference pursuit that
+refits every pick with ``np.linalg.lstsq``.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from fasbar import (
     RankDeficientFitWarning,
+    SscModelParams,
     build_port_geometry,
     build_steering_dictionary,
     estimate_fas_omp,
     estimate_selmmse,
+    generate_ssc_channel,
     random_ports,
     selmmse_ports,
 )
 from fasbar.baselines import omp_solve
+
+
+def lstsq_pursuit(a, y, max_atoms, residual_tol):
+    """Reference OMP: argmax |a^H r|, then a fresh lstsq refit of every pick."""
+    norm_y = float(np.linalg.norm(y))
+    support, coeffs = [], np.zeros(0, dtype=complex)
+    residual = y.astype(complex)
+    norms = [norm_y]
+    if norm_y == 0.0:
+        return coeffs, support, norms
+    for _ in range(max_atoms):
+        if norms[-1] <= residual_tol * norm_y:
+            break
+        corr = np.abs(a.conj().T @ residual)
+        corr[support] = -1.0
+        trial = support + [int(np.argmax(corr))]
+        sol, _, rank, _ = np.linalg.lstsq(a[:, trial], y, rcond=None)
+        if rank < len(trial):
+            warnings.warn("rank-deficient refit", RankDeficientFitWarning)
+            break
+        support, coeffs = trial, sol
+        residual = y - a[:, support] @ coeffs
+        norms.append(float(np.linalg.norm(residual)))
+    return coeffs, support, norms
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +195,63 @@ class TestOmp:
         with pytest.warns(RankDeficientFitWarning):
             _, support, _ = omp_solve(dictionary.matrix[ports], y, 3, 0.0)
         assert len(support) == 2
+
+    @pytest.mark.parametrize("n,count", [(256, 200), (64, 60)])
+    def test_matches_lstsq_pursuit(self, n, count):
+        # sweep-sized fits: a noisy SSC channel at P*M = 4..40 random ports
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        atoms = build_steering_dictionary(geom).matrix
+        for seed in range(count):
+            rng = np.random.default_rng(seed)
+            pm = 4 * (seed % 10 + 1)
+            ports = random_ports(n, pm, rng_seed=seed)
+            h = generate_ssc_channel(geom, SscModelParams(rng_seed=seed)).values
+            y = h[ports] + 0.1 * (rng.standard_normal(pm) + 1j * rng.standard_normal(pm))
+            a = atoms[ports]
+            ref_coeffs, ref_support, ref_norms = lstsq_pursuit(a, y, 9, 1e-3)
+            coeffs, support, norms = omp_solve(a, y, 9, 1e-3)
+            assert support == ref_support
+            ref_est = atoms[:, ref_support] @ ref_coeffs
+            est = atoms[:, support] @ coeffs
+            assert np.linalg.norm(est - ref_est) <= 1e-10 * np.linalg.norm(ref_est)
+            assert len(norms) == len(ref_norms)
+            assert np.abs(np.subtract(norms, ref_norms)).max() <= 1e-12 * np.linalg.norm(y)
+
+    def test_duplicated_column_stops_at_the_lstsq_pick(self):
+        # the copy of atom 0 is picked last, once every other atom is used
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+            a[:, 3] = a[:, 0]
+            y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            with pytest.warns(RankDeficientFitWarning):
+                _, ref_support, _ = lstsq_pursuit(a, y, 4, 0.0)
+            with pytest.warns(RankDeficientFitWarning):
+                _, support, _ = omp_solve(a, y, 4, 0.0)
+            assert support == ref_support and len(support) == 3
+
+    def test_more_atoms_than_rows_stops_at_the_lstsq_pick(self):
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
+        y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        with pytest.warns(RankDeficientFitWarning):
+            _, ref_support, _ = lstsq_pursuit(a, y, 5, 0.0)
+        with pytest.warns(RankDeficientFitWarning):
+            _, support, _ = omp_solve(a, y, 5, 0.0)
+        assert support == ref_support and len(support) == 3
+
+    def test_pursuit_never_calls_lstsq(self, dictionary, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq was called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        rng = np.random.default_rng(19)
+        ports = random_ports(64, 16, rng_seed=20)
+        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        _, support, _ = omp_solve(dictionary.matrix[ports], y, 9, 0.0)
+        assert len(support) == 9
+        with pytest.warns(RankDeficientFitWarning):
+            omp_solve(dictionary.matrix[ports[:2]], y[:2], 3, 0.0)
 
     def test_argument_validation(self, dictionary):
         with pytest.raises(ValueError):
