@@ -67,11 +67,9 @@ from .sbar import (
     PosteriorState,
     Reconstruction,
     SamplingPlan,
-    SwitchMatrix,
     compute_weights,
     design_plan,
     initial_posterior,
-    plan_to_switch_matrices,
     posterior_update_one,
     reconstruct,
     stacked_switch_matrix,

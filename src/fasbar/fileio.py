@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import PilotObservation
 from .kernels import Kernel
-from .sbar import Reconstruction, SamplingPlan, plan_to_switch_matrices
+from .sbar import Reconstruction, SamplingPlan
 
 MAGIC = b"FASBAR1\x00"
 CONTAINER_VERSION = 1
@@ -169,18 +169,15 @@ def save_plan(path, plan):
 
 
 def load_plan(path):
+    """Read a plan; ValueError if its order or arrays disagree with N, P, M."""
     header, arrays = read_container(path)
     if header.get("content") != "plan":
         raise ValueError(f"{path} does not hold a sampling plan")
-    order = tuple(int(p) - 1 for p in header["order"])
-    p, m = int(header["num_timeslots"]), int(header["antennas_per_slot"])
-    n = int(header["num_ports"])
     return SamplingPlan(
-        num_ports=n,
-        num_timeslots=p,
-        antennas_per_slot=m,
-        order=order,
-        switch_matrices=plan_to_switch_matrices(order, p, m, n),
+        num_ports=int(header["num_ports"]),
+        num_timeslots=int(header["num_timeslots"]),
+        antennas_per_slot=int(header["antennas_per_slot"]),
+        order=tuple(int(p) - 1 for p in header["order"]),
         weights=arrays["weights"],
         noise_power_design=float(header["noise_power"]),
         kernel_fingerprint=header["kernel_fingerprint"],

@@ -17,7 +17,9 @@ Schneider, 2012), so one pass over K = P*M pivots gives the port order,
 the posterior variances and the Cholesky factor of the measured-port
 system together.  It costs O(N*K^2) time and O(N*K) memory beyond the
 kernel.  ``initial_posterior``/``posterior_update_one`` keep the dense
-rank-one recursion over the full N x N posterior as a reference.
+rank-one recursion over the full N x N posterior as a reference.  A plan
+stores the port order and the weights; switch matrices are read off the
+order.
 
 Stage 2 (online).  Reconstruct hhat = w^H y.  One matrix-vector product,
 O(N) per measurement; no kernel, no factorization.
@@ -78,30 +80,6 @@ class PosteriorState:
 
 
 @dataclass(frozen=True)
-class SwitchMatrix:
-    """Which M ports one timeslot connects, in RF-chain order.
-
-    As a binary M x N matrix S it has exactly one 1 per row and at most one
-    per column, so S @ S^H is the M x M identity.
-    """
-
-    ports: tuple
-    num_ports: int
-
-    def __post_init__(self):
-        if len(set(self.ports)) != len(self.ports):
-            raise ValueError("switch matrix ports must be distinct")
-        if any(p < 0 or p >= self.num_ports for p in self.ports):
-            raise ValueError("switch matrix port index out of range")
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense 0/1 integer matrix, shape (M, num_ports)."""
-        mat = np.zeros((len(self.ports), self.num_ports), dtype=np.int64)
-        mat[np.arange(len(self.ports)), list(self.ports)] = 1
-        return mat
-
-
-@dataclass(frozen=True)
 class SamplingPlan:
     """Everything the online stage needs, frozen at design time.
 
@@ -110,9 +88,9 @@ class SamplingPlan:
     num_ports, num_timeslots, antennas_per_slot : int
         Dimensions N, P, M with P*M <= N.
     order : tuple of int
-        All P*M measured ports in selection order (0-based, distinct).
-    switch_matrices : tuple of SwitchMatrix
-        Per-slot hardware settings; concatenating their ports gives order.
+        All P*M measured ports in selection order (0-based, distinct);
+        slot s connects order[s*M : (s+1)*M], in RF-chain order (see
+        ``stacked_switch_matrix``).
     weights : np.ndarray
         Precomputed MAP weights, shape (P*M, N) complex.
     noise_power_design : float
@@ -122,17 +100,33 @@ class SamplingPlan:
     post_diag : np.ndarray
         Design-time posterior variance of every port after all P*M
         measurements, shape (N,) real.
+
+    Construction rejects an order or array shapes that disagree with N, P, M.
     """
 
     num_ports: int
     num_timeslots: int
     antennas_per_slot: int
     order: tuple
-    switch_matrices: tuple
     weights: np.ndarray
     noise_power_design: float
     kernel_fingerprint: str
     post_diag: np.ndarray
+
+    def __post_init__(self):
+        n, k = self.num_ports, self.num_measurements
+        if self.num_timeslots < 1 or self.antennas_per_slot < 1:
+            raise ValueError("num_timeslots and antennas_per_slot must be positive")
+        if len(self.order) != k:
+            raise ValueError("order length must equal num_timeslots * antennas_per_slot")
+        if len(set(self.order)) != k:
+            raise ValueError("order must not repeat ports")
+        if any(p < 0 or p >= n for p in self.order):
+            raise ValueError(f"order holds a port outside [0, {n})")
+        if np.shape(self.weights) != (k, n):
+            raise ValueError(f"weights must have shape ({k}, {n}), got {np.shape(self.weights)}")
+        if np.shape(self.post_diag) != (n,):
+            raise ValueError(f"post_diag must have shape ({n},), got {np.shape(self.post_diag)}")
 
     @property
     def num_measurements(self) -> int:
@@ -262,24 +256,15 @@ def _check_weight_residual(scale, gram, cross, weights):
         )
 
 
-def plan_to_switch_matrices(order, num_timeslots, antennas_per_slot, num_ports):
-    """Split a measurement order into per-timeslot switch matrices."""
-    order = tuple(int(p) for p in order)
-    p, m = int(num_timeslots), int(antennas_per_slot)
-    if p < 1 or m < 1:
-        raise ValueError("num_timeslots and antennas_per_slot must be positive")
-    if len(order) != p * m:
-        raise ValueError("order length must equal num_timeslots * antennas_per_slot")
-    if len(set(order)) != len(order):
-        raise ValueError("order must not repeat ports")
-    return tuple(
-        SwitchMatrix(order[i * m : (i + 1) * m], int(num_ports)) for i in range(p)
-    )
-
-
 def stacked_switch_matrix(plan):
-    """All P switch matrices stacked into one (P*M, N) 0/1 matrix."""
-    return np.vstack([s.as_matrix() for s in plan.switch_matrices])
+    """The P switch matrices stacked into one (P*M, N) one-hot int64 matrix.
+
+    Row k connects port ``plan.order[k]``, so slot s is rows s*M to s*M + M - 1.
+    """
+    k = plan.num_measurements
+    stacked = np.zeros((k, plan.num_ports), dtype=np.int64)
+    stacked[np.arange(k), list(plan.order)] = 1
+    return stacked
 
 
 def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
@@ -296,10 +281,10 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     the measured ports, below the diagonal, plus the pivots sqrt(var[j] +
     s2) on it, are the Cholesky factor L of Sigma(Omega, Omega) + s2*I, so
     the weights take one triangular solve L^H w = B^H.  Time is O(N*K^2),
-    memory O(N*K) beyond the kernel.  The selected order, per-slot switch
-    matrices, weights and final variances are packaged into a
-    SamplingPlan; nothing about the received pilots is needed, so all of
-    this runs offline.
+    memory O(N*K) beyond the kernel.  The selected order (slot s takes
+    picks s*M to s*M + M - 1), the weights and the final variances are
+    packaged into a SamplingPlan; nothing about the received pilots is
+    needed, so all of this runs offline.
 
     Parameters
     ----------
@@ -378,7 +363,6 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
         num_timeslots=p,
         antennas_per_slot=m,
         order=order,
-        switch_matrices=plan_to_switch_matrices(order, p, m, n),
         weights=weights,
         noise_power_design=float(noise_power),
         kernel_fingerprint=kernel.fingerprint,

@@ -29,6 +29,7 @@ import fasbar.sbar
 from fasbar import (
     Kernel,
     PilotObservation,
+    SamplingPlan,
     SscModelParams,
     build_port_geometry,
     compute_weights,
@@ -38,13 +39,11 @@ from fasbar import (
     kernel_bessel,
     kernel_covariance,
     kernel_exponential,
-    plan_to_switch_matrices,
     posterior_update_one,
     reconstruct,
     ssc_channel_from_rays,
     stacked_switch_matrix,
 )
-from fasbar.sbar import SwitchMatrix
 
 
 def batch_posterior(sigma, measured, noise_power):
@@ -204,8 +203,7 @@ class TestDesignPlan:
     def test_order_concatenates_switch_matrix_ports(self):
         geom = build_port_geometry(24, 8.0, 3.5e9)
         plan = design_plan(kernel_exponential(geom), 4, 3, 1.0)
-        concatenated = tuple(p for s in plan.switch_matrices for p in s.ports)
-        assert concatenated == plan.order
+        assert tuple(stacked_switch_matrix(plan).argmax(axis=1).tolist()) == plan.order
         assert len(set(plan.order)) == 12
 
     def test_stacked_switch_matrix_is_orthonormal(self):
@@ -333,21 +331,64 @@ class TestComputeWeights:
             compute_weights(kernel, order, 0.1)
 
 
-class TestSwitchMatrices:
-    def test_split_and_shapes(self):
-        mats = plan_to_switch_matrices((3, 0, 2, 5), 2, 2, 6)
-        assert mats[0].ports == (3, 0) and mats[1].ports == (2, 5)
-        m = mats[0].as_matrix()
-        assert m.shape == (2, 6)
-        assert np.array_equal(m @ m.T, np.eye(2, dtype=np.int64))
+def hand_plan(**changes):
+    """A valid 2-slot, 2-antenna plan over 6 ports, with fields replaced."""
+    fields = dict(
+        num_ports=6,
+        num_timeslots=2,
+        antennas_per_slot=2,
+        order=(3, 0, 2, 5),
+        weights=np.zeros((4, 6), dtype=complex),
+        noise_power_design=0.1,
+        kernel_fingerprint="hand",
+        post_diag=np.ones(6),
+    )
+    fields.update(changes)
+    return SamplingPlan(**fields)
 
-    def test_rejects_inconsistent_orders(self):
+
+class TestPlanValidation:
+    def test_slots_are_consecutive_rows_of_the_order(self):
+        s = stacked_switch_matrix(hand_plan())
+        assert s.shape == (4, 6) and s.dtype == np.int64
+        assert s[:2].argmax(axis=1).tolist() == [3, 0]
+        assert s[2:].argmax(axis=1).tolist() == [2, 5]
+        assert np.array_equal(s[:2] @ s[:2].T, np.eye(2, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"order": (3, 0, 2)},
+            {"order": (3, 0, 2, 5, 1)},
+            {"order": (3, 0, 3, 5)},
+            {"order": (3, 0, 2, 6)},
+            {"order": (3, -1, 2, 5)},
+            {"num_timeslots": 0, "order": (), "weights": np.zeros((0, 6))},
+            {"antennas_per_slot": 0, "order": (), "weights": np.zeros((0, 6))},
+            {"weights": np.zeros((4, 5))},
+            {"weights": np.zeros((6, 4))},
+            {"weights": np.zeros(24)},
+            {"post_diag": np.ones(5)},
+            {"post_diag": np.ones((6, 1))},
+        ],
+        ids=[
+            "order-short",
+            "order-long",
+            "order-repeats",
+            "port-past-end",
+            "port-negative",
+            "zero-slots",
+            "zero-antennas",
+            "weights-columns",
+            "weights-transposed",
+            "weights-flat",
+            "post-diag-short",
+            "post-diag-2d",
+        ],
+    )
+    def test_rejects_inconsistent_fields(self, changes):
         with pytest.raises(ValueError):
-            plan_to_switch_matrices((0, 1, 2), 2, 2, 6)
-        with pytest.raises(ValueError):
-            plan_to_switch_matrices((0, 0, 1, 2), 2, 2, 6)
-        with pytest.raises(ValueError):
-            SwitchMatrix((0, 9), 6)
+            hand_plan(**changes)
 
 
 class TestReconstruct:
