@@ -56,12 +56,10 @@ from .harness import (
 )
 from .kernels import (
     Kernel,
-    KernelDiagnostics,
     default_eta,
     kernel_bessel,
     kernel_covariance,
     kernel_exponential,
-    validate_kernel,
 )
 from .sbar import (
     PosteriorState,

@@ -89,16 +89,6 @@ class Kernel:
         return cached
 
 
-@dataclass(frozen=True)
-class KernelDiagnostics:
-    """Numerical health report from ``validate_kernel``."""
-
-    hermitian_deviation: float
-    min_eigenvalue: float
-    condition_number: float
-    noise_power: float
-
-
 def default_eta():
     """Default correlation length sqrt(1 / (2*pi)), in carrier wavelengths."""
     return float(np.sqrt(1.0 / (2.0 * np.pi)))
@@ -204,19 +194,3 @@ def kernel_covariance(training_channels, jitter=None, carrier_hz=0.0):
     mat = stack.T @ stack.conj() / stack.shape[0]
     mat = 0.5 * (mat + mat.conj().T)
     return _finish(mat, COVARIANCE, 0.0, 0.0, 0, jitter, carrier_hz)
-
-
-def validate_kernel(kernel, noise_power=0.0):
-    """Report Hermitian deviation, extremal eigenvalue, and conditioning.
-
-    The condition number is that of Sigma + noise_power * I, i.e. of the
-    system actually factorized when weights are computed.
-    """
-    if noise_power < 0.0:
-        raise ValueError("noise_power must be nonnegative")
-    mat = kernel.matrix
-    herm_dev = float(np.abs(mat - mat.conj().T).max())
-    eigs = np.linalg.eigvalsh(mat)
-    reg = eigs + noise_power
-    cond = float("inf") if reg.min() <= 0.0 else float(reg.max() / reg.min())
-    return KernelDiagnostics(herm_dev, float(eigs.min()), cond, float(noise_power))
