@@ -247,7 +247,7 @@ def _scheme_kernel(scheme, config, geom):
     return train_covariance_kernel(config, scheme.train_timeslots)
 
 
-def run_sweep(config, use_plan_cache=True, plan_cache=None):
+def run_sweep(config, plan_cache=None):
     """Run the configured sweep and return records in canonical order.
 
     The loop runs over SNR, then trial; each trial synthesizes its channel
@@ -257,11 +257,10 @@ def run_sweep(config, use_plan_cache=True, plan_cache=None):
     was interleaved.  Each SNR point looks up its plans and checks the
     sbar and selmmse port sets once, before its trials; fas-omp draws its
     random ports per trial.  Plans are designed once per
-    (kernel, P, M, noise power) and reused across SNR points and calls
-    when ``use_plan_cache`` is set, once per SNR point otherwise; passing a
-    dict as ``plan_cache`` exposes the designed plans to the caller.
-    Caching cannot change any record: ``design_plan`` is deterministic in
-    its inputs.
+    (kernel fingerprint, P, M, noise power) and kept in ``plan_cache``, a
+    fresh dict unless the caller passes one; a dict passed in exposes the
+    designed plans and carries them over to later calls.  Caching cannot
+    change any record: ``design_plan`` is deterministic in its inputs.
     """
     geom = build_port_geometry(config.num_ports, config.aperture_wavelengths, config.carrier_hz)
     n, m = config.num_ports, config.antennas_per_slot
@@ -279,8 +278,6 @@ def run_sweep(config, use_plan_cache=True, plan_cache=None):
 
     def plan_for(scheme, p, noise_power):
         key = (kernels[scheme].fingerprint, p, m, noise_power)
-        if not use_plan_cache:
-            return design_plan(kernels[scheme], p, m, noise_power)
         if key not in plan_cache:
             plan_cache[key] = design_plan(kernels[scheme], p, m, noise_power)
         return plan_cache[key]

@@ -131,9 +131,23 @@ class TestRunSweep:
         cfg = small_config(record_timing=False)
         assert run_sweep(cfg) == run_sweep(cfg)
 
-    def test_plan_cache_does_not_change_results(self):
+    def test_plan_cache_does_not_change_results(self, monkeypatch):
         cfg = small_config(record_timing=False)
-        assert run_sweep(cfg, use_plan_cache=True) == run_sweep(cfg, use_plan_cache=False)
+        cache = {}
+        cold = run_sweep(cfg, plan_cache=cache)
+        designs = Counter()
+        original = fasbar.harness.design_plan
+
+        def counted(*args, **kwargs):
+            designs["design_plan"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fasbar.harness, "design_plan", counted)
+        assert run_sweep(cfg, plan_cache=cache) == cold
+        assert designs["design_plan"] == 0
+        # without a warm cache every (P, noise) point is designed once
+        assert run_sweep(cfg) == cold
+        assert designs["design_plan"] == len(cfg.pilot_counts)
 
     def test_channel_seed_shared_across_schemes_and_budgets(self):
         records = run_sweep(small_config())
