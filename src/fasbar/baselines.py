@@ -123,6 +123,12 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
     A rank-deficient pick stops the pursuit early with a
     RankDeficientFitWarning, keeping the last full-rank fit.
 
+    The pursuit runs on y * 2^-e, where 2^(e-1) <= max|y| < 2^e within
+    the float range, and scales its coefficients and norms back by 2^e.
+    Scaling by a power of two is exact, so the result is unchanged wherever
+    ||y|| could be formed directly, and ||y|| neither underflows nor
+    overflows at extreme scales.
+
     Returns
     -------
     (coeffs, support, residual_norms)
@@ -137,6 +143,9 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
         raise ValueError("max_atoms must be positive")
     if residual_tol < 0.0:
         raise ValueError("residual_tol must be nonnegative")
+    # clamped so that 2^e and 2^-e are both finite floats
+    e = min(max(math.frexp(float(np.abs(y).max(initial=0.0)))[1], -1021), 1023)
+    y = y * math.ldexp(1.0, -e)
     norm_y = float(np.linalg.norm(y))
     support: list = []
     norms = [norm_y]
@@ -194,10 +203,12 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
         residual_h -= (q_rows[k] @ residual_h) * qh_rows[k]
         norms.append(math.sqrt(np.vdot(residual_h, residual_h).real))
     k = len(support)
+    scale = math.ldexp(1.0, e)
+    norms = [v * scale for v in norms]
     if k == 0:
         return np.zeros(0, dtype=complex), support, norms
     coeffs = solve_triangular(r[:k, :k], qh_rows[:k] @ y)
-    return coeffs, support, norms
+    return coeffs * scale, support, norms
 
 
 def _warn_rank_deficient():

@@ -253,6 +253,32 @@ class TestOmp:
         with pytest.warns(RankDeficientFitWarning):
             omp_solve(dictionary.matrix[ports[:2]], y[:2], 3, 0.0)
 
+    def test_extreme_scales_keep_the_fit(self, dictionary):
+        # ||y|| formed directly underflows to 0 at 1e-200 and overflows at 1e200
+        rng = np.random.default_rng(21)
+        a = dictionary.matrix[random_ports(64, 16, rng_seed=22)]
+        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        coeffs, support, norms = omp_solve(a, y, 9, 1e-3)
+        for scale in (1e-200, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled_coeffs, scaled_support, scaled_norms = omp_solve(a, y * scale, 9, 1e-3)
+            assert scaled_support == support
+            assert np.abs(scaled_coeffs / scale - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+            assert np.abs(np.divide(scaled_norms, scale) - norms).max() <= 1e-12 * norms[0]
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_power_of_two_scales_are_bit_identical(self, dictionary, exponent):
+        rng = np.random.default_rng(23)
+        a = dictionary.matrix[random_ports(64, 16, rng_seed=24)]
+        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        coeffs, support, norms = omp_solve(a, y, 9, 1e-3)
+        scale = 2.0**exponent
+        scaled_coeffs, scaled_support, scaled_norms = omp_solve(a, y * scale, 9, 1e-3)
+        assert scaled_support == support
+        assert np.array_equal(scaled_coeffs, coeffs * scale)
+        assert scaled_norms == [v * scale for v in norms]
+
     def test_argument_validation(self, dictionary):
         with pytest.raises(ValueError):
             estimate_fas_omp(np.ones(3), [0, 1], dictionary)
