@@ -1,0 +1,81 @@
+"""The public API of the package, pinned.
+
+Adding, removing or renaming a public name has to show up as an edit to
+this file.
+"""
+
+import types
+
+import fasbar
+
+PUBLIC_NAMES = {
+    # baselines
+    "RankDeficientFitWarning",
+    "SteeringDictionary",
+    "build_steering_dictionary",
+    "estimate_fas_omp",
+    "estimate_selmmse",
+    "random_ports",
+    "selmmse_ports",
+    # channels
+    "ChannelRealization",
+    "PilotObservation",
+    "PortGeometry",
+    "SscModelParams",
+    "build_port_geometry",
+    "draw_port_noise",
+    "generate_ssc_channel",
+    "noise_power_for_snr",
+    "observe_pilots",
+    "observe_ports",
+    "ssc_channel_from_rays",
+    "steering_matrix",
+    # fileio
+    "load_estimate",
+    "load_kernel",
+    "load_observation",
+    "load_plan",
+    "save_estimate",
+    "save_kernel",
+    "save_observation",
+    "save_plan",
+    # harness
+    "ExperimentConfig",
+    "ResultRecord",
+    "SchemeSpec",
+    "config_from_dict",
+    "emit_csv",
+    "load_config",
+    "mean_nmse_by_point",
+    "nmse",
+    "read_csv",
+    "run_sweep",
+    "train_covariance_kernel",
+    # kernels
+    "Kernel",
+    "default_eta",
+    "kernel_bessel",
+    "kernel_covariance",
+    "kernel_exponential",
+    # sbar
+    "PosteriorState",
+    "Reconstruction",
+    "SamplingPlan",
+    "compute_weights",
+    "design_plan",
+    "initial_posterior",
+    "posterior_update_one",
+    "reconstruct",
+    "stacked_switch_matrix",
+    # svgplot
+    "emit_svg",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {
+        name
+        for name in dir(fasbar)
+        if not name.startswith("_") and not isinstance(getattr(fasbar, name), types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES
