@@ -36,7 +36,6 @@ def _add_design(sub):
     p.add_argument("--carrier-hz", type=float, help="carrier frequency (with --kernel-kind)")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=None, help="correlation length in carrier wavelengths")
-    p.add_argument("--bessel-order", type=int, default=0)
     p.add_argument("--pilots", type=int, required=True, help="number of timeslots P")
     p.add_argument("--antennas", type=int, required=True, help="ports per timeslot M")
     p.add_argument("--noise-power", type=float, required=True, help="design noise variance")
@@ -82,7 +81,7 @@ def _cmd_design(args):
         if args.kernel_kind == EXPONENTIAL:
             kernel = kernel_exponential(geom, alpha=args.alpha, eta=args.eta)
         else:
-            kernel = kernel_bessel(geom, alpha=args.alpha, eta=args.eta, order=args.bessel_order)
+            kernel = kernel_bessel(geom, alpha=args.alpha, eta=args.eta)
     plan = design_plan(kernel, args.pilots, args.antennas, args.noise_power)
     fileio.save_plan(args.out, plan)
     print(f"wrote plan {args.out}: N={plan.num_ports} P={plan.num_timeslots} "

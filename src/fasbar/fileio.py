@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PilotObservation
-from .kernels import Kernel
+from .kernels import Kernel, toeplitz_view
 from .sbar import Reconstruction, SamplingPlan
 
 MAGIC = b"FASBAR1\x00"
@@ -125,30 +125,33 @@ def read_container(path):
 
 
 def save_kernel(path, kernel):
-    """Persist a kernel with its hyperparameters and carrier."""
+    """Persist a kernel with its hyperparameters and carrier.
+
+    The "matrix" array holds ``kernel.stored``: the N lags of an analytic
+    kernel, or the N x N matrix of a trained covariance.
+    """
     header = {
         "content": "kernel",
         "kind": kernel.kind,
         "num_ports": kernel.num_ports,
         "alpha": kernel.alpha,
         "eta": kernel.eta,
-        "order": kernel.order,
         "jitter": kernel.jitter,
         "carrier_hz": kernel.carrier_hz,
     }
-    write_container(path, header, {"matrix": kernel.matrix})
+    write_container(path, header, {"matrix": kernel.stored})
 
 
 def load_kernel(path):
     header, arrays = read_container(path)
     if header.get("content") != "kernel":
         raise ValueError(f"{path} does not hold a kernel")
+    stored = arrays["matrix"]
     return Kernel(
-        matrix=arrays["matrix"],
+        matrix=toeplitz_view(stored) if stored.ndim == 1 else stored,
         kind=header["kind"],
         alpha=float(header["alpha"]),
         eta=float(header["eta"]),
-        order=int(header["order"]),
         jitter=float(header["jitter"]),
         carrier_hz=float(header["carrier_hz"]),
     )

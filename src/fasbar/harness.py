@@ -81,7 +81,7 @@ class SchemeSpec:
 
     ``method`` picks the estimator; the remaining fields only matter where
     noted.  For sbar, ``kernel`` chooses exponential/bessel/covariance and
-    alpha/eta/bessel_order/train_timeslots parameterize it (eta None means
+    alpha/eta/train_timeslots parameterize it (eta None means
     the sqrt(1/2pi)-wavelengths default).  For fas-omp, max_atoms,
     residual_tol and dict_oversampling shape the pursuit.
     """
@@ -90,7 +90,6 @@ class SchemeSpec:
     kernel: str = ""
     alpha: float = 1.0
     eta: float | None = None
-    bessel_order: int = 0
     train_timeslots: int = 100
     max_atoms: int = 9
     residual_tol: float = 1e-3
@@ -243,7 +242,7 @@ def _scheme_kernel(scheme, config, geom):
     if scheme.kernel == EXPONENTIAL:
         return kernel_exponential(geom, alpha=scheme.alpha, eta=scheme.eta)
     if scheme.kernel == BESSEL:
-        return kernel_bessel(geom, alpha=scheme.alpha, eta=scheme.eta, order=scheme.bessel_order)
+        return kernel_bessel(geom, alpha=scheme.alpha, eta=scheme.eta)
     return train_covariance_kernel(config, scheme.train_timeslots)
 
 
@@ -447,7 +446,7 @@ def config_from_dict(doc, seed_override=None):
         SchemeSpec(
             **_coerced(
                 entry,
-                int_keys=("bessel_order", "train_timeslots", "max_atoms", "dict_oversampling"),
+                int_keys=("train_timeslots", "max_atoms", "dict_oversampling"),
                 float_keys=("alpha", "eta", "residual_tol"),
             )
         )

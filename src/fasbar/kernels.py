@@ -5,7 +5,7 @@ the vector of per-port channel values, so everything starts from an N x N
 prior covariance Sigma.  Three constructions are supported:
 
 * exponential:  Sigma(n, m) = alpha^2 * exp(-d(n, m)^2 / eta^2)
-* bessel:       Sigma(n, m) = alpha^2 * J_order(d(n, m) / eta)
+* bessel:       Sigma(n, m) = alpha^2 * J_0(d(n, m) / eta)
 * covariance:   (1/T) * sum_t h_t h_t^H from a training ensemble
 
 For the analytic kinds, d(n, m) = |x_n - x_m| / lambda is the port distance
@@ -14,8 +14,10 @@ The channel statistics themselves only depend on positions through x/lambda,
 so this keeps a kernel meaningful across carriers at a fixed aperture.
 ``build_port_geometry`` always lays the ports out on a uniform grid, so
 d(n, m) depends on |n - m| alone: the analytic kernels evaluate their
-profile on the N lags (x_n - x_0) / lambda and expand it into a symmetric
-Toeplitz matrix instead of evaluating it on all N^2 port pairs.
+profile on the N lags (x_n - x_0) / lambda and store only those, exposing
+the symmetric Toeplitz matrix as a strided view (``toeplitz_view``).  They
+are built, hashed and saved in O(N) time and memory.  A trained covariance
+has no such structure and is stored as all N^2 entries.
 
 All constructors add ``jitter`` to the diagonal (default 1e-9 * trace/N)
 so downstream Cholesky factorizations stay positive definite even for
@@ -28,7 +30,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import jv
 
 from .channels import SPEED_OF_LIGHT
@@ -47,9 +49,12 @@ DEFAULT_JITTER_SCALE = 1e-9
 class Kernel:
     """An N x N prior covariance with the hyperparameters that built it.
 
-    ``matrix`` is stored complex128 and Hermitian exactly as stored; for the
-    analytic kinds the imaginary part is identically zero.  ``alpha``,
-    ``eta`` and ``order`` are meaningful for the analytic kinds only and are
+    ``matrix`` is complex128, read-only and Hermitian exactly as stored; for
+    the analytic kinds the imaginary part is identically zero.  An analytic
+    kernel holds only its N lags: ``matrix`` is a ``toeplitz_view`` of them,
+    indexed exactly like a dense matrix but never expanded to N^2 entries.
+    Trained covariances are dense.  ``stored`` is what the kernel holds.
+    ``alpha`` and ``eta`` are meaningful for the analytic kinds only and are
     zero for trained covariances.  ``carrier_hz`` records provenance when
     known (0.0 otherwise).
     """
@@ -58,7 +63,6 @@ class Kernel:
     kind: str
     alpha: float = 1.0
     eta: float = 0.0
-    order: int = 0
     jitter: float = 0.0
     carrier_hz: float = 0.0
 
@@ -67,24 +71,35 @@ class Kernel:
         return self.matrix.shape[0]
 
     @property
+    def stored(self) -> np.ndarray:
+        """The first column of a Toeplitz view, else the whole matrix.
+
+        Entry (n, m) of a matrix whose strides sum to zero sits at an offset
+        that depends on m - n alone, so its first column determines it.
+        """
+        return self.matrix[:, 0] if sum(self.matrix.strides) == 0 else self.matrix
+
+    @property
     def fingerprint(self) -> str:
-        """SHA-256 over kind, hyperparameters, and matrix bytes.
+        """SHA-256 over kind, hyperparameters and the stored entries.
 
         Two kernels compare equal for planning purposes iff their
         fingerprints match; plans store this string so a reconstruction
         stage can verify it was given weights built from the kernel the
-        caller thinks it was.
+        caller thinks it was.  An analytic kernel hashes its N lags, a
+        dense one all N^2 entries, so the same prior held both ways has two
+        fingerprints.
 
         Computed on first access and cached on the instance, so the matrix
         must not be mutated afterwards (the constructors here store it
-        read-only).  The matrix buffer is hashed in place, without a copy.
+        read-only).
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
             digest = hashlib.sha256()
-            head = f"{self.kind}|{self.num_ports}|{self.alpha!r}|{self.eta!r}|{self.order}|{self.jitter!r}"
+            head = f"{self.kind}|{self.num_ports}|{self.alpha!r}|{self.eta!r}|{self.jitter!r}"
             digest.update(head.encode())
-            digest.update(np.ascontiguousarray(self.matrix, dtype="<c16"))
+            digest.update(np.ascontiguousarray(self.stored, dtype="<c16"))
             cached = self.__dict__["_fingerprint"] = digest.hexdigest()
         return cached
 
@@ -94,13 +109,12 @@ def default_eta():
     return float(np.sqrt(1.0 / (2.0 * np.pi)))
 
 
-def _default_jitter(matrix):
-    n = matrix.shape[0]
-    return DEFAULT_JITTER_SCALE * float(np.trace(matrix).real) / n
-
-
-def _carrier_hz(geom):
-    return SPEED_OF_LIGHT / geom.wavelength
+def _checked_jitter(matrix, jitter):
+    if jitter is None:
+        jitter = DEFAULT_JITTER_SCALE * float(np.trace(matrix).real) / matrix.shape[0]
+    if jitter < 0.0:
+        raise ValueError("jitter must be nonnegative")
+    return float(jitter)
 
 
 def _lags(geom):
@@ -108,20 +122,27 @@ def _lags(geom):
     return (geom.positions - geom.positions[0]) / geom.wavelength
 
 
-def _finish(matrix, kind, alpha, eta, order, jitter, carrier_hz):
-    """Load the diagonal and freeze.
+def toeplitz_view(column):
+    """Read-only symmetric Toeplitz matrix of ``column``, in O(N) memory.
 
-    ``matrix`` must be exactly Hermitian and owned by the caller: a complex
-    input is loaded in place.
+    Entry (n, m) is column[|n - m|].  The (N, N) result is a strided view
+    with strides (-s, s) into one buffer [c[N-1], ..., c[1], c[0], c[1],
+    ..., c[N-1]], the view ``scipy.linalg.toeplitz`` builds and then copies.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if jitter is None:
-        jitter = _default_jitter(matrix)
-    if jitter < 0.0:
-        raise ValueError("jitter must be nonnegative")
-    matrix.real[np.diag_indices_from(matrix)] += jitter
-    matrix.flags.writeable = False
-    return Kernel(matrix, kind, float(alpha), float(eta), int(order), float(jitter), float(carrier_hz))
+    column = np.asarray(column, dtype=complex)
+    n = column.size
+    buf = np.concatenate((column[:0:-1], column))
+    step = buf.strides[0]
+    return as_strided(buf[n - 1 :], (n, n), (-step, step), writeable=False)
+
+
+def _analytic(profile, kind, alpha, eta, jitter, geom):
+    """Kernel over the lag profile, with ``jitter`` added at lag 0."""
+    column = profile.astype(complex)
+    jitter = _checked_jitter(toeplitz_view(column), jitter)
+    column[0] += jitter
+    carrier_hz = SPEED_OF_LIGHT / geom.wavelength
+    return Kernel(toeplitz_view(column), kind, float(alpha), float(eta), jitter, carrier_hz)
 
 
 def kernel_exponential(geom, alpha=1.0, eta=None, jitter=None):
@@ -146,26 +167,24 @@ def kernel_exponential(geom, alpha=1.0, eta=None, jitter=None):
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     profile = alpha**2 * np.exp(-((_lags(geom) / eta) ** 2))
-    return _finish(toeplitz(profile), EXPONENTIAL, alpha, eta, 0, jitter, _carrier_hz(geom))
+    return _analytic(profile, EXPONENTIAL, alpha, eta, jitter, geom)
 
 
-def kernel_bessel(geom, alpha=1.0, eta=None, order=0, jitter=None):
-    """Bessel-of-the-first-kind covariance over port distance.
+def kernel_bessel(geom, alpha=1.0, eta=None, jitter=None):
+    """Zeroth-order Bessel-of-the-first-kind covariance over port distance.
 
-    J_order(d / eta) captures the oscillatory spatial correlation of rich
-    scattering; order 0 is the classical isotropic case.  d is measured in
-    carrier wavelengths, like eta.
+    J_0(d / eta) is the classical isotropic-scattering correlation and
+    captures its oscillation with distance.  d is measured in carrier
+    wavelengths, like eta.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     if eta is None:
         eta = default_eta()
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    profile = alpha**2 * jv(order, _lags(geom) / eta)
-    return _finish(toeplitz(profile), BESSEL, alpha, eta, order, jitter, _carrier_hz(geom))
+    profile = alpha**2 * jv(0, _lags(geom) / eta)
+    return _analytic(profile, BESSEL, alpha, eta, jitter, geom)
 
 
 def kernel_covariance(training_channels, jitter=None, carrier_hz=0.0):
@@ -193,4 +212,7 @@ def kernel_covariance(training_channels, jitter=None, carrier_hz=0.0):
     stack = np.vstack(rows)  # (T, N)
     mat = stack.T @ stack.conj() / stack.shape[0]
     mat = 0.5 * (mat + mat.conj().T)
-    return _finish(mat, COVARIANCE, 0.0, 0.0, 0, jitter, carrier_hz)
+    jitter = _checked_jitter(mat, jitter)
+    mat.real[np.diag_indices_from(mat)] += jitter
+    mat.flags.writeable = False
+    return Kernel(mat, COVARIANCE, 0.0, 0.0, jitter, float(carrier_hz))

@@ -12,6 +12,7 @@ from fasbar import (
     design_plan,
     kernel_bessel,
     kernel_covariance,
+    kernel_exponential,
     load_estimate,
     load_kernel,
     load_observation,
@@ -95,7 +96,7 @@ class TestKernelFiles:
         loaded = load_kernel(path)
         assert loaded.fingerprint == kernel.fingerprint
         assert loaded.kind == kernel.kind
-        assert (loaded.alpha, loaded.eta, loaded.order) == (kernel.alpha, kernel.eta, kernel.order)
+        assert (loaded.alpha, loaded.eta) == (kernel.alpha, kernel.eta)
         assert loaded.jitter == kernel.jitter
         assert loaded.carrier_hz == kernel.carrier_hz
         assert np.array_equal(loaded.matrix, kernel.matrix)
@@ -111,6 +112,27 @@ class TestKernelFiles:
         save_plan(tmp_path / "p.bin", plan)
         with pytest.raises(ValueError):
             load_kernel(tmp_path / "p.bin")
+
+    @pytest.mark.parametrize("build", [kernel_exponential, kernel_bessel])
+    def test_analytic_kernel_file_holds_the_lags(self, tmp_path, build):
+        k = build(build_port_geometry(24, 6.0, 3.5e9))
+        save_kernel(tmp_path / "k.bin", k)
+        header, arrays = read_container(tmp_path / "k.bin")
+        assert "order" not in header
+        assert np.array_equal(arrays["matrix"], k.matrix[:, 0])
+
+    @pytest.mark.parametrize("build", [kernel_exponential, kernel_bessel])
+    def test_old_dense_analytic_file_designs_the_same_plan(self, tmp_path, build):
+        k = build(build_port_geometry(64, 10.0, 3.5e9))
+        header = {"content": "kernel", "kind": k.kind, "num_ports": 64, "alpha": k.alpha,
+                  "eta": k.eta, "order": 0, "jitter": k.jitter, "carrier_hz": k.carrier_hz}
+        write_container(tmp_path / "old.bin", header, {"matrix": np.array(k.matrix)})
+        loaded = load_kernel(tmp_path / "old.bin")
+        assert np.array_equal(loaded.matrix, k.matrix)
+        a, b = design_plan(loaded, 5, 4, 0.64), design_plan(k, 5, 4, 0.64)
+        assert a.order == b.order
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.post_diag.tobytes() == b.post_diag.tobytes()
 
 
 def _repeat_first_port(doc):

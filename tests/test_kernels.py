@@ -8,11 +8,13 @@ oracle.
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.special import jv
 
 import fasbar.kernels
@@ -20,10 +22,13 @@ from fasbar import (
     SscModelParams,
     build_port_geometry,
     default_eta,
+    design_plan,
     generate_ssc_channel,
     kernel_bessel,
     kernel_covariance,
     kernel_exponential,
+    load_kernel,
+    save_kernel,
 )
 
 C_LIGHT = 299_792_458.0
@@ -111,23 +116,17 @@ class TestBesselKernel:
 
     def test_matches_independent_series(self):
         geom = build_port_geometry(32, 10.0, 3.5e9)
-        for order in (0, 1, 2):
-            k = kernel_bessel(geom, order=order, jitter=0.0)
-            # uniform spacing makes the matrix Toeplitz, so the first row
-            # already spans every distinct argument up to W/eta
-            dist = (geom.positions - geom.positions[0]) / geom.wavelength
-            expected = np.array([bessel_series(order, d / k.eta) for d in dist])
-            assert np.max(np.abs(k.matrix[0].real - expected)) < 1e-12
+        k = kernel_bessel(geom, jitter=0.0)
+        # uniform spacing makes the matrix Toeplitz, so the first row
+        # already spans every distinct argument up to W/eta
+        dist = (geom.positions - geom.positions[0]) / geom.wavelength
+        expected = np.array([bessel_series(0, d / k.eta) for d in dist])
+        assert np.max(np.abs(k.matrix[0].real - expected)) < 1e-12
 
     def test_oscillates_sign_with_distance(self):
         geom = build_port_geometry(64, 10.0, 3.5e9)
         row = kernel_bessel(geom, jitter=0.0).matrix[0].real
         assert row.min() < 0 < row.max()
-
-    def test_negative_order_rejected(self):
-        geom = build_port_geometry(8, 2.0, 1e9)
-        with pytest.raises(ValueError):
-            kernel_bessel(geom, order=-1)
 
 
 class TestLagBuiltKernels:
@@ -143,11 +142,10 @@ class TestLagBuiltKernels:
         expected = 1.3**2 * np.exp(-((self.pairwise_distance(geom) / 0.3) ** 2))
         assert np.max(np.abs(k.matrix - expected)) < 1e-14
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_bessel_matches_pairwise_formula(self, order):
+    def test_bessel_matches_pairwise_formula(self):
         geom = build_port_geometry(256, 10.0, 3.5e9)
-        k = kernel_bessel(geom, alpha=1.3, order=order, jitter=0.0)
-        expected = 1.3**2 * jv(order, self.pairwise_distance(geom) / k.eta)
+        k = kernel_bessel(geom, alpha=1.3, jitter=0.0)
+        expected = 1.3**2 * jv(0, self.pairwise_distance(geom) / k.eta)
         assert np.max(np.abs(k.matrix - expected)) < 1e-14
 
     def test_jitter_lands_on_the_diagonal_only(self):
@@ -156,6 +154,42 @@ class TestLagBuiltKernels:
         loaded = kernel_bessel(geom, jitter=0.25).matrix
         assert np.array_equal(loaded - bare, 0.25 * np.eye(32))
         assert np.array_equal(loaded, loaded.conj().T)
+
+
+class TestToeplitzStorage:
+    """An analytic kernel holds N lags; its matrix is a view of them."""
+
+    @pytest.mark.parametrize("build", [kernel_exponential, kernel_bessel])
+    def test_matrix_is_a_read_only_toeplitz_view_of_the_lags(self, build):
+        k = build(build_port_geometry(40, 10.0, 3.5e9))
+        assert k.matrix.shape == (40, 40) and k.matrix.dtype == complex
+        assert not k.matrix.flags.writeable
+        assert k.stored.shape == (40,)
+        assert np.array_equal(k.matrix, toeplitz(k.stored))
+
+    def test_trained_covariance_stays_dense(self):
+        rng = np.random.default_rng(4)
+        k = kernel_covariance([rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(3)])
+        assert k.stored is k.matrix and k.matrix.flags.c_contiguous
+
+    def test_offline_path_never_allocates_the_matrix(self, tmp_path):
+        # build, hash, design and a kernel file round trip at N = 4096, where
+        # one complex N x N matrix is 268 MB
+        n = 4096
+        path = tmp_path / "kernel.bin"
+        tracemalloc.start()
+        try:
+            kernel = kernel_bessel(build_port_geometry(n, 10.0, 3.5e9))
+            kernel.fingerprint
+            design_plan(kernel, 10, 4, n / 100.0)
+            save_kernel(path, kernel)
+            loaded = load_kernel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 8
+        assert path.stat().st_size < 1 << 20
+        assert loaded.fingerprint == kernel.fingerprint
 
 
 class TestCovarianceKernel:
@@ -229,8 +263,9 @@ class TestValidateAndFingerprint:
     def test_fingerprint_hashes_once_and_keeps_its_digest(self, monkeypatch):
         geom = build_port_geometry(16, 5.0, 3.5e9)
         k = kernel_exponential(geom)
-        head = f"{k.kind}|{k.num_ports}|{k.alpha!r}|{k.eta!r}|{k.order}|{k.jitter!r}"
-        expected = hashlib.sha256(head.encode() + k.matrix.astype("<c16").tobytes()).hexdigest()
+        # an analytic kernel hashes its first column, the N lags
+        head = f"{k.kind}|{k.num_ports}|{k.alpha!r}|{k.eta!r}|{k.jitter!r}"
+        expected = hashlib.sha256(head.encode() + k.matrix[:, 0].astype("<c16").tobytes()).hexdigest()
         calls = []
 
         def counting_sha256(*args):

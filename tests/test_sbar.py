@@ -23,6 +23,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
+from scipy.special import jv
 from scipy.stats import chi2, norm
 
 import fasbar.sbar
@@ -33,6 +35,7 @@ from fasbar import (
     SscModelParams,
     build_port_geometry,
     compute_weights,
+    default_eta,
     design_plan,
     generate_ssc_channel,
     initial_posterior,
@@ -266,6 +269,18 @@ class TestPivotedCholeskyDesign:
         kernel = kernel_exponential(build_port_geometry(1024, 10.0, 3.5e9))
         assert_matches_reference(kernel, 10, 4, 10.24)
 
+    @pytest.mark.parametrize("build", [kernel_exponential, kernel_bessel])
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("pm", [20, 40])
+    def test_toeplitz_view_designs_the_plan_of_its_dense_copy(self, build, n, pm):
+        view = build(build_port_geometry(n, 10.0, 3.5e9))
+        dense = Kernel(np.array(view.matrix), view.kind)
+        a = design_plan(view, pm // 4, 4, n / 100.0)
+        b = design_plan(dense, pm // 4, 4, n / 100.0)
+        assert a.order == b.order
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.post_diag.tobytes() == b.post_diag.tobytes()
+
     def test_runs_without_the_dense_chain(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("design_plan must not use the dense chain")
@@ -279,8 +294,10 @@ class TestPivotedCholeskyDesign:
     def test_indefinite_prior_rejected(self):
         # J_1(0) = 0, so this kernel has a zero diagonal and is indefinite
         geom = build_port_geometry(64, 10.0, 3.5e9)
+        lags = (geom.positions - geom.positions[0]) / geom.wavelength
+        kernel = Kernel(toeplitz(jv(1, lags / default_eta())).astype(complex), "covariance")
         with pytest.raises(ValueError, match="not positive semidefinite"):
-            design_plan(kernel_bessel(geom, order=1), 1, 4, 2.56)
+            design_plan(kernel, 1, 4, 2.56)
 
     def test_memory_stays_linear_in_ports(self):
         # a quarter of one complex N x N matrix; the dense chain copies N^2
