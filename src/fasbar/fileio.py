@@ -143,12 +143,30 @@ def save_kernel(path, kernel):
 
 
 def load_kernel(path):
+    """Read a kernel; ValueError unless its array is a finite real (N,) lag
+    column or a finite, exactly Hermitian (N, N) matrix."""
     header, arrays = read_container(path)
     if header.get("content") != "kernel":
         raise ValueError(f"{path} does not hold a kernel")
-    stored = arrays["matrix"]
+    if header.get("order", 0) != 0:
+        raise ValueError(f"{path} holds a Bessel kernel of order {header['order']}; only order 0 is supported")
+    n = int(header["num_ports"])
+    stored = np.asarray(arrays["matrix"], dtype=complex)
+    if stored.shape not in ((n,), (n, n)):
+        raise ValueError(f"kernel array must have shape ({n},) or ({n}, {n}), got {stored.shape}")
+    if not np.isfinite(stored).all():
+        raise ValueError("kernel array holds a non-finite entry")
+    if stored.ndim == 1:
+        if stored.imag.any():
+            raise ValueError("kernel lag column must be real")
+        matrix = toeplitz_view(stored)
+    else:
+        if not np.array_equal(stored, stored.conj().T):
+            raise ValueError("kernel matrix is not Hermitian")
+        matrix = stored
+        matrix.flags.writeable = False
     return Kernel(
-        matrix=toeplitz_view(stored) if stored.ndim == 1 else stored,
+        matrix=matrix,
         kind=header["kind"],
         alpha=float(header["alpha"]),
         eta=float(header["eta"]),

@@ -134,6 +134,37 @@ class TestKernelFiles:
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.post_diag.tobytes() == b.post_diag.tobytes()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m[:, :-1], "shape"),
+            (lambda m: m[:-1], "shape"),
+            (lambda m: m[0, :-1], "shape"),
+            (lambda m: np.where(np.eye(16, dtype=bool), np.nan, m), "non-finite"),
+            (lambda m: m + np.triu(np.full((16, 16), 0.5), 1), "not Hermitian"),
+            (lambda m: m + 1e-3j * np.eye(16), "not Hermitian"),
+            (lambda m: np.append(m[1:, 0], np.inf), "non-finite"),
+            (lambda m: m[:, 0] + 0.5j, "must be real"),
+        ],
+        ids=["16x15", "15x16", "short-column", "nan-diagonal", "asymmetric",
+             "complex-diagonal", "inf-column", "complex-column"],
+    )
+    def test_malformed_kernel_file_rejected(self, tmp_path, edit, message):
+        k = kernel_exponential(build_port_geometry(16, 5.0, 3.5e9))
+        header = {"content": "kernel", "kind": k.kind, "num_ports": 16, "alpha": k.alpha,
+                  "eta": k.eta, "jitter": k.jitter, "carrier_hz": k.carrier_hz}
+        write_container(tmp_path / "k.json", header, {"matrix": edit(np.array(k.matrix))})
+        with pytest.raises(ValueError, match=message):
+            load_kernel(tmp_path / "k.json")
+
+    def test_file_with_a_bessel_order_rejected(self, tmp_path, kernel):
+        save_kernel(tmp_path / "k.json", kernel)
+        doc = json.loads((tmp_path / "k.json").read_text())
+        doc["order"] = 1
+        (tmp_path / "k.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="order 1"):
+            load_kernel(tmp_path / "k.json")
+
 
 def _repeat_first_port(doc):
     doc["order"][1] = doc["order"][0]
