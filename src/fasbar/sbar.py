@@ -52,6 +52,11 @@ _NOISE_POWER_RTOL = 1e-12
 _NEGATIVE_VARIANCE_TOL = 1e-10
 
 
+def _check_noise_power(noise_power):
+    if not 0.0 <= noise_power < np.inf:
+        raise ValueError(f"noise power must be finite and nonnegative, got {noise_power!r}")
+
+
 @dataclass(frozen=True)
 class PosteriorState:
     """Gaussian posterior over all ports after some measurements.
@@ -101,7 +106,8 @@ class SamplingPlan:
         Design-time posterior variance of every port after all P*M
         measurements, shape (N,) real.
 
-    Construction rejects an order or array shapes that disagree with N, P, M.
+    Construction rejects an order or array shapes that disagree with N, P, M,
+    and a negative or non-finite design noise power.
     """
 
     num_ports: int
@@ -127,6 +133,7 @@ class SamplingPlan:
             raise ValueError(f"weights must have shape ({k}, {n}), got {np.shape(self.weights)}")
         if np.shape(self.post_diag) != (n,):
             raise ValueError(f"post_diag must have shape ({n},), got {np.shape(self.post_diag)}")
+        _check_noise_power(self.noise_power_design)
 
     @property
     def num_measurements(self) -> int:
@@ -174,8 +181,7 @@ class Reconstruction:
 
 def initial_posterior(kernel, noise_power):
     """Posterior before any measurement: the prior itself."""
-    if noise_power < 0.0:
-        raise ValueError("noise_power must be nonnegative")
+    _check_noise_power(noise_power)
     cov = np.array(kernel.matrix, dtype=complex)
     return PosteriorState((), cov, float(noise_power), kernel.fingerprint)
 
@@ -225,8 +231,7 @@ def compute_weights(kernel, order, noise_power):
     sigma = kernel.matrix
     if idx.min() < 0 or idx.max() >= sigma.shape[0]:
         raise ValueError("port index out of range")
-    if noise_power < 0.0:
-        raise ValueError("noise_power must be nonnegative")
+    _check_noise_power(noise_power)
     gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(idx.size)
     cross = sigma[idx, :]
     try:
@@ -317,8 +322,7 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     k = p * m
     if k > n:
         raise ValueError(f"plan asks for {k} measurements but only {n} ports exist")
-    if noise_power < 0.0:
-        raise ValueError("noise_power must be nonnegative")
+    _check_noise_power(noise_power)
     sigma = kernel.matrix
     var = sigma.diagonal().real.copy()
     prior_max = float(var.max())

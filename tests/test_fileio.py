@@ -178,6 +178,10 @@ def _drop_last_port(doc):
     doc["order"].pop()
 
 
+def _negate_noise_power(doc):
+    doc["noise_power"] = -0.5
+
+
 def _drop_weight_column(doc):
     spec = next(s for s in doc["arrays"] if s["name"] == "weights")
     rows, cols = spec["shape"]
@@ -222,7 +226,7 @@ class TestPlanFiles:
 
     @pytest.mark.parametrize(
         "edit",
-        [_repeat_first_port, _use_port_zero, _drop_last_port, _drop_weight_column],
+        [_repeat_first_port, _use_port_zero, _drop_last_port, _drop_weight_column, _negate_noise_power],
     )
     def test_hand_edited_plan_rejected(self, tmp_path, plan, edit):
         path = tmp_path / "plan.json"

@@ -238,6 +238,12 @@ class TestDesignPlan:
         with pytest.raises(ValueError):
             design_plan(kernel_exponential(geom), p, m, 0.5)
 
+    @pytest.mark.parametrize("noise_power", [-0.5, float("nan"), float("inf")])
+    def test_bad_noise_power_rejected_up_front(self, noise_power):
+        geom = build_port_geometry(8, 2.0, 1e9)
+        with pytest.raises(ValueError, match="noise power must be finite and nonnegative"):
+            design_plan(kernel_exponential(geom), 1, 2, noise_power)
+
 
 class TestPivotedCholeskyDesign:
     def test_matches_reference_chain_on_random_psd_kernels(self):
@@ -387,6 +393,9 @@ class TestPlanValidation:
             {"weights": np.zeros(24)},
             {"post_diag": np.ones(5)},
             {"post_diag": np.ones((6, 1))},
+            {"noise_power_design": -0.5},
+            {"noise_power_design": float("nan")},
+            {"noise_power_design": float("inf")},
         ],
         ids=[
             "order-short",
@@ -401,6 +410,9 @@ class TestPlanValidation:
             "weights-flat",
             "post-diag-short",
             "post-diag-2d",
+            "noise-negative",
+            "noise-nan",
+            "noise-inf",
         ],
     )
     def test_rejects_inconsistent_fields(self, changes):
