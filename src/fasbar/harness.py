@@ -17,7 +17,7 @@ Fairness and reproducibility rest on three rules:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -407,13 +407,18 @@ def read_csv(path):
 CONFIG_VERSION = 1
 
 
-def _coerced(mapping, int_keys=(), float_keys=()):
-    """Coerce numeric fields of a parsed config mapping.
+def _coerced(mapping, cls, int_keys=(), float_keys=()):
+    """Check the keys of a parsed config mapping and coerce numeric fields.
 
-    YAML 1.1 readers treat exponents without a sign (``3.5e9``, ``1e-3``
-    is fine) as strings, so configs written the obvious way would
-    otherwise fail with a type error far from the offending line.
+    A key that is not a field of ``cls`` raises ValueError naming it, so
+    typos fail loudly.  YAML 1.1 readers treat exponents without a sign
+    (``3.5e9``, ``1e-3`` is fine) as strings, so configs written the
+    obvious way would otherwise fail with a type error far from the
+    offending line.
     """
+    unknown = set(mapping) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     out = dict(mapping)
     for key in int_keys:
         if out.get(key) is not None:
@@ -427,9 +432,10 @@ def _coerced(mapping, int_keys=(), float_keys=()):
 def config_from_dict(doc, seed_override=None):
     """Build an ExperimentConfig from a parsed config document.
 
-    The document must carry ``config_version: 1``; unknown keys are
-    rejected so typos fail loudly.  ``seed_override`` replaces base_seed
-    when given (the sweep command requires an explicit seed).
+    The document must carry ``config_version: 1``; unknown keys, at the top
+    level and in the ``channel`` and ``schemes`` entries, are rejected.
+    ``seed_override`` replaces base_seed when given (the sweep command
+    requires an explicit seed).
     """
     doc = dict(doc)
     version = doc.pop("config_version", None)
@@ -438,6 +444,7 @@ def config_from_dict(doc, seed_override=None):
     channel = SscModelParams(
         **_coerced(
             doc.pop("channel", {}),
+            SscModelParams,
             int_keys=("num_clusters", "rays_per_cluster", "rng_seed"),
             float_keys=("angle_spread_deg",),
         )
@@ -446,29 +453,16 @@ def config_from_dict(doc, seed_override=None):
         SchemeSpec(
             **_coerced(
                 entry,
+                SchemeSpec,
                 int_keys=("train_timeslots", "max_atoms", "dict_oversampling"),
                 float_keys=("alpha", "eta", "residual_tol"),
             )
         )
         for entry in doc.pop("schemes")
     )
-    known = {
-        "num_ports",
-        "antennas_per_slot",
-        "pilot_counts",
-        "snr_db",
-        "trials",
-        "carrier_hz",
-        "aperture_wavelengths",
-        "base_seed",
-        "record_timing",
-        "training_seeds",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     doc = _coerced(
         doc,
+        ExperimentConfig,
         int_keys=("num_ports", "antennas_per_slot", "trials", "base_seed"),
         float_keys=("carrier_hz", "aperture_wavelengths"),
     )

@@ -349,6 +349,19 @@ class TestConfigFile:
                 {"config_version": 1, "schemes": [{"method": "selmmse"}], "n_ports": 4}
             )
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"schemes": [{"method": "sbar", "kernel": "bessel", "bessel_order": 0}]}, "bessel_order"),
+            ({"schemes": [{"method": "fas-omp", "max_atom": 4}]}, "max_atom"),
+            ({"schemes": [{"method": "selmmse"}], "channel": {"num_cluster": 3}}, "num_cluster"),
+        ],
+        ids=["removed-bessel-order", "scheme-typo", "channel-typo"],
+    )
+    def test_unknown_nested_keys_are_named(self, entry, key):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({"config_version": 1, **entry})
+
 
 class TestSvg:
     def test_series_points_follow_the_data(self, tmp_path):
