@@ -65,7 +65,6 @@ from .sbar import (
     PosteriorState,
     Reconstruction,
     SamplingPlan,
-    compute_weights,
     design_plan,
     initial_posterior,
     posterior_update_one,

@@ -34,7 +34,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 #: posterior-variance-plus-noise denominators below this times trace/N
 #: indicate a collapsed prior; raising the kernel jitter is the fix
@@ -216,51 +216,6 @@ def posterior_update_one(state, port):
     return PosteriorState(state.measured + (n,), new_cov, state.noise_power, state.prior_fingerprint)
 
 
-def compute_weights(kernel, order, noise_power):
-    """Solve (Sigma(Omega, Omega) + s2*I) w = Sigma(Omega, :) for the weights.
-
-    Solved via Cholesky factorization of the Hermitian system, never by
-    forming an inverse.  Raises numpy.linalg.LinAlgError if the system is
-    not positive definite or the solve residual is out of tolerance.
-    """
-    idx = np.asarray(order, dtype=int)
-    if idx.size == 0:
-        raise ValueError("order must contain at least one port")
-    if idx.size != np.unique(idx).size:
-        raise ValueError("order must not repeat ports")
-    sigma = kernel.matrix
-    if idx.min() < 0 or idx.max() >= sigma.shape[0]:
-        raise ValueError("port index out of range")
-    _check_noise_power(noise_power)
-    gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(idx.size)
-    cross = sigma[idx, :]
-    try:
-        factor = cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            "measured-port covariance is not positive definite; increase jitter or noise power"
-        ) from err
-    # C-ordered so the online product sums identically after a save/load cycle
-    weights = np.ascontiguousarray(cho_solve(factor, cross))
-    _check_weight_residual(float(sigma.diagonal().real.max()), gram, cross, weights)
-    return weights
-
-
-def _check_weight_residual(scale, gram, cross, weights):
-    """Raise LinAlgError unless |gram w - cross|_max < tol * scale.
-
-    ``scale`` is the largest prior variance max_i Sigma(i, i), which is
-    max|Sigma| for a positive semidefinite prior (|Sigma(i, j)|^2 <=
-    Sigma(i, i) * Sigma(j, j)), found without scanning all N^2 entries.
-    """
-    residual = np.abs(gram @ weights - cross).max()
-    bound = _WEIGHT_RESIDUAL_TOL * scale
-    if not residual < bound:
-        raise np.linalg.LinAlgError(
-            f"weight solve residual {residual:.3e} exceeds {bound:.3e}; system too ill-conditioned"
-        )
-
-
 def stacked_switch_matrix(plan):
     """The P switch matrices stacked into one (P*M, N) one-hot int64 matrix.
 
@@ -358,7 +313,12 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     # C-ordered so the online product sums identically after a save/load cycle
     weights = np.ascontiguousarray(solve_triangular(factor, bh, lower=True, trans="C"))
     gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
-    _check_weight_residual(prior_max, gram, sigma[idx, :], weights)
+    residual = np.abs(gram @ weights - sigma[idx, :]).max()
+    bound = _WEIGHT_RESIDUAL_TOL * prior_max
+    if not residual < bound:
+        raise np.linalg.LinAlgError(
+            f"weight solve residual {residual:.3e} exceeds {bound:.3e}; system too ill-conditioned"
+        )
     order = tuple(order)
     var.flags.writeable = False
     weights.flags.writeable = False

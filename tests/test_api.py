@@ -61,7 +61,6 @@ PUBLIC_NAMES = {
     "PosteriorState",
     "Reconstruction",
     "SamplingPlan",
-    "compute_weights",
     "design_plan",
     "initial_posterior",
     "posterior_update_one",
