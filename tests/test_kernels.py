@@ -130,7 +130,7 @@ class TestBesselKernel:
 
 
 class TestLagBuiltKernels:
-    """The analytic kernels are expanded from N lags; check every pair."""
+    """The analytic kernels are built from N lags; check every pair."""
 
     @staticmethod
     def pairwise_distance(geom):
