@@ -16,8 +16,11 @@ Fairness and reproducibility rest on three rules:
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter, call
 
 import numpy as np
 import yaml
@@ -116,16 +119,16 @@ class ExperimentConfig:
 
     num_ports: int = 256
     antennas_per_slot: int = 4
-    pilot_counts: tuple = (2, 4, 6, 8, 10)
-    snr_db: tuple = (20.0,)
+    pilot_counts: tuple[int, ...] = (2, 4, 6, 8, 10)
+    snr_db: tuple[float, ...] = (20.0,)
     trials: int = 500
     carrier_hz: float = 3.5e9
     aperture_wavelengths: float = 10.0
     channel: SscModelParams = field(default_factory=SscModelParams)
-    schemes: tuple = (SchemeSpec(SBAR, BESSEL), SchemeSpec(SELMMSE), SchemeSpec(FAS_OMP))
+    schemes: tuple[SchemeSpec, ...] = (SchemeSpec(SBAR, BESSEL), SchemeSpec(SELMMSE), SchemeSpec(FAS_OMP))
     base_seed: int = 0
     record_timing: bool = True
-    training_seeds: tuple | None = None
+    training_seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -353,27 +356,83 @@ def _format_value(value):
     return str(value)
 
 
+def _unchanged(value):
+    return value
+
+
+def _parser(hint):
+    """The function that coerces one parsed value to the type ``hint`` names.
+
+    Config files and the results CSV both read their values through the
+    dataclass annotations, so each field's type is stated once.  YAML 1.1
+    readers treat exponents without a sign (``3.5e9``, ``1e-3`` is fine)
+    as strings, so configs written the obvious way would otherwise fail
+    with a type error far from the offending line.  ``X | None`` passes
+    None through, ``tuple[X, ...]`` parses a list element by element, a
+    nested dataclass is built from a mapping, and anything else (str,
+    bool) is kept as it is.
+    """
+    if hint in (int, float):
+        return hint
+    args = typing.get_args(hint)
+    if type(None) in args:
+        parse = _parser(next(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else parse(value)
+    if typing.get_origin(hint) is tuple:
+        parse = _parser(args[0])
+
+        def parse_items(value):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"expected a list, got {value!r}")
+            return tuple(_coerce(parse, item) for item in value)
+
+        return parse_items
+    if is_dataclass(hint):
+        return functools.partial(_build, hint)
+    return _unchanged
+
+
+@functools.cache
+def _field_parsers(cls):
+    """Field name -> parser for dataclass ``cls``, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _parser(hints[f.name]) for f in fields(cls)}
+
+
+def _coerce(parse, value):
+    """``parse(value)``, refusing a number that an int field would truncate."""
+    out = parse(value)
+    if isinstance(out, int) and out != value and not isinstance(value, str):
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
+def _build(cls, mapping):
+    """Construct ``cls`` from a parsed config mapping, coercing every field.
+
+    An unknown key, a value that does not fit its field and null for a
+    field that is not optional raise ValueError naming the key.
+    """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"a {cls.__name__} entry must be a mapping, got {mapping!r}")
+    parsers = _field_parsers(cls)
+    unknown = set(mapping) - set(parsers)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in mapping.items():
+        try:
+            kwargs[key] = _coerce(parsers[key], value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{cls.__name__}.{key}: {exc}") from None
+    return cls(**kwargs)
+
+
 def emit_csv(records, path):
     """Write records with the fixed header; floats keep full precision."""
+    row = attrgetter(*(f.name for f in fields(ResultRecord)))
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _format_value(v)
-                for v in (
-                    r.scheme,
-                    r.kernel_kind,
-                    r.num_ports,
-                    r.antennas_per_slot,
-                    r.num_timeslots,
-                    r.snr_db,
-                    r.trial,
-                    r.seed,
-                    r.nmse,
-                    r.wall_time_stage2_ns,
-                )
-            )
-        )
+    lines.extend(",".join(map(_format_value, row(r))) for r in records)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -384,97 +443,37 @@ def read_csv(path):
         lines = [ln for ln in fh.read().split("\n") if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized results CSV header")
+    parsers = list(_field_parsers(ResultRecord).values())
     records = []
     for line in lines[1:]:
-        scheme, kind, n, m, p, snr, trial, seed, err, wall = line.split(",")
-        records.append(
-            ResultRecord(
-                scheme=scheme,
-                kernel_kind=kind,
-                num_ports=int(n),
-                antennas_per_slot=int(m),
-                num_timeslots=int(p),
-                snr_db=float(snr),
-                trial=int(trial),
-                seed=int(seed),
-                nmse=float(err),
-                wall_time_stage2_ns=int(wall),
-            )
-        )
+        cells = line.split(",")
+        if len(cells) != len(parsers):
+            raise ValueError(f"results CSV row {line!r} does not have {len(parsers)} fields")
+        records.append(ResultRecord(*map(call, parsers, cells)))
     return records
 
 
 CONFIG_VERSION = 1
 
 
-def _coerced(mapping, cls, int_keys=(), float_keys=()):
-    """Check the keys of a parsed config mapping and coerce numeric fields.
-
-    A key that is not a field of ``cls`` raises ValueError naming it, so
-    typos fail loudly.  YAML 1.1 readers treat exponents without a sign
-    (``3.5e9``, ``1e-3`` is fine) as strings, so configs written the
-    obvious way would otherwise fail with a type error far from the
-    offending line.
-    """
-    unknown = set(mapping) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    out = dict(mapping)
-    for key in int_keys:
-        if out.get(key) is not None:
-            out[key] = int(out[key])
-    for key in float_keys:
-        if out.get(key) is not None:
-            out[key] = float(out[key])
-    return out
-
-
 def config_from_dict(doc, seed_override=None):
     """Build an ExperimentConfig from a parsed config document.
 
-    The document must carry ``config_version: 1``; unknown keys, at the top
-    level and in the ``channel`` and ``schemes`` entries, are rejected.
-    ``seed_override`` replaces base_seed when given (the sweep command
-    requires an explicit seed).
+    The document must carry ``config_version: 1`` and a ``schemes`` list;
+    unknown keys, at the top level and in the ``channel`` and ``schemes``
+    entries, are rejected.  Every value is coerced to the type its field
+    is annotated with.  ``seed_override`` replaces base_seed when given
+    (the sweep command requires an explicit seed).
     """
     doc = dict(doc)
     version = doc.pop("config_version", None)
     if version != CONFIG_VERSION:
         raise ValueError(f"config_version must be {CONFIG_VERSION}, got {version!r}")
-    channel = SscModelParams(
-        **_coerced(
-            doc.pop("channel", {}),
-            SscModelParams,
-            int_keys=("num_clusters", "rays_per_cluster", "rng_seed"),
-            float_keys=("angle_spread_deg",),
-        )
-    )
-    schemes = tuple(
-        SchemeSpec(
-            **_coerced(
-                entry,
-                SchemeSpec,
-                int_keys=("train_timeslots", "max_atoms", "dict_oversampling"),
-                float_keys=("alpha", "eta", "residual_tol"),
-            )
-        )
-        for entry in doc.pop("schemes")
-    )
-    doc = _coerced(
-        doc,
-        ExperimentConfig,
-        int_keys=("num_ports", "antennas_per_slot", "trials", "base_seed"),
-        float_keys=("carrier_hz", "aperture_wavelengths"),
-    )
-    if doc.get("pilot_counts") is not None:
-        doc["pilot_counts"] = tuple(int(p) for p in doc["pilot_counts"])
-    if doc.get("snr_db") is not None:
-        doc["snr_db"] = tuple(float(s) for s in doc["snr_db"])
-    if doc.get("training_seeds") is not None:
-        doc["training_seeds"] = tuple(int(s) for s in doc["training_seeds"])
+    if "schemes" not in doc:
+        raise ValueError("config needs a schemes list")
     if seed_override is not None:
         doc["base_seed"] = int(seed_override)
-    return ExperimentConfig(channel=channel, schemes=schemes, **doc)
+    return _build(ExperimentConfig, doc)
 
 
 def load_config(path, seed_override=None):

@@ -6,8 +6,9 @@ in the acceptance suite.
 """
 
 import re
+import typing
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,12 @@ class TestCsv:
         with pytest.raises(ValueError):
             read_csv(path)
 
+    def test_row_with_missing_field_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(CSV_HEADER + "\nsbar,bessel,16,2,1,20.0,0,7,0.5\n")
+        with pytest.raises(ValueError, match="fields"):
+            read_csv(path)
+
 
 class TestConfigFile:
     def test_yaml_round_trip(self, tmp_path):
@@ -361,6 +368,95 @@ class TestConfigFile:
     def test_unknown_nested_keys_are_named(self, entry, key):
         with pytest.raises(ValueError, match=key):
             config_from_dict({"config_version": 1, **entry})
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"trials": 2.5}, "trials"),
+            ({"pilot_counts": [1.5]}, "pilot_counts"),
+            ({"schemes": [{"method": "fas-omp", "max_atoms": 4.7}]}, "max_atoms"),
+            ({"num_ports": None}, "num_ports"),
+            ({"channel": None}, "channel"),
+            ({"channel": [3, 10]}, "channel: .*mapping"),
+            ({"schemes": ["selmmse"]}, "schemes: .*mapping"),
+            ({"schemes": None}, "schemes"),
+            ({"schemes": [{"max_atoms": 4}]}, "method"),
+        ],
+        ids=[
+            "fractional-int",
+            "fractional-int-element",
+            "fractional-scheme-int",
+            "null-int",
+            "null-channel",
+            "channel-not-a-mapping",
+            "scheme-not-a-mapping",
+            "null-schemes",
+            "scheme-without-method",
+        ],
+    )
+    def test_value_that_does_not_fit_its_field_is_named(self, entry, field):
+        doc = {"config_version": 1, "schemes": [{"method": "selmmse"}], **entry}
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(doc)
+
+    def test_schemes_are_required(self):
+        with pytest.raises(ValueError, match="schemes"):
+            config_from_dict({"config_version": 1, "num_ports": 16})
+
+
+# one valid value for every field of a config document, keyed by dataclass
+_CONFIG_NUMBERS = {
+    ExperimentConfig: dict(
+        num_ports=32,
+        antennas_per_slot=2,
+        pilot_counts=[1, 2],
+        snr_db=[10.0, 20.5],
+        trials=2,
+        carrier_hz=3.5e9,
+        aperture_wavelengths=8.0,
+        base_seed=7,
+        training_seeds=[3, 4],
+    ),
+    SscModelParams: dict(num_clusters=3, rays_per_cluster=10, angle_spread_deg=2.5, rng_seed=5),
+    SchemeSpec: dict(
+        alpha=0.5,
+        eta=0.25,
+        train_timeslots=6,
+        max_atoms=4,
+        residual_tol=1e-4,
+        dict_oversampling=2,
+    ),
+}
+
+
+def _mentions_number(hint):
+    return hint in (int, float) or any(_mentions_number(a) for a in typing.get_args(hint))
+
+
+def _numeric_fields():
+    for cls in _CONFIG_NUMBERS:
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if _mentions_number(hints[f.name]):
+                yield pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+
+
+def _config_doc(numbers):
+    doc = {"config_version": 1, **numbers[ExperimentConfig]}
+    doc["channel"] = dict(numbers[SscModelParams])
+    doc["schemes"] = [{"method": "sbar", "kernel": "bessel", **numbers[SchemeSpec]}]
+    return doc
+
+
+@pytest.mark.parametrize("cls, name", list(_numeric_fields()))
+def test_every_numeric_field_accepts_a_numeric_string(cls, name):
+    numbers = {c: dict(v) for c, v in _CONFIG_NUMBERS.items()}
+    value = numbers[cls][name]  # a KeyError here means a new field lacks a sample value
+    numbers[cls][name] = [str(v) for v in value] if isinstance(value, list) else str(value)
+    expected = config_from_dict(_config_doc(_CONFIG_NUMBERS))
+    cfg = config_from_dict(_config_doc(numbers))
+    assert cfg == expected
+    assert repr(cfg) == repr(expected)  # 2 == 2.0, so compare the types too
 
 
 class TestSvg:
