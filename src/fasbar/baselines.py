@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .channels import EXTERNAL, ChannelRealization, steering_matrix
+from .channels import EXTERNAL, ChannelRealization, _ports_in_range, steering_matrix
 
 
 class RankDeficientFitWarning(RuntimeWarning):
@@ -72,10 +72,10 @@ def estimate_selmmse(y, ports, num_ports):
 
     Every port copies the measurement of its closest measured port,
     ties going to the lower port index; measured ports keep their own
-    measurement exactly.
+    measurement exactly.  Every port must lie in [0, num_ports).
     """
     y = np.asarray(getattr(y, "values", y))
-    ports = np.asarray(ports, dtype=int)
+    ports = _ports_in_range(ports, num_ports)
     if y.size != ports.size:
         raise ValueError("one measurement per port is required")
     if ports.size == 0:
@@ -230,7 +230,7 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     y : array or PilotObservation
         Measurements at ``ports``.
     ports : array of int
-        Measured 0-based port indices, distinct.
+        Measured 0-based port indices, distinct, each in [0, N).
     dictionary : SteeringDictionary
         Full-aperture atoms to search over.
     max_atoms : int
@@ -239,7 +239,7 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
         Relative residual at which the pursuit stops early.
     """
     y = np.asarray(getattr(y, "values", y))
-    ports = np.asarray(ports, dtype=int)
+    ports = _ports_in_range(ports, dictionary.matrix.shape[0])
     if y.size != ports.size:
         raise ValueError("one measurement per port is required")
     coeffs, support, _ = omp_solve(dictionary.matrix[ports, :], y, max_atoms, residual_tol)

@@ -268,13 +268,11 @@ def draw_port_noise(num_ports, noise_power, rng_seed):
     return scale * (rng.standard_normal(num_ports) + 1j * rng.standard_normal(num_ports))
 
 
-def _checked_ports(ports, num_ports):
-    """``ports`` as an int array, once they are known to be distinct and in range."""
+def _ports_in_range(ports, num_ports):
+    """``ports`` as an int array, once every entry is known to lie in [0, num_ports)."""
     ports = np.asarray(ports, dtype=int)
     if ports.size and (ports.min() < 0 or ports.max() >= num_ports):
-        raise ValueError("port index out of range")
-    if ports.size != np.unique(ports).size:
-        raise ValueError("ports must be distinct")
+        raise ValueError(f"port index out of range [0, {num_ports})")
     return ports
 
 
@@ -285,7 +283,9 @@ def observe_ports(h_values, ports, noise_power, rng_seed):
     noise vector from ``draw_port_noise``.
     """
     h_values = np.asarray(h_values)
-    ports = _checked_ports(ports, h_values.size)
+    ports = _ports_in_range(ports, h_values.size)
+    if ports.size != np.unique(ports).size:
+        raise ValueError("ports must be distinct")
     noise = draw_port_noise(h_values.size, noise_power, rng_seed)
     return h_values[ports] + noise[ports]
 

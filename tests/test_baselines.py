@@ -148,6 +148,11 @@ class TestSelmmse:
         with pytest.raises(ValueError):
             estimate_selmmse(np.ones(3), [0, 2], 4)
 
+    @pytest.mark.parametrize("ports", [[-5, 2, 10], [0, 2, 16], [-1, 2, 5]])
+    def test_ports_outside_the_aperture_rejected(self, ports):
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_selmmse(np.ones(3), ports, 16)
+
 
 class TestOmp:
     def test_single_on_grid_atom_recovered_exactly(self, geom, dictionary):
@@ -286,6 +291,11 @@ class TestOmp:
             omp_solve(dictionary.matrix[:4], np.ones(4), 0, 1e-3)
         with pytest.raises(ValueError):
             omp_solve(dictionary.matrix[:4], np.ones(4), 2, -1.0)
+
+    @pytest.mark.parametrize("ports", [[-1, 2, 5], [2, 5, 64]])
+    def test_ports_outside_the_aperture_rejected(self, dictionary, ports):
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_fas_omp(np.ones(3), ports, dictionary)
 
 
 class TestRandomPorts:
