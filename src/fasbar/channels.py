@@ -254,6 +254,11 @@ def noise_power_for_snr(h_ensemble_power, snr_db):
     return float(h_ensemble_power) / 10.0 ** (float(snr_db) / 10.0)
 
 
+def _check_noise_power(noise_power):
+    if not 0.0 <= noise_power < np.inf:
+        raise ValueError(f"noise power must be finite and nonnegative, got {noise_power!r}")
+
+
 def draw_port_noise(num_ports, noise_power, rng_seed):
     """One CN(0, noise_power) draw per port.
 
@@ -261,8 +266,7 @@ def draw_port_noise(num_ports, noise_power, rng_seed):
     measure different port subsets of the same channel see identical noise
     on any port they share.
     """
-    if noise_power < 0.0:
-        raise ValueError("noise_power must be nonnegative")
+    _check_noise_power(noise_power)
     rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(noise_power / 2.0)
     return scale * (rng.standard_normal(num_ports) + 1j * rng.standard_normal(num_ports))

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .channels import _check_noise_power
+
 #: posterior-variance-plus-noise denominators below this times trace/N
 #: indicate a collapsed prior; raising the kernel jitter is the fix
 _DENOM_FLOOR_SCALE = 1e-14
@@ -50,11 +52,6 @@ _NOISE_POWER_RTOL = 1e-12
 #: final posterior variances below this times the largest prior variance
 #: mean the prior covariance is not positive semidefinite
 _NEGATIVE_VARIANCE_TOL = 1e-10
-
-
-def _check_noise_power(noise_power):
-    if not 0.0 <= noise_power < np.inf:
-        raise ValueError(f"noise power must be finite and nonnegative, got {noise_power!r}")
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,21 @@ class TestNoiseAndSnr:
         with pytest.raises(ValueError):
             draw_port_noise(4, -0.1, 0)
 
+    @pytest.mark.parametrize("noise_power", [float("nan"), float("inf")])
+    def test_non_finite_noise_power_rejected(self, noise_power):
+        with pytest.raises(ValueError, match="noise power"):
+            draw_port_noise(4, noise_power, 0)
+
+    @pytest.mark.parametrize("noise_power", [float("nan"), float("inf")])
+    def test_observations_reject_non_finite_noise_power(self, noise_power):
+        geom = build_port_geometry(16, 5.0, 3.5e9)
+        plan = design_plan(kernel_exponential(geom), 2, 2, 0.5)
+        h = generate_ssc_channel(geom, SscModelParams(2, 5, 5.0, rng_seed=1))
+        with pytest.raises(ValueError, match="noise power"):
+            observe_ports(h.values, plan.order, noise_power, rng_seed=2)
+        with pytest.raises(ValueError, match="noise power"):
+            observe_pilots(h, plan, noise_power, rng_seed=2)
+
 
 class TestObservation:
     def _plan(self, n=16, p=2, m=2, noise=0.0):
