@@ -103,24 +103,21 @@ def read_container(path):
             for spec in doc["arrays"]
         }
         return doc, arrays
-    raw = path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path} is not a fasbar container")
-    (head_len,) = struct.unpack_from("<I", raw, len(MAGIC))
-    start = len(MAGIC) + 4
-    header = json.loads(raw[start : start + head_len].decode("utf-8"))
-    if header.get("container_version") != CONTAINER_VERSION:
-        raise ValueError(f"unsupported container version {header.get('container_version')!r}")
-    offset = start + head_len
-    arrays = {}
-    for spec in header["arrays"]:
-        dt = np.dtype(_DTYPES[spec["dtype"]])
-        count = int(np.prod(spec["shape"], dtype=int)) if spec["shape"] else 1
-        end = offset + count * dt.itemsize
-        arrays[spec["name"]] = (
-            np.frombuffer(raw[offset:end], dtype=dt).reshape(spec["shape"]).copy()
-        )
-        offset = end
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise ValueError(f"{path} is not a fasbar container")
+        (head_len,) = struct.unpack("<I", fh.read(4))
+        header = json.loads(fh.read(head_len).decode("utf-8"))
+        if header.get("container_version") != CONTAINER_VERSION:
+            raise ValueError(f"unsupported container version {header.get('container_version')!r}")
+        arrays = {}
+        for spec in header["arrays"]:
+            count = int(np.prod(spec["shape"], dtype=int))
+            # read straight from the file, so each array is held once
+            arr = np.fromfile(fh, dtype=_DTYPES[spec["dtype"]], count=count)
+            if arr.size != count:
+                raise ValueError(f"{path} ends inside array {spec['name']!r}")
+            arrays[spec["name"]] = arr.reshape(spec["shape"])
     return header, arrays
 
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,30 @@ class TestContainer:
         bpath.write_bytes(patched)
         with pytest.raises(ValueError):
             read_container(bpath)
+
+    @pytest.mark.parametrize("cut, name", [(1, "b"), (16, "b"), (80 + 3, "a")])
+    def test_truncated_file_names_the_array(self, tmp_path, cut, name):
+        # "a" takes 32 bytes and "b" the last 80
+        path = tmp_path / "cut.bin"
+        write_container(path, {"content": "test"}, {"a": np.ones(4), "b": np.ones(5, dtype=complex)})
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"ends inside array '{name}'"):
+            read_container(path)
+
+    def test_binary_read_holds_one_copy_of_each_array(self, tmp_path):
+        rng = np.random.default_rng(3)
+        big = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        path = tmp_path / "big.bin"
+        write_container(path, {"content": "test"}, {"m": big})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            _, loaded = read_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded["m"], big)
+        assert peak < 1.5 * size
 
 
 class TestKernelFiles:
