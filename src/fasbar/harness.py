@@ -356,6 +356,8 @@ def _format_value(value):
 
 
 def _unchanged(value):
+    if value is None:
+        raise ValueError("null is not allowed here")
     return value
 
 

@@ -377,6 +377,7 @@ class TestConfigFile:
             ({"schemes": [{"method": "fas-omp", "max_atoms": 4.7}]}, "max_atoms"),
             ({"num_ports": None}, "num_ports"),
             ({"channel": None}, "channel"),
+            ({"record_timing": None}, "record_timing"),
             ({"channel": [3, 10]}, "channel: .*mapping"),
             ({"schemes": ["selmmse"]}, "schemes: .*mapping"),
             ({"schemes": None}, "schemes"),
@@ -388,6 +389,7 @@ class TestConfigFile:
             "fractional-scheme-int",
             "null-int",
             "null-channel",
+            "null-bool",
             "channel-not-a-mapping",
             "scheme-not-a-mapping",
             "null-schemes",
