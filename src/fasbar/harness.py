@@ -362,16 +362,13 @@ def _unchanged(value):
 
 
 def _parser(hint):
-    """The function that coerces one parsed value to the type ``hint`` names.
+    """The function that coerces one parsed value to the annotation ``hint``.
 
-    Config files and the results CSV both read their values through the
-    dataclass annotations, so each field's type is stated once.  YAML 1.1
-    readers treat exponents without a sign (``3.5e9``, ``1e-3`` is fine)
-    as strings, so configs written the obvious way would otherwise fail
-    with a type error far from the offending line.  ``X | None`` passes
-    None through, ``tuple[X, ...]`` parses a list element by element, a
-    nested dataclass is built from a mapping, and anything else (str,
-    bool) is kept as it is.
+    Configs and the results CSV both read values this way, so a field's
+    type is stated once, on its dataclass.  YAML 1.1 readers treat
+    exponents without a sign (``3.5e9``, ``1e-3`` is fine) as strings, so
+    configs written the obvious way would otherwise fail with a type error
+    far from the offending line.
     """
     if hint in (int, float):
         return hint
