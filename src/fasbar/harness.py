@@ -20,7 +20,7 @@ import functools
 import time
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from operator import attrgetter, call
+from operator import attrgetter
 
 import numpy as np
 import yaml
@@ -441,14 +441,14 @@ def read_csv(path):
         lines = [ln for ln in fh.read().split("\n") if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized results CSV header")
-    parsers = list(_field_parsers(ResultRecord).values())
-    records = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(parsers):
-            raise ValueError(f"results CSV row {line!r} does not have {len(parsers)} fields")
-        records.append(ResultRecord(*map(call, parsers, cells)))
-    return records
+    parsers = _field_parsers(ResultRecord).values()
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        if len(row) != len(parsers):
+            raise ValueError(f"results CSV row {','.join(row)!r} does not have {len(parsers)} fields")
+    # parse column by column, so each field's parser is looked up once
+    columns = [list(map(parse, column)) for parse, column in zip(parsers, zip(*rows))]
+    return [ResultRecord(*values) for values in zip(*columns)]
 
 
 CONFIG_VERSION = 1
