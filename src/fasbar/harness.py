@@ -355,9 +355,9 @@ def _format_value(value):
     return str(value)
 
 
-def _unchanged(value):
-    if value is None:
-        raise ValueError("null is not allowed here")
+def _boolean(value):
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
     return value
 
 
@@ -375,7 +375,7 @@ def _parser(hint):
     args = typing.get_args(hint)
     if type(None) in args:
         parse = _parser(next(a for a in args if a is not type(None)))
-        return lambda value: None if value is None else parse(value)
+        return lambda value: None if value is None else _coerce(parse, value)
     if typing.get_origin(hint) is tuple:
         parse = _parser(args[0])
 
@@ -387,7 +387,7 @@ def _parser(hint):
         return parse_items
     if is_dataclass(hint):
         return functools.partial(_build, hint)
-    return _unchanged
+    return _boolean if hint is bool else hint
 
 
 @functools.cache
@@ -398,7 +398,12 @@ def _field_parsers(cls):
 
 
 def _coerce(parse, value):
-    """``parse(value)``, refusing a number that an int field would truncate."""
+    """``parse(value)``, refusing null for a str field, a bool for a number
+    field and a number that an int field would truncate."""
+    if parse is str and value is None:
+        raise ValueError("null is not allowed here")
+    if parse in (int, float) and isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     out = parse(value)
     if isinstance(out, int) and out != value and not isinstance(value, str):
         raise ValueError(f"{value!r} is not an integer")

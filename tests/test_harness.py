@@ -382,6 +382,12 @@ class TestConfigFile:
             ({"schemes": ["selmmse"]}, "schemes: .*mapping"),
             ({"schemes": None}, "schemes"),
             ({"schemes": [{"max_atoms": 4}]}, "method"),
+            ({"trials": True}, "trials: True is not a number"),
+            ({"pilot_counts": [True]}, "pilot_counts: True is not a number"),
+            ({"aperture_wavelengths": False}, "aperture_wavelengths: False is not a number"),
+            ({"schemes": [{"method": "sbar", "kernel": "bessel", "eta": True}]}, "eta: True is not a number"),
+            ({"record_timing": "false"}, "record_timing: expected true or false"),
+            ({"schemes": [{"method": "selmmse", "kernel": None}]}, "kernel: null"),
         ],
         ids=[
             "fractional-int",
@@ -394,6 +400,12 @@ class TestConfigFile:
             "scheme-not-a-mapping",
             "null-schemes",
             "scheme-without-method",
+            "bool-for-int",
+            "bool-for-int-element",
+            "bool-for-float",
+            "bool-for-optional-float",
+            "string-for-bool",
+            "null-str",
         ],
     )
     def test_value_that_does_not_fit_its_field_is_named(self, entry, field):
