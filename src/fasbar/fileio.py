@@ -19,6 +19,8 @@ Observations and estimates are small and always JSON.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -110,13 +112,18 @@ def read_container(path):
         header = json.loads(fh.read(head_len).decode("utf-8"))
         if header.get("container_version") != CONTAINER_VERSION:
             raise ValueError(f"unsupported container version {header.get('container_version')!r}")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays = {}
         for spec in header["arrays"]:
-            count = int(np.prod(spec["shape"], dtype=int))
-            # read straight from the file, so each array is held once
-            arr = np.fromfile(fh, dtype=_DTYPES[spec["dtype"]], count=count)
-            if arr.size != count:
+            dtype = np.dtype(_DTYPES[spec["dtype"]])
+            count = int(math.prod(spec["shape"]))
+            # fromfile allocates count elements before it reads, so a header
+            # claiming more than the file holds is refused first
+            if not 0 <= count * dtype.itemsize <= left:
                 raise ValueError(f"{path} ends inside array {spec['name']!r}")
+            # read straight from the file, so each array is held once
+            arr = np.fromfile(fh, dtype=dtype, count=count)
+            left -= arr.nbytes
             arrays[spec["name"]] = arr.reshape(spec["shape"])
     return header, arrays
 

@@ -97,6 +97,19 @@ class TestContainer:
         with pytest.raises(ValueError, match=f"ends inside array '{name}'"):
             read_container(path)
 
+    @pytest.mark.parametrize("shape", [[10**12], [2**40, 2**40], [-1]])
+    def test_header_shape_beyond_the_file_names_the_array(self, tmp_path, shape):
+        path = tmp_path / "big.bin"
+        write_container(path, {"content": "test"}, {"a": np.ones(4)})
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+        head = json.loads(raw[len(MAGIC) + 4 : len(MAGIC) + 4 + hlen])
+        head["arrays"][0]["shape"] = shape
+        new_head = json.dumps(head).encode()
+        path.write_bytes(raw[: len(MAGIC)] + struct.pack("<I", len(new_head)) + new_head + raw[len(MAGIC) + 4 + hlen :])
+        with pytest.raises(ValueError, match="ends inside array 'a'"):
+            read_container(path)
+
     def test_binary_read_holds_one_copy_of_each_array(self, tmp_path):
         rng = np.random.default_rng(3)
         big = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
