@@ -355,12 +355,6 @@ def _format_value(value):
     return str(value)
 
 
-def _boolean(value):
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _parser(hint):
     """The function that coerces one parsed value to the annotation ``hint``.
 
@@ -370,8 +364,6 @@ def _parser(hint):
     configs written the obvious way would otherwise fail with a type error
     far from the offending line.
     """
-    if hint in (int, float):
-        return hint
     args = typing.get_args(hint)
     if type(None) in args:
         parse = _parser(next(a for a in args if a is not type(None)))
@@ -387,7 +379,7 @@ def _parser(hint):
         return parse_items
     if is_dataclass(hint):
         return functools.partial(_build, hint)
-    return _boolean if hint is bool else hint
+    return hint
 
 
 @functools.cache
@@ -398,12 +390,14 @@ def _field_parsers(cls):
 
 
 def _coerce(parse, value):
-    """``parse(value)``, refusing null for a str field, a bool for a number
-    field and a number that an int field would truncate."""
+    """``parse(value)``, refusing null for a str field, true or false for
+    any field but a bool one, anything else for a bool field and a number
+    that an int field would truncate."""
     if parse is str and value is None:
         raise ValueError("null is not allowed here")
-    if parse in (int, float) and isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
+    if isinstance(value, bool) != (parse is bool):
+        allowed = "required" if parse is bool else "not allowed"
+        raise ValueError(f"true or false is {allowed} here, got {value!r}")
     out = parse(value)
     if isinstance(out, int) and out != value and not isinstance(value, str):
         raise ValueError(f"{value!r} is not an integer")

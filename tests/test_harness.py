@@ -382,12 +382,13 @@ class TestConfigFile:
             ({"schemes": ["selmmse"]}, "schemes: .*mapping"),
             ({"schemes": None}, "schemes"),
             ({"schemes": [{"max_atoms": 4}]}, "method"),
-            ({"trials": True}, "trials: True is not a number"),
-            ({"pilot_counts": [True]}, "pilot_counts: True is not a number"),
-            ({"aperture_wavelengths": False}, "aperture_wavelengths: False is not a number"),
-            ({"schemes": [{"method": "sbar", "kernel": "bessel", "eta": True}]}, "eta: True is not a number"),
-            ({"record_timing": "false"}, "record_timing: expected true or false"),
+            ({"trials": True}, "trials: true or false is not allowed"),
+            ({"pilot_counts": [True]}, "pilot_counts: true or false is not allowed"),
+            ({"aperture_wavelengths": False}, "aperture_wavelengths: true or false is not allowed"),
+            ({"schemes": [{"method": "sbar", "kernel": "bessel", "eta": True}]}, "eta: true or false is not allowed"),
+            ({"record_timing": "false"}, "record_timing: true or false is required"),
             ({"schemes": [{"method": "selmmse", "kernel": None}]}, "kernel: null"),
+            ({"schemes": [{"method": "selmmse", "kernel": True}]}, "kernel: true or false is not allowed"),
         ],
         ids=[
             "fractional-int",
@@ -406,6 +407,7 @@ class TestConfigFile:
             "bool-for-optional-float",
             "string-for-bool",
             "null-str",
+            "bool-for-str",
         ],
     )
     def test_value_that_does_not_fit_its_field_is_named(self, entry, field):
