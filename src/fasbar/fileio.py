@@ -112,19 +112,15 @@ def read_container(path):
         header = json.loads(fh.read(head_len).decode("utf-8"))
         if header.get("container_version") != CONTAINER_VERSION:
             raise ValueError(f"unsupported container version {header.get('container_version')!r}")
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        size = os.fstat(fh.fileno()).st_size
         arrays = {}
         for spec in header["arrays"]:
             dtype = np.dtype(_DTYPES[spec["dtype"]])
             count = int(math.prod(spec["shape"]))
-            # fromfile allocates count elements before it reads, so a header
-            # claiming more than the file holds is refused first
-            if not 0 <= count * dtype.itemsize <= left:
+            # fromfile holds each array once but allocates count elements first
+            if not 0 <= count * dtype.itemsize <= size - fh.tell():
                 raise ValueError(f"{path} ends inside array {spec['name']!r}")
-            # read straight from the file, so each array is held once
-            arr = np.fromfile(fh, dtype=dtype, count=count)
-            left -= arr.nbytes
-            arrays[spec["name"]] = arr.reshape(spec["shape"])
+            arrays[spec["name"]] = np.fromfile(fh, dtype=dtype, count=count).reshape(spec["shape"])
     return header, arrays
 
 
