@@ -440,13 +440,15 @@ def read_csv(path):
         lines = [ln for ln in fh.read().split("\n") if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized results CSV header")
-    parsers = _field_parsers(ResultRecord).values()
-    rows = [line.split(",") for line in lines[1:]]
+    parsers, rows = _field_parsers(ResultRecord).values(), lines[1:]
+    width = len(parsers)
     for row in rows:
-        if len(row) != len(parsers):
-            raise ValueError(f"results CSV row {','.join(row)!r} does not have {len(parsers)} fields")
-    # parse column by column, so each field's parser is looked up once
-    columns = [list(map(parse, column)) for parse, column in zip(parsers, zip(*rows))]
+        if row.count(",") != width - 1:
+            raise ValueError(f"results CSV row {row!r} does not have {width} fields")
+    # one flat list of cells, not a list per row, so each field's parser
+    # runs over its whole column and the collector has few lists to scan
+    cells = ",".join(rows).split(",") if rows else []
+    columns = [list(map(parse, cells[i::width])) for i, parse in enumerate(parsers)]
     return [ResultRecord(*values) for values in zip(*columns)]
 
 
