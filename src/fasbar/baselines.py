@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .channels import EXTERNAL, ChannelRealization, _ports_in_range, steering_matrix
+from .channels import ChannelRealization, _ports_in_range, steering_matrix
 
 
 class RankDeficientFitWarning(RuntimeWarning):
@@ -90,7 +90,7 @@ def estimate_selmmse(y, ports, num_ports):
     nearest = np.where(grid - ports_sorted[below] <= ports_sorted[above] - grid, below, above)
     # a port listed twice answers with its first listing
     nearest = np.searchsorted(ports_sorted, ports_sorted[nearest])
-    return ChannelRealization(y_sorted[nearest], EXTERNAL)
+    return ChannelRealization(y_sorted[nearest])
 
 
 def random_ports(num_ports, num_measurements, rng_seed):
@@ -246,4 +246,4 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     estimate = np.zeros(dictionary.matrix.shape[0], dtype=complex)
     if support:
         estimate = dictionary.matrix[:, support] @ coeffs
-    return ChannelRealization(estimate, EXTERNAL)
+    return ChannelRealization(estimate)

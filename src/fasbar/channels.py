@@ -35,11 +35,6 @@ from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: model_tag value for channels produced by ``generate_ssc_channel``.
-SSC = "ssc"
-#: model_tag value for channels supplied from outside the simulator.
-EXTERNAL = "external"
-
 
 @dataclass(frozen=True)
 class PortGeometry:
@@ -100,10 +95,9 @@ class SscModelParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Complex channel values at every port, plus where they came from."""
+    """Complex channel values at every port."""
 
     values: np.ndarray
-    model_tag: str = EXTERNAL
 
 
 @dataclass(frozen=True)
@@ -218,7 +212,7 @@ def ssc_channel_from_rays(geom, ray_angles_rad, ray_gains):
         raise ValueError("at least one ray is required")
     hi, lo = _phase_table(geom, np.sin(angles))
     values = ((hi * gains) @ lo.T).ravel()[: geom.num_ports] / np.sqrt(angles.size)
-    return ChannelRealization(values, SSC)
+    return ChannelRealization(values)
 
 
 def generate_ssc_channel(geom, params):
@@ -231,7 +225,7 @@ def generate_ssc_channel(geom, params):
     Returns
     -------
     ChannelRealization
-        Values at all ports, tagged as model-generated.
+        Values at all ports.
     """
     rng = np.random.default_rng(params.rng_seed)
     c, r = params.num_clusters, params.rays_per_cluster

@@ -125,7 +125,7 @@ def read_container(path):
 
 
 def save_kernel(path, kernel):
-    """Persist a kernel with its hyperparameters and carrier.
+    """Persist a kernel with its hyperparameters.
 
     The "matrix" array holds ``kernel.stored``: the N lags of an analytic
     kernel, or the N x N matrix of a trained covariance.
@@ -137,14 +137,14 @@ def save_kernel(path, kernel):
         "alpha": kernel.alpha,
         "eta": kernel.eta,
         "jitter": kernel.jitter,
-        "carrier_hz": kernel.carrier_hz,
     }
     write_container(path, header, {"matrix": kernel.stored})
 
 
 def load_kernel(path):
     """Read a kernel; ValueError unless its array is a finite real (N,) lag
-    column or a finite, exactly Hermitian (N, N) matrix."""
+    column or a finite, exactly Hermitian (N, N) matrix.  The carrier that
+    older headers record is ignored."""
     header, arrays = read_container(path)
     if header.get("content") != "kernel":
         raise ValueError(f"{path} does not hold a kernel")
@@ -171,7 +171,6 @@ def load_kernel(path):
         alpha=float(header["alpha"]),
         eta=float(header["eta"]),
         jitter=float(header["jitter"]),
-        carrier_hz=float(header["carrier_hz"]),
     )
 
 
@@ -225,30 +224,22 @@ def load_observation(path):
 
 
 def save_estimate(path, reconstruction):
-    def pairs(arr):
-        return [[float(v.real), float(v.imag)] for v in np.asarray(arr)]
-
+    """Write the estimate and the variances; the band is not stored."""
     doc = {
         "content": "estimate",
-        "estimate": pairs(reconstruction.estimate),
+        "estimate": [[float(v.real), float(v.imag)] for v in np.asarray(reconstruction.estimate)],
         "post_variance": [float(v) for v in reconstruction.post_variance],
-        "confidence_lo": pairs(reconstruction.confidence_lo),
-        "confidence_hi": pairs(reconstruction.confidence_hi),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 def load_estimate(path):
+    """Read an estimate; the band arrays that older files carry are ignored,
+    since the band is derived from the estimate and the variances."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("content") != "estimate":
         raise ValueError(f"{path} does not hold an estimate")
-
-    def arr(key):
-        return np.array([complex(re, im) for re, im in doc[key]])
-
     return Reconstruction(
-        estimate=arr("estimate"),
+        estimate=np.array([complex(re, im) for re, im in doc["estimate"]]),
         post_variance=np.asarray(doc["post_variance"], dtype=float),
-        confidence_lo=arr("confidence_lo"),
-        confidence_hi=arr("confidence_hi"),
     )

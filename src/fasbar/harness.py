@@ -11,7 +11,7 @@ Fairness and reproducibility rest on three rules:
 * all randomness derives from ``base_seed`` through a fixed integer mix,
   so a config reproduces its records (and its CSV) bit for bit;
 * covariance training seeds live in a separate stream from evaluation
-  seeds and can never collide with them.
+  seeds, with its own purpose tag.
 """
 
 from __future__ import annotations
@@ -127,7 +127,6 @@ class ExperimentConfig:
     schemes: tuple[SchemeSpec, ...] = (SchemeSpec(SBAR, BESSEL), SchemeSpec(SELMMSE), SchemeSpec(FAS_OMP))
     base_seed: int = 0
     record_timing: bool = True
-    training_seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -154,17 +153,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"P={p} slots of M={self.antennas_per_slot} ports exceed N={self.num_ports}"
                 )
-        if self.training_seeds is not None:
-            overlap = set(self.training_seeds) & set(self._evaluation_seeds())
-            if overlap:
-                raise ValueError(f"training seeds collide with evaluation seeds: {sorted(overlap)}")
-
-    def _evaluation_seeds(self):
-        return [
-            channel_seed(self.base_seed, snr, trial)
-            for snr in self.snr_db
-            for trial in range(self.trials)
-        ]
 
 
 @dataclass(frozen=True)
@@ -221,23 +209,18 @@ def nmse(truth, estimate):
 def train_covariance_kernel(config, train_timeslots):
     """Average an SSC training ensemble into a covariance kernel.
 
-    Training channels use the dedicated training seed stream (or the
-    config's explicit ``training_seeds``), never the evaluation stream.
+    Training channels use the dedicated training seed stream derived from
+    ``base_seed``, never the evaluation stream.
     """
     t = int(train_timeslots)
     if t < 1:
         raise ValueError("train_timeslots must be at least 1")
-    if config.training_seeds is not None:
-        if len(config.training_seeds) < t:
-            raise ValueError("not enough explicit training seeds")
-        seeds = list(config.training_seeds[:t])
-    else:
-        seeds = [training_seed(config.base_seed, i) for i in range(t)]
+    seeds = [training_seed(config.base_seed, i) for i in range(t)]
     geom = build_port_geometry(config.num_ports, config.aperture_wavelengths, config.carrier_hz)
     ensemble = [
         generate_ssc_channel(geom, replace(config.channel, rng_seed=s)) for s in seeds
     ]
-    return kernel_covariance(ensemble, carrier_hz=config.carrier_hz)
+    return kernel_covariance(ensemble)
 
 
 def _scheme_kernel(scheme, config, geom):

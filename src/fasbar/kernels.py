@@ -33,8 +33,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import jv
 
-from .channels import SPEED_OF_LIGHT
-
 EXPONENTIAL = "exponential"
 BESSEL = "bessel"
 COVARIANCE = "covariance"
@@ -55,8 +53,7 @@ class Kernel:
     indexed exactly like a dense matrix but never expanded to N^2 entries.
     Trained covariances are dense.  ``stored`` is what the kernel holds.
     ``alpha`` and ``eta`` are meaningful for the analytic kinds only and are
-    zero for trained covariances.  ``carrier_hz`` records provenance when
-    known (0.0 otherwise).
+    zero for trained covariances.
     """
 
     matrix: np.ndarray
@@ -64,7 +61,6 @@ class Kernel:
     alpha: float = 1.0
     eta: float = 0.0
     jitter: float = 0.0
-    carrier_hz: float = 0.0
 
     @property
     def num_ports(self) -> int:
@@ -141,8 +137,7 @@ def _analytic(profile, kind, alpha, eta, jitter, geom):
     column = profile.astype(complex)
     jitter = _checked_jitter(toeplitz_view(column), jitter)
     column[0] += jitter
-    carrier_hz = SPEED_OF_LIGHT / geom.wavelength
-    return Kernel(toeplitz_view(column), kind, float(alpha), float(eta), jitter, carrier_hz)
+    return Kernel(toeplitz_view(column), kind, float(alpha), float(eta), jitter)
 
 
 def kernel_exponential(geom, alpha=1.0, eta=None, jitter=None):
@@ -187,7 +182,7 @@ def kernel_bessel(geom, alpha=1.0, eta=None, jitter=None):
     return _analytic(profile, BESSEL, alpha, eta, jitter, geom)
 
 
-def kernel_covariance(training_channels, jitter=None, carrier_hz=0.0):
+def kernel_covariance(training_channels, jitter=None):
     """Empirical covariance (1/T) * sum_t h_t h_t^H of a training ensemble.
 
     The average is Hermitian-symmetrized before jitter is added.  With
@@ -200,8 +195,6 @@ def kernel_covariance(training_channels, jitter=None, carrier_hz=0.0):
         T >= 1 channels of identical length.
     jitter : float, optional
         Diagonal loading; defaults to 1e-9 * trace / N.
-    carrier_hz : float
-        Recorded for provenance only.
     """
     rows = [np.asarray(getattr(c, "values", c), dtype=complex) for c in training_channels]
     if not rows:
@@ -215,4 +208,4 @@ def kernel_covariance(training_channels, jitter=None, carrier_hz=0.0):
     jitter = _checked_jitter(mat, jitter)
     mat.real[np.diag_indices_from(mat)] += jitter
     mat.flags.writeable = False
-    return Kernel(mat, COVARIANCE, 0.0, 0.0, jitter, float(carrier_hz))
+    return Kernel(mat, COVARIANCE, 0.0, 0.0, jitter)

@@ -167,13 +167,24 @@ class Reconstruction:
     parts each have standard deviation sigma = sqrt(var / 2).
     ``confidence_lo``/``confidence_hi`` shift both parts of the estimate
     by three of those sigmas, giving the per-part three-sigma band
-    [Re(est) -+ 3*sigma] and [Im(est) -+ 3*sigma].
+    [Re(est) -+ 3*sigma] and [Im(est) -+ 3*sigma].  The band is derived
+    from the two stored arrays on each access.
     """
 
     estimate: np.ndarray
     post_variance: np.ndarray
-    confidence_lo: np.ndarray
-    confidence_hi: np.ndarray
+
+    def _band_shift(self):
+        # per-part sigma of CN(est, var); rounding can leave var a hair below 0
+        return 3.0 * np.sqrt(np.maximum(self.post_variance, 0.0) / 2.0) * (1.0 + 1.0j)
+
+    @property
+    def confidence_lo(self) -> np.ndarray:
+        return self.estimate - self._band_shift()
+
+    @property
+    def confidence_hi(self) -> np.ndarray:
+        return self.estimate + self._band_shift()
 
 
 def initial_posterior(kernel, noise_power):
@@ -341,8 +352,8 @@ def reconstruct(plan, observation):
     Returns
     -------
     Reconstruction
-        Estimate, design-time posterior variances, and the three-sigma
-        band around the real and imaginary parts, sigma = sqrt(var / 2).
+        Estimate and design-time posterior variances; the three-sigma
+        band follows from the two.
     """
     y = np.asarray(observation.values)
     if y.ndim != 1 or y.size != plan.num_measurements:
@@ -356,8 +367,4 @@ def reconstruct(plan, observation):
             f"design value {plan.noise_power_design!r}"
         )
     # w^H y computed as (y^H w)^H so the weight matrix is streamed, not copied
-    estimate = np.conj(y.conj() @ plan.weights)
-    # per-part sigma of CN(est, var); rounding can leave var a hair below 0
-    band = 3.0 * np.sqrt(np.maximum(plan.post_diag, 0.0) / 2.0)
-    shift = band * (1.0 + 1.0j)
-    return Reconstruction(estimate, plan.post_diag, estimate - shift, estimate + shift)
+    return Reconstruction(np.conj(y.conj() @ plan.weights), plan.post_diag)

@@ -98,7 +98,6 @@ class TestSscChannel:
         a = generate_ssc_channel(geom, params)
         b = generate_ssc_channel(geom, params)
         assert np.array_equal(a.values, b.values)
-        assert a.model_tag == "ssc"
 
     def test_different_seeds_differ(self):
         geom = build_port_geometry(64, 10.0, 3.5e9)

@@ -136,7 +136,6 @@ class TestKernelFiles:
         assert loaded.kind == kernel.kind
         assert (loaded.alpha, loaded.eta) == (kernel.alpha, kernel.eta)
         assert loaded.jitter == kernel.jitter
-        assert loaded.carrier_hz == kernel.carrier_hz
         assert np.array_equal(loaded.matrix, kernel.matrix)
 
     def test_trained_kernel_round_trip(self, tmp_path):
@@ -163,7 +162,7 @@ class TestKernelFiles:
     def test_old_dense_analytic_file_designs_the_same_plan(self, tmp_path, build):
         k = build(build_port_geometry(64, 10.0, 3.5e9))
         header = {"content": "kernel", "kind": k.kind, "num_ports": 64, "alpha": k.alpha,
-                  "eta": k.eta, "order": 0, "jitter": k.jitter, "carrier_hz": k.carrier_hz}
+                  "eta": k.eta, "order": 0, "jitter": k.jitter, "carrier_hz": 3.5e9}
         write_container(tmp_path / "old.bin", header, {"matrix": np.array(k.matrix)})
         loaded = load_kernel(tmp_path / "old.bin")
         assert np.array_equal(loaded.matrix, k.matrix)
@@ -171,6 +170,20 @@ class TestKernelFiles:
         assert a.order == b.order
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.post_diag.tobytes() == b.post_diag.tobytes()
+
+    @pytest.mark.parametrize("name", ["old.bin", "old.json"])
+    def test_header_with_a_carrier_loads_with_the_same_fingerprint(self, tmp_path, kernel, name):
+        # kernel files used to record the carrier, which nothing read back
+        header = {"content": "kernel", "kind": kernel.kind, "num_ports": kernel.num_ports,
+                  "alpha": kernel.alpha, "eta": kernel.eta, "jitter": kernel.jitter,
+                  "carrier_hz": 3.5e9}
+        write_container(tmp_path / name, header, {"matrix": kernel.stored})
+        assert load_kernel(tmp_path / name).fingerprint == kernel.fingerprint
+
+    def test_new_header_has_no_carrier(self, tmp_path, kernel):
+        save_kernel(tmp_path / "k.json", kernel)
+        header, _ = read_container(tmp_path / "k.json")
+        assert "carrier_hz" not in header
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -190,7 +203,7 @@ class TestKernelFiles:
     def test_malformed_kernel_file_rejected(self, tmp_path, edit, message):
         k = kernel_exponential(build_port_geometry(16, 5.0, 3.5e9))
         header = {"content": "kernel", "kind": k.kind, "num_ports": 16, "alpha": k.alpha,
-                  "eta": k.eta, "jitter": k.jitter, "carrier_hz": k.carrier_hz}
+                  "eta": k.eta, "jitter": k.jitter, "carrier_hz": 3.5e9}
         write_container(tmp_path / "k.json", header, {"matrix": edit(np.array(k.matrix))})
         with pytest.raises(ValueError, match=message):
             load_kernel(tmp_path / "k.json")
@@ -276,6 +289,24 @@ class TestPlanFiles:
             load_plan(path)
 
 
+# an estimate file as written when estimate files stored the band: N=5
+# exponential kernel over 2 wavelengths, one slot of 2 ports, noise power 0.5
+_OLD_ESTIMATE = {
+    "content": "estimate",
+    "estimate": [[0.5000000001653154, -0.8333333336107734], [0.10393954645756588, -0.17323291976468252],
+                 [0.00031124045507464806, -0.0014005820478359163],
+                 [-0.06929282959794235, 0.017322693896376556], [-0.33333333344241756, 0.08333333335773291]],
+    "post_variance": [0.3333333334444444, 0.9711907221763411, 0.9999953512101949, 0.9711907221763411,
+                      0.3333333334444444],
+    "confidence_lo": [[-0.7247448714303978, -2.0580782052064865], [-1.9866006348815866, -2.263773101103835],
+                      [-2.1210041723126443, -2.1227159948155547], [-2.1598330109370947, -2.073217487442776],
+                      [-1.5580782050381308, -1.1414115382379804]],
+    "confidence_hi": [[1.7247448717610285, 0.3914115379849398], [2.1944797277967183, 1.91730726157447],
+                      [2.121626653222793, 2.1199148307198827], [2.02124735174121, 2.107862875235529],
+                      [0.8914115381532957, 1.308078204953446]],
+}
+
+
 class TestObservationAndEstimateFiles:
     def test_observation_round_trip(self, tmp_path):
         obs = PilotObservation(np.array([1 + 2j, -0.25j]), 0.01, "abc123")
@@ -295,6 +326,22 @@ class TestObservationAndEstimateFiles:
         assert np.array_equal(loaded.post_variance, rec.post_variance)
         assert np.array_equal(loaded.confidence_lo, rec.confidence_lo)
         assert np.array_equal(loaded.confidence_hi, rec.confidence_hi)
+
+    def test_estimate_file_holds_no_band(self, tmp_path, plan):
+        rec = reconstruct(plan, PilotObservation(np.ones(6, dtype=complex), 0.8, plan.plan_id))
+        save_estimate(tmp_path / "est.json", rec)
+        doc = json.loads((tmp_path / "est.json").read_text())
+        assert set(doc) == {"content", "estimate", "post_variance"}
+
+    def test_old_estimate_file_with_a_band_loads(self, tmp_path):
+        (tmp_path / "old.json").write_text(json.dumps(_OLD_ESTIMATE))
+        loaded = load_estimate(tmp_path / "old.json")
+        stored = {k: np.array([complex(re, im) for re, im in _OLD_ESTIMATE[k]])
+                  for k in ("estimate", "confidence_lo", "confidence_hi")}
+        assert loaded.estimate.tobytes() == stored["estimate"].tobytes()
+        assert loaded.post_variance.tolist() == _OLD_ESTIMATE["post_variance"]
+        assert loaded.confidence_lo.tobytes() == stored["confidence_lo"].tobytes()
+        assert loaded.confidence_hi.tobytes() == stored["confidence_hi"].tobytes()
 
     def test_content_type_checked(self, tmp_path):
         obs = PilotObservation(np.array([1j]), 0.0, "x")

@@ -90,15 +90,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(pilot_counts=(9,))  # 9 slots * 2 ports > 16
 
-    def test_training_seed_collision_rejected(self):
-        colliding = channel_seed(99, 20.0, 0)
-        with pytest.raises(ValueError):
-            small_config(training_seeds=(colliding,))
-
-    def test_disjoint_training_seeds_accepted(self):
-        cfg = small_config(training_seeds=(1, 2, 3))
-        assert cfg.training_seeds == (1, 2, 3)
-
     def test_duplicate_scheme_identity_rejected(self):
         # an eta sweep of two bessel schemes would share one CSV label
         twins = (SchemeSpec("sbar", kernel="bessel", eta=0.2), SchemeSpec("sbar", kernel="bessel", eta=0.8))
@@ -240,15 +231,11 @@ class TestTrainedKernel:
         eigs = np.linalg.eigvalsh(k.matrix)
         assert np.sum(eigs > 1e-6 * eigs.max()) <= 8
 
-    def test_explicit_seeds_control_the_ensemble(self):
-        a = train_covariance_kernel(small_config(training_seeds=(5, 6)), 2)
-        b = train_covariance_kernel(small_config(training_seeds=(5, 6)), 2)
-        c = train_covariance_kernel(small_config(training_seeds=(7, 8)), 2)
+    def test_base_seed_controls_the_ensemble(self):
+        a = train_covariance_kernel(small_config(base_seed=5), 2)
+        b = train_covariance_kernel(small_config(base_seed=5), 2)
+        c = train_covariance_kernel(small_config(base_seed=7), 2)
         assert a.fingerprint == b.fingerprint != c.fingerprint
-
-    def test_insufficient_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            train_covariance_kernel(small_config(training_seeds=(5,)), 2)
 
 
 class TestCsv:
@@ -431,7 +418,6 @@ _CONFIG_NUMBERS = {
         carrier_hz=3.5e9,
         aperture_wavelengths=8.0,
         base_seed=7,
-        training_seeds=[3, 4],
     ),
     SscModelParams: dict(num_clusters=3, rays_per_cluster=10, angle_spread_deg=2.5, rng_seed=5),
     SchemeSpec: dict(

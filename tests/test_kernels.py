@@ -281,3 +281,17 @@ class TestValidateAndFingerprint:
     def test_fingerprint_stable_across_rebuilds(self):
         geom = build_port_geometry(16, 5.0, 3.5e9)
         assert kernel_exponential(geom).fingerprint == kernel_exponential(geom).fingerprint
+
+    def test_analytic_fingerprints_frozen(self):
+        # SHA-256 over the newline-joined fingerprints of these 32 kernels, as
+        # built when each constructor checked alpha and eta itself; any change
+        # to the lags, the jitter or the hashed header moves it
+        prints = [
+            build(build_port_geometry(n, aperture, 3.5e9), alpha=alpha, eta=eta).fingerprint
+            for build in (kernel_exponential, kernel_bessel)
+            for n in (2, 17, 256, 1024)
+            for aperture in (4.0, 10.0)
+            for alpha, eta in ((1.0, None), (1.3, 0.3))
+        ]
+        digest = hashlib.sha256("\n".join(prints).encode()).hexdigest()
+        assert digest == "3cf1c1f82779b294b0faaf65ccc2854cec45c8b50f47e8e181fe742ce4fc8798"

@@ -20,7 +20,7 @@ were worked out by hand first.
 import hashlib
 import inspect
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -488,6 +488,12 @@ class TestReconstruct:
         assert np.allclose(rec.confidence_lo.imag, rec.estimate.imag - 3 * sigma)
         assert np.allclose(rec.confidence_hi.real, rec.estimate.real + 3 * sigma)
         assert np.allclose(rec.confidence_hi.imag, rec.estimate.imag + 3 * sigma)
+
+    def test_reconstruction_stores_only_the_estimate_and_variances(self):
+        _, plan, _, obs = self._setup()
+        rec = reconstruct(plan, obs)
+        assert [f.name for f in fields(rec)] == ["estimate", "post_variance"]
+        assert rec.post_variance is plan.post_diag
 
     def test_variances_and_band_are_calibrated_under_a_matched_prior(self):
         # channels drawn from the design kernel itself: the error at port i is CN(0, post_diag[i])
