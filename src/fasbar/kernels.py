@@ -133,8 +133,15 @@ def toeplitz_view(column):
 
 
 def _analytic(profile, kind, alpha, eta, jitter, geom):
-    """Kernel over the lag profile, with ``jitter`` added at lag 0."""
-    column = profile.astype(complex)
+    """Kernel alpha^2 * profile(lag / eta) over the N lags of ``geom``, with
+    ``jitter`` added at lag 0; eta None means ``default_eta()``."""
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    if eta is None:
+        eta = default_eta()
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+    column = (alpha**2 * profile(_lags(geom) / eta)).astype(complex)
     jitter = _checked_jitter(toeplitz_view(column), jitter)
     column[0] += jitter
     return Kernel(toeplitz_view(column), kind, float(alpha), float(eta), jitter)
@@ -155,14 +162,7 @@ def kernel_exponential(geom, alpha=1.0, eta=None, jitter=None):
     jitter : float, optional
         Diagonal loading; defaults to 1e-9 * trace / N.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if eta is None:
-        eta = default_eta()
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    profile = alpha**2 * np.exp(-((_lags(geom) / eta) ** 2))
-    return _analytic(profile, EXPONENTIAL, alpha, eta, jitter, geom)
+    return _analytic(lambda x: np.exp(-(x**2)), EXPONENTIAL, alpha, eta, jitter, geom)
 
 
 def kernel_bessel(geom, alpha=1.0, eta=None, jitter=None):
@@ -172,14 +172,9 @@ def kernel_bessel(geom, alpha=1.0, eta=None, jitter=None):
     captures its oscillation with distance.  d is measured in carrier
     wavelengths, like eta.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if eta is None:
-        eta = default_eta()
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    profile = alpha**2 * jv(0, _lags(geom) / eta)
-    return _analytic(profile, BESSEL, alpha, eta, jitter, geom)
+    # jv(0, x), not scipy.special.j0: the two differ by up to ~6e-16, which
+    # would change every Bessel kernel's fingerprint
+    return _analytic(lambda x: jv(0, x), BESSEL, alpha, eta, jitter, geom)
 
 
 def kernel_covariance(training_channels, jitter=None):
