@@ -124,6 +124,14 @@ def read_container(path):
     return header, arrays
 
 
+def _header_int(value, key):
+    """``value`` as an int; ValueError naming ``key`` for anything but an
+    integral number, where a bare ``int()`` would read true as 1 and 1.7 as 1."""
+    if type(value) not in (int, float) or value % 1 != 0:
+        raise ValueError(f"header {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def save_kernel(path, kernel):
     """Persist a kernel with its hyperparameters.
 
@@ -150,7 +158,7 @@ def load_kernel(path):
         raise ValueError(f"{path} does not hold a kernel")
     if header.get("order", 0) != 0:
         raise ValueError(f"{path} holds a Bessel kernel of order {header['order']}; only order 0 is supported")
-    n = int(header["num_ports"])
+    n = _header_int(header["num_ports"], "num_ports")
     stored = np.asarray(arrays["matrix"], dtype=complex)
     if stored.shape not in ((n,), (n, n)):
         raise ValueError(f"kernel array must have shape ({n},) or ({n}, {n}), got {stored.shape}")
@@ -189,15 +197,16 @@ def save_plan(path, plan):
 
 
 def load_plan(path):
-    """Read a plan; ValueError if its order or arrays disagree with N, P, M."""
+    """Read a plan; ValueError if a dimension or port is not an integer or
+    its order or arrays disagree with N, P, M."""
     header, arrays = read_container(path)
     if header.get("content") != "plan":
         raise ValueError(f"{path} does not hold a sampling plan")
     return SamplingPlan(
-        num_ports=int(header["num_ports"]),
-        num_timeslots=int(header["num_timeslots"]),
-        antennas_per_slot=int(header["antennas_per_slot"]),
-        order=tuple(int(p) - 1 for p in header["order"]),
+        num_ports=_header_int(header["num_ports"], "num_ports"),
+        num_timeslots=_header_int(header["num_timeslots"], "num_timeslots"),
+        antennas_per_slot=_header_int(header["antennas_per_slot"], "antennas_per_slot"),
+        order=tuple(_header_int(p, "order") - 1 for p in header["order"]),
         weights=arrays["weights"],
         noise_power_design=float(header["noise_power"]),
         kernel_fingerprint=header["kernel_fingerprint"],

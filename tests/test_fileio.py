@@ -307,6 +307,37 @@ _OLD_ESTIMATE = {
 }
 
 
+def _edit_header(path, key, edit):
+    header, arrays = read_container(path)
+    del header["arrays"], header["container_version"]
+    header[key] = edit(header[key])
+    write_container(path, header, arrays)
+
+
+@pytest.mark.parametrize("name", ["file.bin", "file.json"])
+@pytest.mark.parametrize(
+    "content, key, edit",
+    [
+        ("plan", "order", lambda order: [p + 0.7 for p in order]),
+        ("plan", "num_timeslots", lambda p: True),
+        ("plan", "antennas_per_slot", lambda m: m + 0.5),
+        ("plan", "num_ports", lambda n: n + 0.9),
+        ("kernel", "num_ports", lambda n: n + 0.9),
+    ],
+    ids=["plan-order", "plan-timeslots-bool", "plan-antennas", "plan-ports", "kernel-ports"],
+)
+def test_non_integral_header_rejected(tmp_path, kernel, name, content, key, edit):
+    # a bare int() read 1.7 as 1 and true as 1, so these loaded as another file
+    path = tmp_path / name
+    if content == "plan":
+        save_plan(path, design_plan(kernel, 1, 4, 0.8))
+    else:
+        save_kernel(path, kernel)
+    _edit_header(path, key, edit)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        (load_plan if content == "plan" else load_kernel)(path)
+
+
 class TestObservationAndEstimateFiles:
     def test_observation_round_trip(self, tmp_path):
         obs = PilotObservation(np.array([1 + 2j, -0.25j]), 0.01, "abc123")
