@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .channels import ChannelRealization, _ports_in_range, steering_matrix
 
@@ -127,7 +127,9 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
     the float range, and scales its coefficients and norms back by 2^e.
     Scaling by a power of two is exact, so the result is unchanged wherever
     ||y|| could be formed directly, and ||y|| neither underflows nor
-    overflows at extreme scales.
+    overflows at extreme scales.  A NaN or infinite entry of y raises
+    ValueError before the pursuit starts, and a picked atom holding one
+    raises ValueError before the solve.
 
     Returns
     -------
@@ -143,8 +145,11 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
         raise ValueError("max_atoms must be positive")
     if residual_tol < 0.0:
         raise ValueError("residual_tol must be nonnegative")
+    peak = float(np.abs(y).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise ValueError("observation y holds a non-finite entry")
     # clamped so that 2^e and 2^-e are both finite floats
-    e = min(max(math.frexp(float(np.abs(y).max(initial=0.0)))[1], -1021), 1023)
+    e = min(max(math.frexp(peak)[1], -1021), 1023)
     y = y * math.ldexp(1.0, -e)
     norm_y = float(np.linalg.norm(y))
     support: list = []
@@ -152,7 +157,9 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
     if norm_y == 0.0:
         return np.zeros(0, dtype=complex), support, norms
     m = y.size
-    size = min(int(max_atoms), m)
+    max_atoms = int(max_atoms)
+    size = min(max_atoms, m)
+    stop = residual_tol * norm_y
     dtype = np.result_type(a, y, 1.0)
     q_rows = np.zeros((size, m), dtype=dtype)  # q_k as rows
     qh_rows = np.zeros((size, m), dtype=dtype)  # their conjugates, so Q^H v = qh_rows @ v
@@ -162,20 +169,23 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
     picked = np.zeros(size, dtype=np.intp)
     eps = np.finfo(float).eps
     residual_h = np.conj(y).astype(complex)  # r^H, so a^H r is the conjugate of residual_h @ a
-    for k in range(int(max_atoms)):
-        if norms[-1] <= residual_tol * norm_y:
+    product = np.empty(a.shape[1], dtype=np.result_type(residual_h, a))
+    corr = np.empty(a.shape[1])
+    for k in range(max_atoms):
+        if norms[-1] <= stop:
             break
-        corr = np.abs(residual_h @ a)
+        np.abs(np.matmul(residual_h, a, out=product), out=corr)
         corr[picked[:k]] = -1.0  # an atom is never picked twice
         pick = int(corr.argmax())
         if k == m:
             _warn_rank_deficient()
             break
+        q_k, qh_k = q_rows[:k], qh_rows[:k]
         atom = a[:, pick]
-        col = qh_rows[:k] @ atom
-        w = atom - col @ q_rows[:k]
-        again = qh_rows[:k] @ w
-        w -= again @ q_rows[:k]
+        col = qh_k @ atom
+        w = atom - col @ q_k
+        again = qh_k @ w
+        w -= again @ q_k
         col += again
         r_kk = math.sqrt(np.vdot(w, w).real)
         if r_kk == 0.0:
@@ -193,21 +203,31 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
             if sv[-1] <= rcond * sv[0]:
                 _warn_rank_deficient()
                 break
-        np.multiply(w, inv_kk, out=q_rows[k])
-        np.conjugate(q_rows[k], out=qh_rows[k])
+        q_new, qh_new = q_rows[k], qh_rows[k]
+        np.multiply(w, inv_kk, out=q_new)
+        np.conjugate(q_new, out=qh_new)
         np.multiply(inv_col, -inv_kk, out=r_inv[:k, k])
         r_inv[k, k] = inv_kk
         r_fro2, r_inv_fro2 = fro2, inv_fro2
         picked[k] = pick
         support.append(pick)
-        residual_h -= (q_rows[k] @ residual_h) * qh_rows[k]
+        residual_h -= (q_new @ residual_h) * qh_new
         norms.append(math.sqrt(np.vdot(residual_h, residual_h).real))
     k = len(support)
     scale = math.ldexp(1.0, e)
     norms = [v * scale for v in norms]
     if k == 0:
         return np.zeros(0, dtype=complex), support, norms
-    coeffs = solve_triangular(r[:k, :k], qh_rows[:k] @ y)
+    # R x = Q^H y through LAPACK, as scipy's solve_triangular does for a
+    # C-ordered R: its transpose is F-ordered, and lower, so solve with trans
+    rhs = qh_rows[:k] @ y
+    # y is finite, so a non-finite Q^H y comes from a picked atom
+    if not np.isfinite(rhs).all():
+        raise ValueError("measured atoms hold a non-finite entry")
+    (trtrs,) = get_lapack_funcs(("trtrs",), (r, rhs))
+    coeffs, info = trtrs(r[:k, :k].T, rhs, lower=1, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
     return coeffs * scale, support, norms
 
 

@@ -2,14 +2,18 @@
 
 The nearest-hold scheme is checked against a brute-force per-port loop,
 and the pursuit against planted on-grid sparse channels it must recover
-exactly in the noiseless case, and against a reference pursuit that
-refits every pick with ``np.linalg.lstsq``.
+exactly in the noiseless case, against a reference pursuit that refits
+every pick with ``np.linalg.lstsq``, and bit for bit against
+``qr_pursuit``, the grown-QR pursuit as it stood before its buffers were
+preallocated and its triangular solve went to LAPACK directly.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from fasbar import (
     RankDeficientFitWarning,
@@ -22,7 +26,7 @@ from fasbar import (
     random_ports,
     selmmse_ports,
 )
-from fasbar.baselines import omp_solve
+from fasbar.baselines import _warn_rank_deficient, omp_solve
 
 
 def lstsq_pursuit(a, y, max_atoms, residual_tol):
@@ -47,6 +51,115 @@ def lstsq_pursuit(a, y, max_atoms, residual_tol):
         residual = y - a[:, support] @ coeffs
         norms.append(float(np.linalg.norm(residual)))
     return coeffs, support, norms
+
+
+def qr_pursuit(measured_atoms, y, max_atoms, residual_tol):
+    """Orthogonal matching pursuit on an explicit measurement matrix.
+
+    Greedily picks the atom most correlated with the residual, |a_g^H r|,
+    and stops when max_atoms are used or the residual drops below
+    residual_tol * ||y||.  The picked atoms A_S are kept as a thin QR
+    factor A_S = Q R: each pick orthogonalizes its atom against Q by
+    classical Gram-Schmidt applied twice, appending one column to Q and
+    to the upper-triangular R, and the residual loses its projection on
+    the new column.  The least-squares coefficients come at the end from
+    one triangular solve R x = Q^H y.
+
+    A pick is rank deficient, by the rule of ``np.linalg.lstsq`` with
+    ``rcond=None`` applied to R (which has the singular values of A_S),
+    when it would use more atoms k than the m rows, when r_kk = 0, or when
+    s_min(R) <= eps * max(m, k) * s_max(R).  The bounds
+    s_min >= 1 / ||R^-1||_F and s_max <= ||R||_F, both updated in O(k^2)
+    per pick, certify most picks; only when they cannot is R's SVD taken.
+    A rank-deficient pick stops the pursuit early with a
+    RankDeficientFitWarning, keeping the last full-rank fit.
+
+    The pursuit runs on y * 2^-e, where 2^(e-1) <= max|y| < 2^e within
+    the float range, and scales its coefficients and norms back by 2^e.
+    Scaling by a power of two is exact, so the result is unchanged wherever
+    ||y|| could be formed directly, and ||y|| neither underflows nor
+    overflows at extreme scales.
+
+    Returns
+    -------
+    (coeffs, support, residual_norms)
+        Least-squares coefficients per support atom, the picked column
+        indices in order, and ||residual|| after 0, 1, ... picks.
+    """
+    a = np.asarray(measured_atoms)
+    y = np.asarray(y)
+    if a.shape[0] != y.size:
+        raise ValueError("measurement matrix rows must match observation length")
+    if max_atoms < 1:
+        raise ValueError("max_atoms must be positive")
+    if residual_tol < 0.0:
+        raise ValueError("residual_tol must be nonnegative")
+    # clamped so that 2^e and 2^-e are both finite floats
+    e = min(max(math.frexp(float(np.abs(y).max(initial=0.0)))[1], -1021), 1023)
+    y = y * math.ldexp(1.0, -e)
+    norm_y = float(np.linalg.norm(y))
+    support: list = []
+    norms = [norm_y]
+    if norm_y == 0.0:
+        return np.zeros(0, dtype=complex), support, norms
+    m = y.size
+    size = min(int(max_atoms), m)
+    dtype = np.result_type(a, y, 1.0)
+    q_rows = np.zeros((size, m), dtype=dtype)  # q_k as rows
+    qh_rows = np.zeros((size, m), dtype=dtype)  # their conjugates, so Q^H v = qh_rows @ v
+    r = np.zeros((size, size), dtype=dtype)
+    r_inv = np.zeros((size, size), dtype=dtype)
+    r_fro2 = r_inv_fro2 = 0.0  # squared Frobenius norms of R and R^-1
+    picked = np.zeros(size, dtype=np.intp)
+    eps = np.finfo(float).eps
+    residual_h = np.conj(y).astype(complex)  # r^H, so a^H r is the conjugate of residual_h @ a
+    for k in range(int(max_atoms)):
+        if norms[-1] <= residual_tol * norm_y:
+            break
+        corr = np.abs(residual_h @ a)
+        corr[picked[:k]] = -1.0  # an atom is never picked twice
+        pick = int(corr.argmax())
+        if k == m:
+            _warn_rank_deficient()
+            break
+        atom = a[:, pick]
+        col = qh_rows[:k] @ atom
+        w = atom - col @ q_rows[:k]
+        again = qh_rows[:k] @ w
+        w -= again @ q_rows[:k]
+        col += again
+        r_kk = math.sqrt(np.vdot(w, w).real)
+        if r_kk == 0.0:
+            _warn_rank_deficient()
+            break
+        r[:k, k], r[k, k] = col, r_kk
+        inv_kk = 1.0 / r_kk
+        inv_col = r_inv[:k, :k] @ col  # times -inv_kk, R^-1's new column above the diagonal
+        fro2 = r_fro2 + np.vdot(col, col).real + r_kk * r_kk
+        inv_fro2 = r_inv_fro2 + (np.vdot(inv_col, inv_col).real + 1.0) * inv_kk * inv_kk
+        rcond = eps * max(m, k + 1)
+        # 1/||R^-1||_F > rcond * ||R||_F certifies full rank without an SVD
+        if not fro2 * inv_fro2 * rcond * rcond < 1.0:
+            sv = np.linalg.svd(r[: k + 1, : k + 1], compute_uv=False)
+            if sv[-1] <= rcond * sv[0]:
+                _warn_rank_deficient()
+                break
+        np.multiply(w, inv_kk, out=q_rows[k])
+        np.conjugate(q_rows[k], out=qh_rows[k])
+        np.multiply(inv_col, -inv_kk, out=r_inv[:k, k])
+        r_inv[k, k] = inv_kk
+        r_fro2, r_inv_fro2 = fro2, inv_fro2
+        picked[k] = pick
+        support.append(pick)
+        residual_h -= (q_rows[k] @ residual_h) * qh_rows[k]
+        norms.append(math.sqrt(np.vdot(residual_h, residual_h).real))
+    k = len(support)
+    scale = math.ldexp(1.0, e)
+    norms = [v * scale for v in norms]
+    if k == 0:
+        return np.zeros(0, dtype=complex), support, norms
+    coeffs = solve_triangular(r[:k, :k], qh_rows[:k] @ y)
+    return coeffs * scale, support, norms
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +397,26 @@ class TestOmp:
         assert np.array_equal(scaled_coeffs, coeffs * scale)
         assert scaled_norms == [v * scale for v in norms]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+    def test_non_finite_observation_rejected_before_the_pursuit(self, dictionary, bad):
+        ports = random_ports(64, 8, rng_seed=25)
+        y = dictionary.matrix[ports, 30].copy()
+        y[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="observation y holds a non-finite entry"):
+                estimate_fas_omp(y, ports, dictionary)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_atom_rejected(self, dictionary, bad):
+        ports = random_ports(64, 8, rng_seed=29)
+        a = dictionary.matrix[ports]
+        a[2, 17] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError):
+                omp_solve(a, dictionary.matrix[ports, 30], 9, 1e-3)
+
     def test_argument_validation(self, dictionary):
         with pytest.raises(ValueError):
             estimate_fas_omp(np.ones(3), [0, 1], dictionary)
@@ -296,6 +429,65 @@ class TestOmp:
     def test_ports_outside_the_aperture_rejected(self, dictionary, ports):
         with pytest.raises(ValueError, match="out of range"):
             estimate_fas_omp(np.ones(3), ports, dictionary)
+
+
+def _pinned_fit(a, y, max_atoms, residual_tol):
+    """(coeffs, support, norms) of omp_solve and qr_pursuit, with warnings."""
+    out = []
+    for pursuit in (omp_solve, qr_pursuit):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coeffs, support, norms = pursuit(a, y, max_atoms, residual_tol)
+        out.append((coeffs.dtype, coeffs.tobytes(), support, norms, [w.category for w in caught]))
+    return out
+
+
+class TestPursuitBitsPinned:
+    """omp_solve reproduces qr_pursuit bit for bit: picks, coefficients, norms."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("pm", [4, 8, 20, 40])
+    def test_sweep_sized_fits(self, n, pm):
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        atoms = build_steering_dictionary(geom).matrix
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            ports = random_ports(n, pm, rng_seed=1000 + seed)
+            h = generate_ssc_channel(geom, SscModelParams(9, 100, 5.0, rng_seed=seed)).values
+            noise = 10.0 ** -(seed % 4) * (rng.standard_normal(pm) + 1j * rng.standard_normal(pm))
+            y = h[ports] + noise
+            max_atoms, tol = 1 + seed % 9, (1e-3, 0.0)[seed % 2]
+            new, ref = _pinned_fit(atoms[ports], y, max_atoms, tol)
+            assert new == ref
+
+    def test_duplicated_columns_and_more_atoms_than_rows(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+            a[:, 3] = a[:, 0]
+            y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            new, ref = _pinned_fit(a, y, 4, 0.0)
+            assert new == ref and new[4] == [RankDeficientFitWarning]
+            wide = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
+            new, ref = _pinned_fit(wide, y[:3], 5, 0.0)
+            assert new == ref and new[4] == [RankDeficientFitWarning]
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**600, 2.0**-600, 1.0])
+    def test_extreme_scales(self, dictionary, scale):
+        rng = np.random.default_rng(26)
+        a = dictionary.matrix[random_ports(64, 16, rng_seed=27)]
+        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        new, ref = _pinned_fit(a, y * scale, 9, 1e-3)
+        assert new == ref and new[4] == []
+
+    def test_real_atoms_and_zero_observation(self):
+        rng = np.random.default_rng(28)
+        a = rng.standard_normal((12, 30))
+        y = rng.standard_normal(12)
+        new, ref = _pinned_fit(a, y, 6, 0.0)
+        assert new == ref
+        new, ref = _pinned_fit(a, np.zeros(12), 6, 0.0)
+        assert new == ref
 
 
 class TestRandomPorts:
