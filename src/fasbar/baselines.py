@@ -72,16 +72,18 @@ def estimate_selmmse(y, ports, num_ports):
 
     Every port copies the measurement of its closest measured port,
     ties going to the lower port index; measured ports keep their own
-    measurement exactly.  Every port must lie in [0, num_ports).
+    measurement exactly.  Every port must lie in [0, num_ports).  ``y``
+    is one measurement per port, shape (K,), or a block of T rounds,
+    shape (T, K), which holds T rounds in one (T, num_ports) estimate.
     """
     y = np.asarray(getattr(y, "values", y))
     ports = _ports_in_range(ports, num_ports)
-    if y.size != ports.size:
+    if y.ndim not in (1, 2) or y.shape[-1] != ports.size:
         raise ValueError("one measurement per port is required")
     if ports.size == 0:
         raise ValueError("at least one measurement is required")
     srt = np.argsort(ports, kind="stable")
-    ports_sorted, y_sorted = ports[srt], y[srt]
+    ports_sorted, y_sorted = ports[srt], y.take(srt, axis=-1)
     grid = np.arange(int(num_ports))
     above = np.searchsorted(ports_sorted, grid)  # first measured port >= each port
     below = np.maximum(above - 1, 0)
@@ -90,7 +92,7 @@ def estimate_selmmse(y, ports, num_ports):
     nearest = np.where(grid - ports_sorted[below] <= ports_sorted[above] - grid, below, above)
     # a port listed twice answers with its first listing
     nearest = np.searchsorted(ports_sorted, ports_sorted[nearest])
-    return ChannelRealization(y_sorted[nearest])
+    return ChannelRealization(y_sorted.take(nearest, axis=-1))
 
 
 def random_ports(num_ports, num_measurements, rng_seed):

@@ -194,16 +194,28 @@ def training_seed(base_seed, index):
     return derive_seed(base_seed, _TAG_TRAIN, index)
 
 
+def _squared_norms(x):
+    # einsum reduces the products as it forms them, with no |x|^2 temporary
+    return np.einsum("...i,...i->...", x.real, x.real) + np.einsum("...i,...i->...", x.imag, x.imag)
+
+
 def nmse(truth, estimate):
-    """Normalized squared error ||h - hhat||^2 / ||h||^2."""
+    """Normalized squared error ||h - hhat||^2 / ||h||^2.
+
+    Takes one channel, shape (N,), and gives a float, or a block of T
+    channels, shape (T, N), and gives the T errors row by row.
+    """
     h = np.asarray(getattr(truth, "values", truth))
     hhat = np.asarray(getattr(estimate, "values", estimate))
     if h.shape != hhat.shape:
         raise ValueError("truth and estimate must have the same shape")
-    denom = float(np.linalg.norm(h) ** 2)
-    if denom == 0.0:
+    if h.ndim not in (1, 2):
+        raise ValueError("truth must be one channel or a block of channels")
+    denom = _squared_norms(h)
+    if not denom.all():
         raise ValueError("truth has zero norm")
-    return float(np.linalg.norm(h - hhat) ** 2) / denom
+    errors = _squared_norms(h - hhat) / denom
+    return float(errors) if h.ndim == 1 else errors
 
 
 def train_covariance_kernel(config, train_timeslots):
@@ -234,20 +246,24 @@ def _scheme_kernel(scheme, config, geom):
 def run_sweep(config, plan_cache=None):
     """Run the configured sweep and return records in canonical order.
 
-    The loop runs over SNR, then trial; each trial synthesizes its channel
-    and its per-port noise vector once, then every pilot budget P and every
-    scheme measures that one noisy channel at its own ports.  Records come
-    back sorted by (scheme position, P, snr, trial) no matter how the work
-    was interleaved.  Each SNR point looks up its plans and builds the
-    sbar and selmmse port sets once, before its trials; fas-omp draws its
-    random ports per trial.  Plans are designed once per
-    (kernel fingerprint, P, M, noise power) and kept in ``plan_cache``, a
-    fresh dict unless the caller passes one; a dict passed in exposes the
-    designed plans and carries them over to later calls.  Caching cannot
-    change any record: ``design_plan`` is deterministic in its inputs.
+    The loop runs over SNR points.  Each point draws the channel and the
+    per-port noise vector of every trial once and stacks them into (T, N)
+    blocks H and R = H + Z, so a point holds O(T*N) memory.  Every pilot
+    budget P and every scheme then measures those noisy channels at its own
+    ports: sbar and selmmse estimate all T trials in one call on the
+    (T, P*M) block of their fixed ports, and fas-omp runs its pursuit per
+    trial at ports drawn per trial.  Records come back sorted by (scheme
+    position, P, snr, trial).  With ``record_timing`` a record's
+    ``wall_time_stage2_ns`` is the block time divided by T for sbar and
+    selmmse and the time of its own fit for fas-omp.  Plans are designed
+    once per (kernel fingerprint, P, M, noise power) and kept in
+    ``plan_cache``, a fresh dict unless the caller passes one; a dict
+    passed in exposes the designed plans and carries them over to later
+    calls.  Caching cannot change any record: ``design_plan`` is
+    deterministic in its inputs.
     """
     geom = build_port_geometry(config.num_ports, config.aperture_wavelengths, config.carrier_hz)
-    n, m = config.num_ports, config.antennas_per_slot
+    n, m, trials = config.num_ports, config.antennas_per_slot, config.trials
     kernels = {}
     dictionaries = {}
     for scheme in config.schemes:
@@ -266,65 +282,62 @@ def run_sweep(config, plan_cache=None):
             plan_cache[key] = design_plan(kernels[scheme], p, m, noise_power)
         return plan_cache[key]
 
+    def timed(estimator, *args, **kwargs):
+        tic = time.perf_counter_ns()
+        out = estimator(*args, **kwargs)
+        return out, time.perf_counter_ns() - tic
+
     scheme_pos = {scheme: i for i, scheme in enumerate(config.schemes)}
     records = []
     for snr in config.snr_db:
         noise_power = noise_power_for_snr(n, snr)
-        # sbar plans and the sbar and selmmse port sets do not depend on the trial
-        plans, fixed_ports = {}, {}
+        seeds = [channel_seed(config.base_seed, snr, t) for t in range(trials)]
+        truth = np.empty((trials, n), dtype=complex)
+        received = np.empty((trials, n), dtype=complex)
+        for t, ch_seed in enumerate(seeds):
+            truth[t] = generate_ssc_channel(geom, replace(config.channel, rng_seed=ch_seed)).values
+            # h + z at every port; each scheme reads the ports it measures
+            received[t] = truth[t] + draw_port_noise(n, noise_power, noise_seed(config.base_seed, snr, t))
         for p in config.pilot_counts:
             for scheme in config.schemes:
                 if scheme.method == SBAR:
-                    plans[p, scheme] = plan_for(scheme, p, noise_power)
-                    fixed_ports[p, scheme] = np.asarray(plans[p, scheme].order)
+                    plan = plan_for(scheme, p, noise_power)
+                    obs = PilotObservation(received[:, plan.order], noise_power, plan.plan_id)
+                    result, wall = timed(reconstruct, plan, obs)
+                    estimates, walls = result.estimate, [wall // trials] * trials
                 elif scheme.method == SELMMSE:
-                    fixed_ports[p, scheme] = selmmse_ports(n, p * m)
-        for trial in range(config.trials):
-            ch_seed = channel_seed(config.base_seed, snr, trial)
-            h = generate_ssc_channel(geom, replace(config.channel, rng_seed=ch_seed)).values
-            # h + z at every port; each scheme reads the ports it measures
-            received = h + draw_port_noise(n, noise_power, noise_seed(config.base_seed, snr, trial))
-            for p in config.pilot_counts:
-                for scheme in config.schemes:
-                    if scheme.method == SBAR:
-                        plan = plans[p, scheme]
-                        y = received[fixed_ports[p, scheme]]
-                        obs = PilotObservation(y, noise_power, plan.plan_id)
-                        tic = time.perf_counter_ns()
-                        estimate = reconstruct(plan, obs).estimate
-                        wall = time.perf_counter_ns() - tic
-                    elif scheme.method == SELMMSE:
-                        ports = fixed_ports[p, scheme]
-                        y = received[ports]
-                        tic = time.perf_counter_ns()
-                        estimate = estimate_selmmse(y, ports, n).values
-                        wall = time.perf_counter_ns() - tic
-                    else:
-                        ports = random_ports(n, p * m, ports_seed(config.base_seed, p, snr, trial))
-                        y = received[ports]
-                        tic = time.perf_counter_ns()
-                        estimate = estimate_fas_omp(
-                            y,
+                    ports = selmmse_ports(n, p * m)
+                    result, wall = timed(estimate_selmmse, received[:, ports], ports, n)
+                    estimates, walls = result.values, [wall // trials] * trials
+                else:
+                    estimates, walls = np.empty((trials, n), dtype=complex), []
+                    for t in range(trials):
+                        ports = random_ports(n, p * m, ports_seed(config.base_seed, p, snr, t))
+                        result, wall = timed(
+                            estimate_fas_omp,
+                            received[t, ports],
                             ports,
                             dictionaries[scheme.dict_oversampling],
                             max_atoms=scheme.max_atoms,
                             residual_tol=scheme.residual_tol,
-                        ).values
-                        wall = time.perf_counter_ns() - tic
-                    records.append(
-                        ResultRecord(
-                            scheme=scheme.label,
-                            kernel_kind=scheme.kernel_kind,
-                            num_ports=n,
-                            antennas_per_slot=m,
-                            num_timeslots=p,
-                            snr_db=float(snr),
-                            trial=trial,
-                            seed=ch_seed,
-                            nmse=nmse(h, estimate),
-                            wall_time_stage2_ns=int(wall) if config.record_timing else 0,
                         )
+                        estimates[t] = result.values
+                        walls.append(wall)
+                records.extend(
+                    ResultRecord(
+                        scheme=scheme.label,
+                        kernel_kind=scheme.kernel_kind,
+                        num_ports=n,
+                        antennas_per_slot=m,
+                        num_timeslots=p,
+                        snr_db=float(snr),
+                        trial=t,
+                        seed=seeds[t],
+                        nmse=error,
+                        wall_time_stage2_ns=wall if config.record_timing else 0,
                     )
+                    for t, (error, wall) in enumerate(zip(nmse(truth, estimates).tolist(), walls))
+                )
     order = {s.label + "|" + s.kernel_kind: i for s, i in scheme_pos.items()}
     records.sort(
         key=lambda r: (order[r.scheme + "|" + r.kernel_kind], r.num_timeslots, r.snr_db, r.trial)

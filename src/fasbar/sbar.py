@@ -22,7 +22,8 @@ stores the port order and the weights; switch matrices are read off the
 order.
 
 Stage 2 (online).  Reconstruct hhat = w^H y.  One matrix-vector product,
-O(N) per measurement; no kernel, no factorization.
+O(N) per measurement; no kernel, no factorization.  A block of T rounds
+is one matrix product.
 
 Port indices are 0-based everywhere in memory; file formats are 1-based
 (see fileio).
@@ -347,7 +348,9 @@ def reconstruct(plan, observation):
 
     Runs in O(N) per measurement and never touches the kernel; the plan's
     stored weights are all it reads.  The observation must be bound to this
-    plan and carry the noise power the plan was designed for.
+    plan and carry the noise power the plan was designed for.  Its values
+    are one round, shape (P*M,), or a block of T rounds, shape (T, P*M),
+    which gives T estimates in one (T, N) array.
 
     Returns
     -------
@@ -356,7 +359,7 @@ def reconstruct(plan, observation):
         band follows from the two.
     """
     y = np.asarray(observation.values)
-    if y.ndim != 1 or y.size != plan.num_measurements:
+    if y.ndim not in (1, 2) or y.shape[-1] != plan.num_measurements:
         raise ValueError("observation length does not match the plan")
     if observation.plan_id != plan.plan_id:
         raise ValueError("observation is bound to a different plan")

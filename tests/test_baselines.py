@@ -261,6 +261,23 @@ class TestSelmmse:
         with pytest.raises(ValueError):
             estimate_selmmse(np.ones(3), [0, 2], 4)
 
+    def test_block_of_rounds_matches_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for ports in (selmmse_ports(256, 40), np.array([9, 3, 3, 200, 0, 77])):
+            block = rng.standard_normal((12, ports.size)) + 1j * rng.standard_normal((12, ports.size))
+            est = estimate_selmmse(block, ports, 256).values
+            assert est.shape == (12, 256)
+            for row, y in zip(est, block):
+                assert row.tobytes() == estimate_selmmse(y, ports, 256).values.tobytes()
+
+    def test_block_width_checked(self):
+        with pytest.raises(ValueError, match="one measurement per port"):
+            estimate_selmmse(np.ones((4, 3)), [0, 2], 4)
+        with pytest.raises(ValueError, match="one measurement per port"):
+            estimate_selmmse(np.ones((4, 2, 1)), [0, 2], 4)
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_selmmse(np.ones((4, 2)), [0, 4], 4)
+
     @pytest.mark.parametrize("ports", [[-5, 2, 10], [0, 2, 16], [-1, 2, 5]])
     def test_ports_outside_the_aperture_rejected(self, ports):
         with pytest.raises(ValueError, match="out of range"):

@@ -29,7 +29,40 @@ from fasbar import (
     run_sweep,
     train_covariance_kernel,
 )
-from fasbar.harness import CSV_HEADER, channel_seed, derive_seed, noise_seed
+from fasbar.harness import CSV_HEADER, channel_seed, derive_seed, noise_seed, ports_seed
+
+
+def per_trial_records(cfg):
+    """The sweep's records by one estimator call per (trial, P, scheme), each
+    trial's channel and noise drawn alone, as the sweep ran before it
+    stacked the trials of an SNR point; exponential sbar, selmmse, fas-omp."""
+    geom = fasbar.build_port_geometry(cfg.num_ports, cfg.aperture_wavelengths, cfg.carrier_hz)
+    n, m = cfg.num_ports, cfg.antennas_per_slot
+    kernel = fasbar.kernel_exponential(geom)
+    atoms = fasbar.build_steering_dictionary(geom)
+    records = []
+    for snr in cfg.snr_db:
+        s2 = fasbar.noise_power_for_snr(n, snr)
+        for trial in range(cfg.trials):
+            seed = channel_seed(cfg.base_seed, snr, trial)
+            h = fasbar.generate_ssc_channel(geom, replace(cfg.channel, rng_seed=seed)).values
+            received = h + fasbar.draw_port_noise(n, s2, noise_seed(cfg.base_seed, snr, trial))
+            for p in cfg.pilot_counts:
+                plan = fasbar.design_plan(kernel, p, m, s2)
+                obs = fasbar.PilotObservation(received[list(plan.order)], s2, plan.plan_id)
+                sel = fasbar.selmmse_ports(n, p * m)
+                ports = fasbar.random_ports(n, p * m, ports_seed(cfg.base_seed, p, snr, trial))
+                estimates = {
+                    ("sbar", "exponential"): fasbar.reconstruct(plan, obs).estimate,
+                    ("selmmse", ""): fasbar.estimate_selmmse(received[sel], sel, n).values,
+                    ("fas-omp", ""): fasbar.estimate_fas_omp(received[ports], ports, atoms).values,
+                }
+                for (scheme, kind), est in estimates.items():
+                    records.append(
+                        fasbar.ResultRecord(scheme, kind, n, m, p, float(snr), trial, seed, nmse(h, est), 0)
+                    )
+    rank = {"sbar": 0, "selmmse": 1, "fas-omp": 2}
+    return sorted(records, key=lambda r: (rank[r.scheme], r.num_timeslots, r.snr_db, r.trial))
 
 
 def small_config(**overrides):
@@ -66,6 +99,27 @@ class TestNmse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             nmse(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError):
+            nmse(np.ones((2, 3)), np.ones((3, 3)))
+
+    def test_block_rows_match_single_calls(self):
+        rng = np.random.default_rng(12)
+        h = rng.standard_normal((30, 256)) + 1j * rng.standard_normal((30, 256))
+        hhat = h + 0.3 * (rng.standard_normal((30, 256)) + 1j * rng.standard_normal((30, 256)))
+        errors = nmse(h, hhat)
+        assert errors.shape == (30,)
+        for error, row, row_hat in zip(errors, h, hhat):
+            single = nmse(row, row_hat)
+            assert isinstance(single, float)
+            assert abs(error - single) <= 1e-14 * single
+
+    def test_block_with_a_zero_truth_row_rejected(self):
+        h = np.ones((3, 4), dtype=complex)
+        h[1] = 0.0
+        with pytest.raises(ValueError, match="zero norm"):
+            nmse(h, np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            nmse(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
 
 
 class TestSeeds:
@@ -177,6 +231,54 @@ class TestRunSweep:
         evaluations = len(cfg.snr_db) * cfg.trials
         assert calls["generate_ssc_channel"] == evaluations + 5  # plus the training ensemble
         assert calls["draw_port_noise"] == evaluations
+
+    def test_records_match_per_trial_estimator_calls(self):
+        cfg = small_config(
+            num_ports=64,
+            antennas_per_slot=4,
+            pilot_counts=(1, 3, 5),
+            snr_db=(5.0, 20.0),
+            trials=6,
+            schemes=(SchemeSpec("sbar", kernel="exponential"), SchemeSpec("selmmse"), SchemeSpec("fas-omp")),
+            record_timing=False,
+        )
+        records, reference = run_sweep(cfg), per_trial_records(cfg)
+        assert [replace(r, nmse=0.0) for r in records] == [replace(r, nmse=0.0) for r in reference]
+        for r, ref in zip(records, reference):
+            assert abs(r.nmse - ref.nmse) <= 1e-12 * ref.nmse
+
+    def test_sbar_and_selmmse_estimate_each_point_as_one_block(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(fasbar.harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(fasbar.harness, name, wrapper)
+
+        for name in ("reconstruct", "estimate_selmmse", "estimate_fas_omp", "nmse"):
+            counted(name)
+        cfg = small_config(
+            pilot_counts=(1, 2, 3),
+            snr_db=(10.0, 20.0),
+            trials=4,
+            schemes=(
+                SchemeSpec("sbar", kernel="exponential"),
+                SchemeSpec("sbar", kernel="bessel"),
+                SchemeSpec("selmmse"),
+                SchemeSpec("fas-omp"),
+            ),
+        )
+        records = run_sweep(cfg)
+        points = len(cfg.pilot_counts) * len(cfg.snr_db)
+        assert calls["reconstruct"] == 2 * points
+        assert calls["estimate_selmmse"] == points
+        assert calls["estimate_fas_omp"] == points * cfg.trials
+        assert calls["nmse"] == 4 * points
+        assert len(records) == 4 * points * cfg.trials
 
     def test_pilot_budgets_see_the_same_channels_and_noise(self):
         # common random numbers: a joint sweep holds exactly the single-budget records

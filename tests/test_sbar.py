@@ -551,6 +551,37 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(plan, PilotObservation(obs.values, 0.02, plan.plan_id))
 
+    def test_block_of_rounds_matches_single_calls(self):
+        # gemm may sum in another order than gemv, so rows agree to rounding
+        geom = build_port_geometry(256, 10.0, 3.5e9)
+        noise = 0.05
+        plan = design_plan(kernel_bessel(geom), 5, 4, noise)
+        rng = np.random.default_rng(31)
+        block = rng.standard_normal((25, 20)) + 1j * rng.standard_normal((25, 20))
+        rec = reconstruct(plan, PilotObservation(block, noise, plan.plan_id))
+        assert rec.estimate.shape == (25, 256)
+        assert rec.post_variance is plan.post_diag
+        for row, y in zip(rec.estimate, block):
+            single = reconstruct(plan, PilotObservation(y, noise, plan.plan_id)).estimate
+            assert np.abs(row - single).max() <= 1e-12 * np.abs(single).max()
+        assert rec.confidence_lo.shape == rec.confidence_hi.shape == (25, 256)
+
+    def test_block_checks_match_the_single_round(self):
+        _, plan, _, obs = self._setup()
+        block = np.vstack([obs.values, 2 * obs.values, -obs.values])
+        reconstruct(plan, PilotObservation(block, 0.01, plan.plan_id))
+        bad = [
+            PilotObservation(block[:, :3], 0.01, plan.plan_id),
+            PilotObservation(np.hstack([block, block[:, :1]]), 0.01, plan.plan_id),
+            PilotObservation(block[:, :, None], 0.01, plan.plan_id),
+            PilotObservation(block[0, 0], 0.01, plan.plan_id),
+            PilotObservation(block, 0.01, "someone-else"),
+            PilotObservation(block, 0.02, plan.plan_id),
+        ]
+        for observation in bad:
+            with pytest.raises(ValueError):
+                reconstruct(plan, observation)
+
     def test_online_stage_never_sees_the_kernel(self):
         params = inspect.signature(reconstruct).parameters
         assert list(params) == ["plan", "observation"]
