@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PilotObservation
-from .kernels import Kernel, toeplitz_view
+from .kernels import KINDS, Kernel, toeplitz_view
 from .sbar import Reconstruction, SamplingPlan
 
 MAGIC = b"FASBAR1\x00"
@@ -132,6 +132,15 @@ def _header_int(value, key):
     return int(value)
 
 
+def _header_float(value, key):
+    """``value`` as a float; ValueError naming ``key`` for anything but a
+    finite number, where a bare ``float()`` would read true as 1.0 and
+    "1.0" as 1.0."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"header {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def save_kernel(path, kernel):
     """Persist a kernel with its hyperparameters.
 
@@ -150,14 +159,17 @@ def save_kernel(path, kernel):
 
 
 def load_kernel(path):
-    """Read a kernel; ValueError unless its array is a finite real (N,) lag
-    column or a finite, exactly Hermitian (N, N) matrix.  The carrier that
-    older headers record is ignored."""
+    """Read a kernel; ValueError unless its kind is known, its
+    hyperparameters are finite numbers and its array is a finite real (N,)
+    lag column or a finite, exactly Hermitian (N, N) matrix.  The carrier
+    that older headers record is ignored."""
     header, arrays = read_container(path)
     if header.get("content") != "kernel":
         raise ValueError(f"{path} does not hold a kernel")
     if header.get("order", 0) != 0:
         raise ValueError(f"{path} holds a Bessel kernel of order {header['order']}; only order 0 is supported")
+    if header["kind"] not in KINDS:
+        raise ValueError(f"header 'kind' must be one of {', '.join(KINDS)}, got {header['kind']!r}")
     n = _header_int(header["num_ports"], "num_ports")
     stored = np.asarray(arrays["matrix"], dtype=complex)
     if stored.shape not in ((n,), (n, n)):
@@ -176,9 +188,9 @@ def load_kernel(path):
     return Kernel(
         matrix=matrix,
         kind=header["kind"],
-        alpha=float(header["alpha"]),
-        eta=float(header["eta"]),
-        jitter=float(header["jitter"]),
+        alpha=_header_float(header["alpha"], "alpha"),
+        eta=_header_float(header["eta"], "eta"),
+        jitter=_header_float(header["jitter"], "jitter"),
     )
 
 
@@ -197,8 +209,9 @@ def save_plan(path, plan):
 
 
 def load_plan(path):
-    """Read a plan; ValueError if a dimension or port is not an integer or
-    its order or arrays disagree with N, P, M."""
+    """Read a plan; ValueError if a dimension or port is not an integer, the
+    noise power is not a finite number or its order or arrays disagree
+    with N, P, M."""
     header, arrays = read_container(path)
     if header.get("content") != "plan":
         raise ValueError(f"{path} does not hold a sampling plan")
@@ -208,7 +221,7 @@ def load_plan(path):
         antennas_per_slot=_header_int(header["antennas_per_slot"], "antennas_per_slot"),
         order=tuple(_header_int(p, "order") - 1 for p in header["order"]),
         weights=arrays["weights"],
-        noise_power_design=float(header["noise_power"]),
+        noise_power_design=_header_float(header["noise_power"], "noise_power"),
         kernel_fingerprint=header["kernel_fingerprint"],
         post_diag=arrays["post_diag"],
     )

@@ -338,6 +338,65 @@ def test_non_integral_header_rejected(tmp_path, kernel, name, content, key, edit
         (load_plan if content == "plan" else load_kernel)(path)
 
 
+@pytest.mark.parametrize("name", ["file.bin", "file.json"])
+@pytest.mark.parametrize(
+    "content, key, value",
+    [
+        ("plan", "noise_power", True),
+        ("plan", "noise_power", "0.8"),
+        ("plan", "noise_power", [0.8]),
+        ("kernel", "alpha", "1.0"),
+        ("kernel", "alpha", False),
+        ("kernel", "eta", None),
+        ("kernel", "eta", {"eta": 0.4}),
+        ("kernel", "jitter", True),
+        ("kernel", "jitter", "1e-9"),
+        ("kernel", "jitter", float("nan")),
+        ("kernel", "kind", "nonsense"),
+        ("kernel", "kind", 1),
+    ],
+    ids=[
+        "plan-noise-bool",
+        "plan-noise-string",
+        "plan-noise-list",
+        "kernel-alpha-string",
+        "kernel-alpha-bool",
+        "kernel-eta-null",
+        "kernel-eta-mapping",
+        "kernel-jitter-bool",
+        "kernel-jitter-string",
+        "kernel-jitter-nan",
+        "kernel-kind-unknown",
+        "kernel-kind-number",
+    ],
+)
+def test_non_numeric_header_rejected(tmp_path, kernel, name, content, key, value):
+    # a bare float() read true as 1.0 and "1.0" as 1.0, and any kind loaded
+    path = tmp_path / name
+    if content == "plan":
+        save_plan(path, design_plan(kernel, 1, 4, 0.8))
+    else:
+        save_kernel(path, kernel)
+    _edit_header(path, key, lambda _: value)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        (load_plan if content == "plan" else load_kernel)(path)
+
+
+@pytest.mark.parametrize("name", ["file.bin", "file.json"])
+def test_covariance_kernel_zero_hyperparameters_load(tmp_path, name):
+    # trained covariances store alpha and eta as 0.0, and an int header value is a number
+    rng = np.random.default_rng(9)
+    training = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(8)]
+    cov = kernel_covariance(training)
+    path = tmp_path / name
+    save_kernel(path, cov)
+    loaded = load_kernel(path)
+    assert (loaded.alpha, loaded.eta) == (0.0, 0.0)
+    assert loaded.fingerprint == cov.fingerprint
+    _edit_header(path, "eta", lambda eta: 0)
+    assert load_kernel(path).fingerprint == cov.fingerprint
+
+
 class TestObservationAndEstimateFiles:
     def test_observation_round_trip(self, tmp_path):
         obs = PilotObservation(np.array([1 + 2j, -0.25j]), 0.01, "abc123")
