@@ -274,6 +274,15 @@ def _ports_in_range(ports, num_ports):
     return ports
 
 
+def _distinct_ports(ports, num_ports):
+    """``_ports_in_range``, once no port is listed twice."""
+    ports = _ports_in_range(ports, num_ports)
+    # a set of the few measured ports is cheaper to build than np.unique
+    if len(set(ports.ravel().tolist())) != ports.size:
+        raise ValueError("ports must be distinct")
+    return ports
+
+
 def observe_ports(h_values, ports, noise_power, rng_seed):
     """Measure the channel at the given ports with additive noise.
 
@@ -281,9 +290,7 @@ def observe_ports(h_values, ports, noise_power, rng_seed):
     noise vector from ``draw_port_noise``.
     """
     h_values = np.asarray(h_values)
-    ports = _ports_in_range(ports, h_values.size)
-    if ports.size != np.unique(ports).size:
-        raise ValueError("ports must be distinct")
+    ports = _distinct_ports(ports, h_values.size)
     noise = draw_port_noise(h_values.size, noise_power, rng_seed)
     return h_values[ports] + noise[ports]
 

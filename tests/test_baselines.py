@@ -5,10 +5,15 @@ and the pursuit against planted on-grid sparse channels it must recover
 exactly in the noiseless case, against a reference pursuit that refits
 every pick with ``np.linalg.lstsq``, and bit for bit against
 ``qr_pursuit``, the grown-QR pursuit as it stood before its buffers were
-preallocated and its triangular solve went to LAPACK directly.
+preallocated and its triangular solve went to LAPACK directly.  The
+steering dictionary's atoms, formed from its two phase tables, are pinned
+bit for bit against ``steering_matrix``, and ``estimate_fas_omp`` against
+``matrix_fas_omp``, the fit as it stood when the dictionary held the full
+(N, G) matrix.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +30,7 @@ from fasbar import (
     generate_ssc_channel,
     random_ports,
     selmmse_ports,
+    steering_matrix,
 )
 from fasbar.baselines import _warn_rank_deficient, omp_solve
 
@@ -162,6 +168,22 @@ def qr_pursuit(measured_atoms, y, max_atoms, residual_tol):
     return coeffs * scale, support, norms
 
 
+def matrix_fas_omp(matrix, y, ports, max_atoms=9, residual_tol=1e-3):
+    """Sparse recovery of the full channel from random-port measurements.
+
+    Runs OMP on the dictionary rows at the measured ports, then expands the
+    recovered atom coefficients through the full dictionary, held as its
+    (N, G) ``matrix``.
+    """
+    y = np.asarray(getattr(y, "values", y))
+    ports = np.asarray(ports, dtype=int)
+    coeffs, support, _ = omp_solve(matrix[ports, :], y, max_atoms, residual_tol)
+    estimate = np.zeros(matrix.shape[0], dtype=complex)
+    if support:
+        estimate = matrix[:, support] @ coeffs
+    return estimate
+
+
 @pytest.fixture(scope="module")
 def geom():
     return build_port_geometry(64, 10.0, 3.5e9)
@@ -172,21 +194,73 @@ def dictionary(geom):
     return build_steering_dictionary(geom)
 
 
+@pytest.fixture(scope="module")
+def atoms(geom, dictionary):
+    return steering_matrix(geom, dictionary.grid)
+
+
 class TestSteeringDictionary:
-    def test_grid_and_shape(self, geom, dictionary):
-        assert dictionary.matrix.shape == (64, 256)
+    def test_grid_and_shape(self, dictionary):
+        assert dictionary.num_ports == 64 and dictionary.grid.shape == (256,)
+        assert dictionary.hi.shape == (8, 256) and dictionary.lo.shape == (8, 256)
         assert dictionary.grid[0] == -1.0 and dictionary.grid[-1] == 1.0
         steps = np.diff(dictionary.grid)
         assert np.allclose(steps, steps[0], rtol=1e-12)
 
-    def test_columns_have_norm_sqrt_n(self, dictionary):
-        norms = np.linalg.norm(dictionary.matrix, axis=0)
+    def test_columns_have_norm_sqrt_n(self, atoms):
+        norms = np.linalg.norm(atoms, axis=0)
         assert np.allclose(norms, np.sqrt(64), rtol=1e-12)
-        assert np.allclose(np.abs(dictionary.matrix), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(atoms), 1.0, atol=1e-12)
 
-    def test_oversampling_validated(self, geom):
-        with pytest.raises(ValueError):
-            build_steering_dictionary(geom, 0)
+    @pytest.mark.parametrize("oversampling", [0, -2, 2.5, True, False, "4", np.nan, np.inf])
+    def test_oversampling_validated(self, geom, oversampling):
+        # 2.5 used to build G = 2N atoms and True G = N
+        with pytest.raises(ValueError, match="oversampling"):
+            build_steering_dictionary(geom, oversampling)
+
+    @pytest.mark.parametrize("oversampling", [4.0, np.int64(2), 1])
+    def test_whole_oversampling_accepted(self, geom, oversampling):
+        assert build_steering_dictionary(geom, oversampling).grid.size == int(oversampling) * 64
+
+    # N = 96 is not a perfect square: the last row of hi covers ports 90..99
+    # and is trimmed to 90..95
+    @pytest.mark.parametrize("n", [64, 96, 256, 1024])
+    def test_atoms_match_steering_matrix_bit_for_bit(self, n):
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        dictionary = build_steering_dictionary(geom)
+        full = steering_matrix(geom, dictionary.grid)
+        g = dictionary.grid.size
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            # unsorted ports, always with the first and last one
+            ports = np.r_[n - 1, rng.choice(np.arange(1, n - 1), 38, replace=False), 0]
+            rows = dictionary._rows(ports)
+            assert rows.shape == (40, g) and rows.tobytes() == full[ports].tobytes()
+            picks = rng.choice(g, 9, replace=False).tolist()
+            for support in (picks, [g - 1, 0] + picks[:3], picks[:1]):
+                columns = dictionary._columns(support)
+                assert columns.shape == (n, len(support))
+                assert columns.tobytes() == full[:, support].tobytes()
+        if n <= 256:
+            assert dictionary._rows(np.arange(n)).tobytes() == full.tobytes()
+
+    def test_n4096_holds_tables_not_the_matrix(self):
+        # the (4096, 16384) matrix would take 1.07 GB
+        n, g, b = 4096, 4 * 4096, 64
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        h = generate_ssc_channel(geom, SscModelParams(rng_seed=5)).values
+        ports = random_ports(n, 40, rng_seed=6)
+        tracemalloc.start()
+        try:
+            dictionary = build_steering_dictionary(geom)
+            est = estimate_fas_omp(h[ports], ports, dictionary)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dictionary.hi.nbytes + dictionary.lo.nbytes <= 2 * b * g * 16
+        assert dictionary.grid.nbytes == g * 8
+        assert peak < 64e6, f"dictionary build and one fit peaked at {peak / 1e6:.1f} MB"
+        assert np.isfinite(est.values).all() and est.values.shape == (n,)
 
 
 class TestSelmmse:
@@ -285,57 +359,57 @@ class TestSelmmse:
 
 
 class TestOmp:
-    def test_single_on_grid_atom_recovered_exactly(self, geom, dictionary):
-        h = 0.8j * dictionary.matrix[:, 100]
+    def test_single_on_grid_atom_recovered_exactly(self, geom, dictionary, atoms):
+        h = 0.8j * atoms[:, 100]
         ports = random_ports(64, 6, rng_seed=11)
         est = estimate_fas_omp(h[ports], ports, dictionary, max_atoms=1)
         nmse = np.linalg.norm(h - est.values) ** 2 / np.linalg.norm(h) ** 2
         assert nmse < 1e-10
 
-    def test_two_separated_atoms_recovered(self, geom, dictionary):
-        h = dictionary.matrix[:, 40] + 0.8j * dictionary.matrix[:, 200]
+    def test_two_separated_atoms_recovered(self, geom, dictionary, atoms):
+        h = atoms[:, 40] + 0.8j * atoms[:, 200]
         ports = random_ports(64, 8, rng_seed=12)
         est = estimate_fas_omp(h[ports], ports, dictionary, max_atoms=2)
         nmse = np.linalg.norm(h - est.values) ** 2 / np.linalg.norm(h) ** 2
         assert nmse < 1e-6
 
-    def test_zero_observation_returns_zero_without_iterating(self, dictionary):
+    def test_zero_observation_returns_zero_without_iterating(self, dictionary, atoms):
         ports = np.arange(6)
-        coeffs, support, norms = omp_solve(dictionary.matrix[ports], np.zeros(6), 5, 1e-3)
+        coeffs, support, norms = omp_solve(atoms[ports], np.zeros(6), 5, 1e-3)
         assert support == [] and norms == [0.0]
         est = estimate_fas_omp(np.zeros(6), ports, dictionary)
         assert np.array_equal(est.values, np.zeros(64))
 
-    def test_residual_norms_never_increase(self, dictionary):
+    def test_residual_norms_never_increase(self, atoms):
         rng = np.random.default_rng(13)
         ports = random_ports(64, 16, rng_seed=14)
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        _, support, norms = omp_solve(dictionary.matrix[ports], y, 9, 0.0)
+        _, support, norms = omp_solve(atoms[ports], y, 9, 0.0)
         assert np.all(np.diff(norms) <= 1e-12)
         assert len(set(support)) == len(support)
 
-    def test_atom_budget_respected(self, dictionary):
+    def test_atom_budget_respected(self, atoms):
         rng = np.random.default_rng(15)
         ports = random_ports(64, 20, rng_seed=16)
         y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        _, support, _ = omp_solve(dictionary.matrix[ports], y, 3, 0.0)
+        _, support, _ = omp_solve(atoms[ports], y, 3, 0.0)
         assert len(support) == 3
 
-    def test_rank_deficient_refit_warns_and_stops(self, dictionary):
+    def test_rank_deficient_refit_warns_and_stops(self, atoms):
         # 2 measurements cannot support a third atom: the refit must go
         # rank deficient and the pursuit must keep the last full-rank fit
         rng = np.random.default_rng(17)
         ports = np.array([5, 40])
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         with pytest.warns(RankDeficientFitWarning):
-            _, support, _ = omp_solve(dictionary.matrix[ports], y, 3, 0.0)
+            _, support, _ = omp_solve(atoms[ports], y, 3, 0.0)
         assert len(support) == 2
 
     @pytest.mark.parametrize("n,count", [(256, 200), (64, 60)])
     def test_matches_lstsq_pursuit(self, n, count):
         # sweep-sized fits: a noisy SSC channel at P*M = 4..40 random ports
         geom = build_port_geometry(n, 10.0, 3.5e9)
-        atoms = build_steering_dictionary(geom).matrix
+        atoms = steering_matrix(geom, build_steering_dictionary(geom).grid)
         for seed in range(count):
             rng = np.random.default_rng(seed)
             pm = 4 * (seed % 10 + 1)
@@ -375,7 +449,7 @@ class TestOmp:
             _, support, _ = omp_solve(a, y, 5, 0.0)
         assert support == ref_support and len(support) == 3
 
-    def test_pursuit_never_calls_lstsq(self, dictionary, monkeypatch):
+    def test_pursuit_never_calls_lstsq(self, atoms, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.lstsq was called")
 
@@ -383,15 +457,15 @@ class TestOmp:
         rng = np.random.default_rng(19)
         ports = random_ports(64, 16, rng_seed=20)
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        _, support, _ = omp_solve(dictionary.matrix[ports], y, 9, 0.0)
+        _, support, _ = omp_solve(atoms[ports], y, 9, 0.0)
         assert len(support) == 9
         with pytest.warns(RankDeficientFitWarning):
-            omp_solve(dictionary.matrix[ports[:2]], y[:2], 3, 0.0)
+            omp_solve(atoms[ports[:2]], y[:2], 3, 0.0)
 
-    def test_extreme_scales_keep_the_fit(self, dictionary):
+    def test_extreme_scales_keep_the_fit(self, atoms):
         # ||y|| formed directly underflows to 0 at 1e-200 and overflows at 1e200
         rng = np.random.default_rng(21)
-        a = dictionary.matrix[random_ports(64, 16, rng_seed=22)]
+        a = atoms[random_ports(64, 16, rng_seed=22)]
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         coeffs, support, norms = omp_solve(a, y, 9, 1e-3)
         for scale in (1e-200, 1e200):
@@ -403,9 +477,9 @@ class TestOmp:
             assert np.abs(np.divide(scaled_norms, scale) - norms).max() <= 1e-12 * norms[0]
 
     @pytest.mark.parametrize("exponent", [600, -600])
-    def test_power_of_two_scales_are_bit_identical(self, dictionary, exponent):
+    def test_power_of_two_scales_are_bit_identical(self, atoms, exponent):
         rng = np.random.default_rng(23)
-        a = dictionary.matrix[random_ports(64, 16, rng_seed=24)]
+        a = atoms[random_ports(64, 16, rng_seed=24)]
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         coeffs, support, norms = omp_solve(a, y, 9, 1e-3)
         scale = 2.0**exponent
@@ -415,9 +489,9 @@ class TestOmp:
         assert scaled_norms == [v * scale for v in norms]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
-    def test_non_finite_observation_rejected_before_the_pursuit(self, dictionary, bad):
+    def test_non_finite_observation_rejected_before_the_pursuit(self, dictionary, atoms, bad):
         ports = random_ports(64, 8, rng_seed=25)
-        y = dictionary.matrix[ports, 30].copy()
+        y = atoms[ports, 30].copy()
         y[3] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -425,27 +499,68 @@ class TestOmp:
                 estimate_fas_omp(y, ports, dictionary)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_atom_rejected(self, dictionary, bad):
+    def test_non_finite_atom_rejected(self, atoms, bad):
         ports = random_ports(64, 8, rng_seed=29)
-        a = dictionary.matrix[ports]
+        a = atoms[ports]
         a[2, 17] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValueError):
-                omp_solve(a, dictionary.matrix[ports, 30], 9, 1e-3)
+                omp_solve(a, atoms[ports, 30], 9, 1e-3)
 
-    def test_argument_validation(self, dictionary):
+    def test_argument_validation(self, dictionary, atoms):
         with pytest.raises(ValueError):
             estimate_fas_omp(np.ones(3), [0, 1], dictionary)
+        for ports in (3, [[0, 1, 2], [3, 4, 5]]):
+            with pytest.raises(ValueError, match="one measurement per port"):
+                estimate_fas_omp(np.ones(np.size(ports)), ports, dictionary)
         with pytest.raises(ValueError):
-            omp_solve(dictionary.matrix[:4], np.ones(4), 0, 1e-3)
+            omp_solve(atoms[:4], np.ones(4), 0, 1e-3)
         with pytest.raises(ValueError):
-            omp_solve(dictionary.matrix[:4], np.ones(4), 2, -1.0)
+            omp_solve(atoms[:4], np.ones(4), 2, -1.0)
 
     @pytest.mark.parametrize("ports", [[-1, 2, 5], [2, 5, 64]])
     def test_ports_outside_the_aperture_rejected(self, dictionary, ports):
         with pytest.raises(ValueError, match="out of range"):
             estimate_fas_omp(np.ones(3), ports, dictionary)
+
+    @pytest.mark.parametrize("ports", [[3, 3, 5], [5, 3, 5], [0, 0, 0]])
+    def test_port_listed_twice_rejected(self, dictionary, ports):
+        # the pursuit would see two equal rows and stop rank deficient
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="distinct"):
+                estimate_fas_omp(np.arange(1.0, 4.0), ports, dictionary)
+
+
+class TestFasOmpBitsPinned:
+    """estimate_fas_omp reproduces matrix_fas_omp bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n,oversampling", [(64, 4), (96, 4), (96, 1), (256, 4), (256, 2), (1024, 4)]
+    )
+    def test_sweep_sized_fits(self, n, oversampling):
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        dictionary = build_steering_dictionary(geom, oversampling)
+        matrix = steering_matrix(geom, dictionary.grid)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            pm = 4 * (seed % 10 + 1)
+            ports = random_ports(n, pm, rng_seed=3000 + seed)
+            if seed % 3 == 0:
+                ports = rng.permutation(ports)
+            h = generate_ssc_channel(geom, SscModelParams(9, 100, 5.0, rng_seed=seed)).values
+            noise = 10.0 ** -(seed % 4) * (rng.standard_normal(pm) + 1j * rng.standard_normal(pm))
+            y = h[ports] + noise
+            max_atoms, tol = 1 + seed % 9, (1e-3, 0.0)[seed % 2]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                new = estimate_fas_omp(y, ports, dictionary, max_atoms, tol).values
+            with warnings.catch_warnings(record=True) as ref_caught:
+                warnings.simplefilter("always")
+                ref = matrix_fas_omp(matrix, y, ports, max_atoms, tol)
+            assert new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
+            assert [w.category for w in caught] == [w.category for w in ref_caught]
 
 
 def _pinned_fit(a, y, max_atoms, residual_tol):
@@ -466,7 +581,7 @@ class TestPursuitBitsPinned:
     @pytest.mark.parametrize("pm", [4, 8, 20, 40])
     def test_sweep_sized_fits(self, n, pm):
         geom = build_port_geometry(n, 10.0, 3.5e9)
-        atoms = build_steering_dictionary(geom).matrix
+        atoms = steering_matrix(geom, build_steering_dictionary(geom).grid)
         for seed in range(30):
             rng = np.random.default_rng(seed)
             ports = random_ports(n, pm, rng_seed=1000 + seed)
@@ -490,9 +605,9 @@ class TestPursuitBitsPinned:
             assert new == ref and new[4] == [RankDeficientFitWarning]
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**600, 2.0**-600, 1.0])
-    def test_extreme_scales(self, dictionary, scale):
+    def test_extreme_scales(self, atoms, scale):
         rng = np.random.default_rng(26)
-        a = dictionary.matrix[random_ports(64, 16, rng_seed=27)]
+        a = atoms[random_ports(64, 16, rng_seed=27)]
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         new, ref = _pinned_fit(a, y * scale, 9, 1e-3)
         assert new == ref and new[4] == []
