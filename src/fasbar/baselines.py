@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .channels import ChannelRealization, _distinct_ports, _phase_table, _ports_in_range
+from .channels import ChannelRealization, _expand, _measured_ports, _phase_table
 
 
 class RankDeficientFitWarning(RuntimeWarning):
     """Raised when matching pursuit selects nearly collinear atoms."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteeringDictionary:
     """Plane-wave atoms on a uniform sin-angle grid, kept as two phase tables.
 
@@ -35,15 +35,19 @@ class SteeringDictionary:
     entry (n, g) of ``steering_matrix(geom, grid)``; ``hi`` is
     (ceil(N/b), G) and ``lo`` is (b, G), as ``channels._phase_table``
     fills them.  Entries have unit modulus, so every atom has norm
-    sqrt(N).  The (N, G) matrix is never formed: at G = 4N the tables
-    take 4.2 MB at N = 1024 and 33.5 MB at N = 4096, where the matrix
-    would take 67 MB and 1.07 GB.
+    sqrt(N).  The (N, G) matrix is never formed: at G = 4N the tables take
+    4.2 MB at N = 1024 and 33.5 MB at N = 4096, where the matrix would take
+    67 MB and 1.07 GB.  The arrays are read-only; equality is identity.
     """
 
     num_ports: int
     grid: np.ndarray
     hi: np.ndarray
     lo: np.ndarray
+
+    def __post_init__(self):
+        for table in (self.grid, self.hi, self.lo):
+            table.flags.writeable = False
 
     def _rows(self, ports):
         """Every atom's entry at each of ``ports`` (an int array in [0, N)),
@@ -59,8 +63,7 @@ class SteeringDictionary:
 
     def _columns(self, indices):
         """Atoms ``indices`` at every port, shape (N, len(indices))."""
-        hi, lo = self.hi[:, indices], self.lo[:, indices]
-        return (hi[:, None, :] * lo[None, :, :]).reshape(-1, len(indices))[: self.num_ports]
+        return _expand(self.hi[:, indices], self.lo[:, indices], self.num_ports)
 
 
 def build_steering_dictionary(geom, oversampling=4):
@@ -85,8 +88,8 @@ def selmmse_ports(num_ports, num_measurements):
     """Centers of num_measurements equal slices of the port range.
 
     Port k (1-based) is round((k - 1/2) * N / PM) with half-up rounding,
-    which lands on every port when PM = N.  Returned 0-based, strictly
-    increasing.
+    which lands on every port when PM = N.  Centers lie N/PM >= 1 apart, so
+    the ports, returned 0-based, are strictly increasing.
     """
     n, pm = int(num_ports), int(num_measurements)
     if pm < 1:
@@ -94,12 +97,7 @@ def selmmse_ports(num_ports, num_measurements):
     if pm > n:
         raise ValueError("cannot measure more ports than exist")
     k = np.arange(1, pm + 1)
-    ports_1based = np.floor((k - 0.5) * n / pm + 0.5).astype(int)
-    ports_1based = np.clip(ports_1based, 1, n)
-    ports = ports_1based - 1
-    if np.unique(ports).size != ports.size:
-        raise ValueError("rounded measurement ports collide")
-    return ports
+    return np.floor((k - 0.5) * n / pm + 0.5).astype(int) - 1
 
 
 def estimate_selmmse(y, ports, num_ports):
@@ -107,27 +105,22 @@ def estimate_selmmse(y, ports, num_ports):
 
     Every port copies the measurement of its closest measured port,
     ties going to the lower port index; measured ports keep their own
-    measurement exactly.  Every port must lie in [0, num_ports).  ``y``
+    measurement exactly.  ``ports`` must be distinct ports in
+    [0, num_ports), as ``observe_ports`` takes them.  ``y``
     is one measurement per port, shape (K,), or a block of T rounds,
     shape (T, K), which holds T rounds in one (T, num_ports) estimate.
     """
     y = np.asarray(getattr(y, "values", y))
-    ports = _ports_in_range(ports, num_ports)
+    ports = _measured_ports(ports, num_ports)
     if y.ndim not in (1, 2) or y.shape[-1] != ports.size:
         raise ValueError("one measurement per port is required")
     if ports.size == 0:
         raise ValueError("at least one measurement is required")
-    srt = np.argsort(ports, kind="stable")
-    ports_sorted, y_sorted = ports[srt], y.take(srt, axis=-1)
-    grid = np.arange(int(num_ports))
-    above = np.searchsorted(ports_sorted, grid)  # first measured port >= each port
-    below = np.maximum(above - 1, 0)
-    above = np.minimum(above, ports.size - 1)
-    # equal distance goes to the lower port
-    nearest = np.where(grid - ports_sorted[below] <= ports_sorted[above] - grid, below, above)
-    # a port listed twice answers with its first listing
-    nearest = np.searchsorted(ports_sorted, ports_sorted[nearest])
-    return ChannelRealization(y_sorted.take(nearest, axis=-1))
+    srt = np.argsort(ports)
+    ports_sorted = ports[srt]
+    # port n counts the midpoints strictly below it, so a tie goes to the lower port
+    nearest = np.searchsorted((ports_sorted[:-1] + ports_sorted[1:]) / 2, np.arange(int(num_ports)))
+    return ChannelRealization(y.take(srt[nearest], axis=-1))
 
 
 def random_ports(num_ports, num_measurements, rng_seed):
@@ -289,8 +282,8 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     y : array or PilotObservation
         Measurements at ``ports``.
     ports : array of int
-        Measured 0-based port indices, each in [0, N); a port listed twice
-        raises ValueError.
+        Measured 0-based port indices, distinct and in [0, N), as
+        ``observe_ports`` takes them.
     dictionary : SteeringDictionary
         Full-aperture atoms to search over.
     max_atoms : int
@@ -299,8 +292,8 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
         Relative residual at which the pursuit stops early.
     """
     y = np.asarray(getattr(y, "values", y))
-    ports = _distinct_ports(ports, dictionary.num_ports)
-    if ports.ndim != 1 or y.size != ports.size:
+    ports = _measured_ports(ports, dictionary.num_ports)
+    if y.size != ports.size:
         raise ValueError("one measurement per port is required")
     coeffs, support, _ = omp_solve(dictionary._rows(ports), y, max_atoms, residual_tol)
     estimate = np.zeros(dictionary.num_ports, dtype=complex)

@@ -50,7 +50,7 @@ class PortGeometry:
         Carrier wavelength in meters.
     positions : np.ndarray
         Port coordinates in meters, shape (N,), positions[0] == 0 and
-        positions[-1] == W * wavelength.
+        positions[-1] == W * wavelength; read-only.
     """
 
     num_ports: int
@@ -141,6 +141,7 @@ def build_port_geometry(num_ports, aperture_in_wavelengths, carrier_hz):
     wavelength = SPEED_OF_LIGHT / float(carrier_hz)
     width = float(aperture_in_wavelengths) * wavelength
     positions = np.linspace(0.0, width, num_ports)
+    positions.flags.writeable = False
     return PortGeometry(num_ports, float(aperture_in_wavelengths), wavelength, positions)
 
 
@@ -185,9 +186,12 @@ def steering_matrix(geom, sin_angles):
     b*eps with b = ceil(sqrt(N)) (~1e-14 at N = 256, below 1e-12 through
     N = 4096).  An entry with s_k = 0 is exactly 1.
     """
-    hi, lo = _phase_table(geom, sin_angles)
-    k = lo.shape[1]
-    return (hi[:, None, :] * lo[None, :, :]).reshape(-1, k)[: geom.num_ports]
+    return _expand(*_phase_table(geom, sin_angles), geom.num_ports)
+
+
+def _expand(hi, lo, num_ports):
+    """The (num_ports, K) responses of ``_phase_table``'s tables: row q*b + r is hi[q] * lo[r]."""
+    return (hi[:, None, :] * lo[None, :, :]).reshape(-1, lo.shape[1])[:num_ports]
 
 
 def ssc_channel_from_rays(geom, ray_angles_rad, ray_gains):
@@ -266,21 +270,24 @@ def draw_port_noise(num_ports, noise_power, rng_seed):
     return scale * (rng.standard_normal(num_ports) + 1j * rng.standard_normal(num_ports))
 
 
-def _ports_in_range(ports, num_ports):
-    """``ports`` as an int array, once every entry is known to lie in [0, num_ports)."""
-    ports = np.asarray(ports, dtype=int)
-    if ports.size and (ports.min() < 0 or ports.max() >= num_ports):
+def _measured_ports(ports, num_ports):
+    """``ports`` as a 1-D int array of distinct ports in [0, num_ports), each an
+    integral number (3.0 is port 3): the one rule for every measured port set.
+    A bool, a fraction, another shape, an out-of-range or repeated port raise ValueError."""
+    arr = np.asarray(ports)
+    if arr.ndim != 1:
+        raise ValueError(f"one measurement per port is required; ports have shape {arr.shape}")
+    # np.asarray reads [True, 3] as the ints [1, 3], so bools are sought in the input itself
+    bools = not isinstance(ports, np.ndarray) and any(isinstance(p, (bool, np.bool_)) for p in ports)
+    if bools or arr.dtype.kind not in "iuf" or arr.dtype.kind == "f" and (arr != np.rint(arr)).any():
+        raise ValueError(f"ports must be integral numbers, got {ports!r}")
+    if arr.size and (arr.min() < 0 or arr.max() >= num_ports):
         raise ValueError(f"port index out of range [0, {num_ports})")
-    return ports
-
-
-def _distinct_ports(ports, num_ports):
-    """``_ports_in_range``, once no port is listed twice."""
-    ports = _ports_in_range(ports, num_ports)
+    arr = arr.astype(int, copy=False)
     # a set of the few measured ports is cheaper to build than np.unique
-    if len(set(ports.ravel().tolist())) != ports.size:
+    if len(set(arr.tolist())) != arr.size:
         raise ValueError("ports must be distinct")
-    return ports
+    return arr
 
 
 def observe_ports(h_values, ports, noise_power, rng_seed):
@@ -290,7 +297,7 @@ def observe_ports(h_values, ports, noise_power, rng_seed):
     noise vector from ``draw_port_noise``.
     """
     h_values = np.asarray(h_values)
-    ports = _distinct_ports(ports, h_values.size)
+    ports = _measured_ports(ports, h_values.size)
     noise = draw_port_noise(h_values.size, noise_power, rng_seed)
     return h_values[ports] + noise[ports]
 
@@ -317,5 +324,5 @@ def observe_pilots(channel, plan, noise_power, rng_seed):
     values = np.asarray(channel.values)
     if values.size != plan.num_ports:
         raise ValueError("channel length does not match the plan's port count")
-    y = observe_ports(values, np.asarray(plan.order, dtype=int), noise_power, rng_seed)
+    y = observe_ports(values, plan.order, noise_power, rng_seed)
     return PilotObservation(y, float(noise_power), plan.plan_id)

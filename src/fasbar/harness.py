@@ -104,10 +104,6 @@ class SchemeSpec:
             raise ValueError(f"sbar needs a kernel kind, got {self.kernel!r}")
 
     @property
-    def label(self) -> str:
-        return self.method
-
-    @property
     def kernel_kind(self) -> str:
         return self.kernel if self.method == SBAR else ""
 
@@ -139,7 +135,7 @@ class ExperimentConfig:
             raise ValueError("at least one scheme is required")
         seen = set()
         for scheme in self.schemes:
-            identity = (scheme.label, scheme.kernel_kind)
+            identity = (scheme.method, scheme.kernel_kind)
             if identity in seen:
                 raise ValueError(
                     f"two schemes share scheme {identity[0]!r} with kernel kind {identity[1]!r}; "
@@ -287,7 +283,6 @@ def run_sweep(config, plan_cache=None):
         out = estimator(*args, **kwargs)
         return out, time.perf_counter_ns() - tic
 
-    scheme_pos = {scheme: i for i, scheme in enumerate(config.schemes)}
     records = []
     for snr in config.snr_db:
         noise_power = noise_power_for_snr(n, snr)
@@ -325,7 +320,7 @@ def run_sweep(config, plan_cache=None):
                         walls.append(wall)
                 records.extend(
                     ResultRecord(
-                        scheme=scheme.label,
+                        scheme=scheme.method,
                         kernel_kind=scheme.kernel_kind,
                         num_ports=n,
                         antennas_per_slot=m,
@@ -338,10 +333,8 @@ def run_sweep(config, plan_cache=None):
                     )
                     for t, (error, wall) in enumerate(zip(nmse(truth, estimates).tolist(), walls))
                 )
-    order = {s.label + "|" + s.kernel_kind: i for s, i in scheme_pos.items()}
-    records.sort(
-        key=lambda r: (order[r.scheme + "|" + r.kernel_kind], r.num_timeslots, r.snr_db, r.trial)
-    )
+    order = {(s.method, s.kernel_kind): i for i, s in enumerate(config.schemes)}
+    records.sort(key=lambda r: (order[r.scheme, r.kernel_kind], r.num_timeslots, r.snr_db, r.trial))
     return records
 
 

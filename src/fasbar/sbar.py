@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .channels import _check_noise_power
+from .channels import _check_noise_power, _measured_ports
 
 #: posterior-variance-plus-noise denominators below this times trace/N
 #: indicate a collapsed prior; raising the kernel jitter is the fix
@@ -123,10 +123,7 @@ class SamplingPlan:
             raise ValueError("num_timeslots and antennas_per_slot must be positive")
         if len(self.order) != k:
             raise ValueError("order length must equal num_timeslots * antennas_per_slot")
-        if len(set(self.order)) != k:
-            raise ValueError("order must not repeat ports")
-        if any(p < 0 or p >= n for p in self.order):
-            raise ValueError(f"order holds a port outside [0, {n})")
+        _measured_ports(self.order, n)
         if np.shape(self.weights) != (k, n):
             raise ValueError(f"weights must have shape ({k}, {n}), got {np.shape(self.weights)}")
         if np.shape(self.post_diag) != (n,):

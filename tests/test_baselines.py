@@ -244,6 +244,16 @@ class TestSteeringDictionary:
         if n <= 256:
             assert dictionary._rows(np.arange(n)).tobytes() == full.tobytes()
 
+    def test_tables_read_only_and_equality_is_identity(self, geom):
+        # a shared dictionary could be changed under every later fit, and the
+        # generated == compared arrays and raised
+        a, b = build_steering_dictionary(geom), build_steering_dictionary(geom)
+        for table, index in ((a.hi, (0, 0)), (a.lo, (0, 0)), (a.grid, 0)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[index] = 0.0
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_n4096_holds_tables_not_the_matrix(self):
         # the (4096, 16384) matrix would take 1.07 GB
         n, g, b = 4096, 4 * 4096, 64
@@ -271,9 +281,12 @@ class TestSelmmse:
         assert np.array_equal(selmmse_ports(4, 2), [0, 2])
 
     def test_ports_distinct_and_increasing(self):
-        ports = selmmse_ports(256, 40)
-        assert np.all(np.diff(ports) > 0)
-        assert ports[0] >= 0 and ports[-1] < 256
+        # every budget up to N <= 512: centers lie N/PM >= 1 apart, so the
+        # rounded ports neither collide nor leave [0, N)
+        for n in range(1, 513):
+            for pm in range(1, n + 1):
+                ports = selmmse_ports(n, pm)
+                assert ports[0] >= 0 and ports[-1] < n and (ports[1:] > ports[:-1]).all(), (n, pm)
 
     def test_budget_cannot_exceed_ports(self):
         with pytest.raises(ValueError):
@@ -320,11 +333,11 @@ class TestSelmmse:
             assert est.values[port] == y[list(ports).index(best)]
 
     def test_matches_distance_matrix_argmin(self):
-        # the N x PM distance-matrix rule, on unsorted ports with repeats
+        # the N x PM distance-matrix rule, on unsorted distinct ports
         rng = np.random.default_rng(7)
         for _ in range(300):
             n = int(rng.integers(1, 80))
-            ports = rng.integers(0, n, int(rng.integers(1, 12)))
+            ports = rng.choice(n, int(rng.integers(1, min(n, 11) + 1)), replace=False)
             y = rng.standard_normal(ports.size) + 1j * rng.standard_normal(ports.size)
             srt = np.argsort(ports, kind="stable")
             dist = np.abs(np.arange(n)[:, None] - ports[srt][None, :])
@@ -337,7 +350,7 @@ class TestSelmmse:
 
     def test_block_of_rounds_matches_single_calls_bit_for_bit(self):
         rng = np.random.default_rng(8)
-        for ports in (selmmse_ports(256, 40), np.array([9, 3, 3, 200, 0, 77])):
+        for ports in (selmmse_ports(256, 40), np.array([9, 3, 4, 200, 0, 77])):
             block = rng.standard_normal((12, ports.size)) + 1j * rng.standard_normal((12, ports.size))
             est = estimate_selmmse(block, ports, 256).values
             assert est.shape == (12, 256)
@@ -356,6 +369,17 @@ class TestSelmmse:
     def test_ports_outside_the_aperture_rejected(self, ports):
         with pytest.raises(ValueError, match="out of range"):
             estimate_selmmse(np.ones(3), ports, 16)
+
+    @pytest.mark.parametrize("ports", [[3, 3, 5], [5, 3, 5], [0, 0, 0]])
+    def test_port_listed_twice_rejected(self, ports):
+        with pytest.raises(ValueError, match="distinct"):
+            estimate_selmmse(np.arange(1.0, 4.0), ports, 16)
+
+    @pytest.mark.parametrize("ports", [[[0, 2]], [[0], [2]]])
+    def test_two_dimensional_ports_rejected(self, ports):
+        # [[0, 2]] used to fail with an IndexError inside the hold
+        with pytest.raises(ValueError, match="one measurement per port"):
+            estimate_selmmse(np.ones(2), ports, 16)
 
 
 class TestOmp:
@@ -531,6 +555,26 @@ class TestOmp:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="distinct"):
                 estimate_fas_omp(np.arange(1.0, 4.0), ports, dictionary)
+
+
+# a fraction, a bool array and a bool among ints: np.asarray(..., dtype=int)
+# used to read them as ports [0, 2], [1, 0] and [1, 3]
+NOT_INTEGRAL_PORTS = [[0.9, 2.5], np.array([1.5, 2.0]), [True, False], np.array([True, False]), [True, 3]]
+
+
+@pytest.mark.parametrize("ports", NOT_INTEGRAL_PORTS)
+def test_estimators_reject_ports_that_are_not_integers(dictionary, ports):
+    with pytest.raises(ValueError, match="integral"):
+        estimate_selmmse(np.ones(2), ports, 64)
+    with pytest.raises(ValueError, match="integral"):
+        estimate_fas_omp(np.ones(2), ports, dictionary)
+
+
+def test_estimators_read_whole_float_ports_as_ports(dictionary, atoms):
+    y = atoms[[3, 40], 100]
+    for estimate, *args in ((estimate_selmmse, 64), (estimate_fas_omp, dictionary)):
+        whole = estimate(y, np.array([3.0, 40.0]), *args).values
+        assert whole.tobytes() == estimate(y, [3, 40], *args).values.tobytes()
 
 
 class TestFasOmpBitsPinned:

@@ -49,6 +49,11 @@ class TestPortGeometry:
         geom = build_port_geometry(2, 1.0, 1e9)
         assert np.isclose(geom.positions[1], geom.wavelength, rtol=1e-12)
 
+    def test_positions_read_only(self):
+        geom = build_port_geometry(8, 1.0, 1e9)
+        with pytest.raises(ValueError, match="read-only"):
+            geom.positions[0] = 1.0
+
     @pytest.mark.parametrize(
         "n,w,f", [(1, 10.0, 3.5e9), (0, 10.0, 3.5e9), (16, 0.0, 3.5e9), (16, 10.0, -1.0)]
     )
@@ -207,3 +212,22 @@ class TestObservation:
             observe_ports(h, [1, 1], 0.0, 0)
         with pytest.raises(ValueError):
             observe_ports(h, [7, 8], 0.0, 0)
+
+    @pytest.mark.parametrize(
+        "ports, match",
+        [
+            ([0.9, 2.5], "integral"),  # used to measure ports 0 and 2
+            ([True, False], "integral"),  # used to measure ports 1 and 0
+            ([True, 3], "integral"),
+            (np.array([2.0, np.nan]), "integral"),
+            ([[0, 1], [2, 3]], "one measurement per port"),  # used to return a 2 x 2 block
+            (np.array([2.0, np.inf]), "out of range"),
+        ],
+    )
+    def test_ports_that_are_not_a_port_set_rejected(self, ports, match):
+        with pytest.raises(ValueError, match=match):
+            observe_ports(np.ones(8, dtype=complex), ports, 0.0, 0)
+
+    def test_whole_float_ports_are_ports(self):
+        h = np.arange(8.0) + 0j
+        assert np.array_equal(observe_ports(h, np.array([3.0, 0.0]), 0.0, 0), [3.0, 0.0])

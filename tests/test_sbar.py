@@ -409,6 +409,8 @@ class TestPlanValidation:
             {"order": (3, 0, 3, 5)},
             {"order": (3, 0, 2, 6)},
             {"order": (3, -1, 2, 5)},
+            {"order": (3, 0, 2, 4.5)},
+            {"order": (3, True, 2, 5)},
             {"num_timeslots": 0, "order": (), "weights": np.zeros((0, 6))},
             {"antennas_per_slot": 0, "order": (), "weights": np.zeros((0, 6))},
             {"weights": np.zeros((4, 5))},
@@ -426,6 +428,8 @@ class TestPlanValidation:
             "order-repeats",
             "port-past-end",
             "port-negative",
+            "port-fractional",
+            "port-bool",
             "zero-slots",
             "zero-antennas",
             "weights-columns",
