@@ -293,7 +293,7 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     """
     y = np.asarray(getattr(y, "values", y))
     ports = _measured_ports(ports, dictionary.num_ports)
-    if y.size != ports.size:
+    if y.shape != ports.shape:
         raise ValueError("one measurement per port is required")
     coeffs, support, _ = omp_solve(dictionary._rows(ports), y, max_atoms, residual_tol)
     estimate = np.zeros(dictionary.num_ports, dtype=complex)

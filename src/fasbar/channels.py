@@ -324,5 +324,5 @@ def observe_pilots(channel, plan, noise_power, rng_seed):
     values = np.asarray(channel.values)
     if values.size != plan.num_ports:
         raise ValueError("channel length does not match the plan's port count")
-    y = observe_ports(values, plan.order, noise_power, rng_seed)
+    y = observe_ports(values, np.asarray(plan.order, dtype=int), noise_power, rng_seed)
     return PilotObservation(y, float(noise_power), plan.plan_id)

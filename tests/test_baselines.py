@@ -548,6 +548,12 @@ class TestOmp:
         with pytest.raises(ValueError, match="out of range"):
             estimate_fas_omp(np.ones(3), ports, dictionary)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 1), (1, 4)])
+    def test_observation_of_another_shape_rejected(self, dictionary, shape):
+        # these used to fail inside the pursuit with a matmul shape error
+        with pytest.raises(ValueError, match="one measurement per port"):
+            estimate_fas_omp(np.ones(shape), [0, 1, 2, 3], dictionary)
+
     @pytest.mark.parametrize("ports", [[3, 3, 5], [5, 3, 5], [0, 0, 0]])
     def test_port_listed_twice_rejected(self, dictionary, ports):
         # the pursuit would see two equal rows and stop rank deficient
@@ -557,8 +563,8 @@ class TestOmp:
                 estimate_fas_omp(np.arange(1.0, 4.0), ports, dictionary)
 
 
-# a fraction, a bool array and a bool among ints: np.asarray(..., dtype=int)
-# used to read them as ports [0, 2], [1, 0] and [1, 3]
+# np.asarray(..., dtype=int) used to read [0.9, 2.5] as ports [0, 2],
+# [True, False] as [1, 0] and [True, 3] as [1, 3]
 NOT_INTEGRAL_PORTS = [[0.9, 2.5], np.array([1.5, 2.0]), [True, False], np.array([True, False]), [True, 3]]
 
 
