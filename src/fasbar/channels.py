@@ -273,7 +273,7 @@ def draw_port_noise(num_ports, noise_power, rng_seed):
 def _measured_ports(ports, num_ports):
     """``ports`` as a 1-D int array of distinct ports in [0, num_ports), each an
     integral number (3.0 is port 3): the one rule for every measured port set.
-    A bool, a fraction, another shape, an out-of-range or repeated port raise ValueError."""
+    Anything else (a bool, a fraction, another shape, a repeat) raises ValueError."""
     arr = np.asarray(ports)
     if arr.ndim != 1:
         raise ValueError(f"one measurement per port is required; ports have shape {arr.shape}")
