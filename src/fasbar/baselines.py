@@ -6,12 +6,13 @@ Two conventional references for the planned Bayesian scheme:
   ports and copy each measurement to its nearest neighbors;
 * sparse plane-wave recovery ("fas-omp"): measure P*M random ports and run
   orthogonal matching pursuit against an oversampled steering dictionary,
-  then expand the recovered atoms to all ports.
+  then expand the recovered atoms to all ports.  A block of trials, each
+  with its own ports, runs its pursuits side by side, one pick of every
+  trial per step.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -49,17 +50,41 @@ class SteeringDictionary:
         for table in (self.grid, self.hi, self.lo):
             table.flags.writeable = False
 
-    def _rows(self, ports):
+    def _rows(self, ports, out=None):
         """Every atom's entry at each of ``ports`` (an int array in [0, N)),
-        shape (len(ports), G)."""
+        shape (len(ports), G), written into ``out`` when it is given."""
         b = self.lo.shape[0]
-        block = np.empty((ports.size, self.grid.size), dtype=complex)
+        block = np.empty((ports.size, self.grid.size), dtype=complex) if out is None else out
         # one product per row, written in place: hi[q] * lo[r] over all
         # rows at once would first gather two more (len(ports), G) arrays
         for row, port in zip(block, ports.tolist()):
             q, r = divmod(port, b)
             np.multiply(self.hi[q], self.lo[r], out=row)
         return block
+
+    def _correlations(self, ports, y, alpha, lags):
+        """Fill what the pursuit needs of trial t of the (T, m) ``ports`` and ``y``.
+
+        Writes y_t^H A_t, with A_t = ``_rows(ports[t])``, into ``alpha[t]``,
+        and into ``lags[t]`` the 2G - 1 values from which the pursuit cuts
+        every row of the Gram A_t^H A_t.  The grid is uniform in sin, so Gram
+        entry (i, j) = sum_k exp(j*2*pi*x_k*(s_i - s_j)/lambda) depends on
+        i - j alone: the Gram is Hermitian Toeplitz, and its first row
+        c = a_0^H A_t gives row i as lags[t, G-1-i : 2G-1-i] with
+        lags[t] = [conj(c[:0:-1]), c].  Each trial's block is filled once
+        into one (m, G) buffer and read once, by one product with [y_t, a_0]^H.
+        """
+        m, g = ports.shape[1], self.grid.size
+        block = np.empty((m, g), dtype=complex)
+        pair = np.empty((2, m), dtype=complex)
+        product = np.empty((2, g), dtype=complex)
+        for t, measured in enumerate(ports):
+            self._rows(measured, out=block)
+            np.conjugate(y[t], out=pair[0])
+            np.conjugate(block[:, 0], out=pair[1])
+            np.matmul(pair, block, out=product)
+            alpha[t], lags[t, g - 1 :] = product
+        np.conjugate(lags[:, : g - 1 : -1], out=lags[:, : g - 1])
 
     def _columns(self, indices):
         """Atoms ``indices`` at every port, shape (N, len(indices))."""
@@ -132,6 +157,10 @@ def random_ports(num_ports, num_measurements, rng_seed):
     return np.sort(rng.choice(n, size=pm, replace=False))
 
 
+# the kept Gram rows and the lags of one chunk of trials stay within this
+_CHUNK_BYTES = 2 << 20
+
+
 def omp_solve(measured_atoms, y, max_atoms, residual_tol):
     """Orthogonal matching pursuit on an explicit measurement matrix.
 
@@ -143,6 +172,16 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
     to the upper-triangular R, and the residual loses its projection on
     the new column.  The least-squares coefficients come at the end from
     one triangular solve R x = Q^H y.
+
+    The correlations are not formed from the residual.  With x = R^-1 Q^H y
+    the least-squares fit of the picks so far, A^H r = A^H y - sum_j x_j A^H a_j
+    over the picked atoms a_j, so a pick costs the new Gram column A^H a_j
+    and one product with the k + 1 columns kept: (k + 1) * G work where
+    A^H r would take m * G.  Here the Gram columns come from the matrix;
+    ``estimate_fas_omp`` cuts them from the Toeplitz Gram of its measured
+    atoms.  Picks, coefficients and norms are those of a pursuit that
+    correlates the residual itself, except where two correlations tie to
+    rounding.
 
     A pick is rank deficient, by the rule of ``np.linalg.lstsq`` with
     ``rcond=None`` applied to R (which has the singular values of A_S),
@@ -171,101 +210,197 @@ def omp_solve(measured_atoms, y, max_atoms, residual_tol):
     y = np.asarray(y)
     if a.shape[0] != y.size:
         raise ValueError("measurement matrix rows must match observation length")
+    _check_pursuit(y, max_atoms, residual_tol)
+    y, scale = _scaled(y.reshape(1, -1))
+    grams = np.empty((1, min(int(max_atoms), y.size) + 1, a.shape[1]), dtype=complex)
+    grams[:, 0] = np.conj(y) @ a
+    coeffs, picked, norms, counts = _pursue(
+        y,
+        scale,
+        grams,
+        lambda live, picks, out: np.copyto(out, a[:, picks].T),
+        lambda live, picks, out: np.matmul(np.conj(a[:, picks]).T, a, out=out),
+        np.result_type(a, y, 1.0),
+        max_atoms,
+        residual_tol,
+    )
+    k = counts[0]
+    return coeffs[0, :k] if k else np.zeros(0, dtype=complex), picked[0, :k].tolist(), norms[0, : k + 1].tolist()
+
+
+def _check_pursuit(y, max_atoms, residual_tol):
     if max_atoms < 1:
         raise ValueError("max_atoms must be positive")
     if residual_tol < 0.0:
         raise ValueError("residual_tol must be nonnegative")
-    peak = float(np.abs(y).max(initial=0.0))
-    if not math.isfinite(peak):
+    if not np.isfinite(y).all():
         raise ValueError("observation y holds a non-finite entry")
+
+
+def _scaled(y):
+    """The rows of ``y`` times 2^-e_t, where 2^(e_t - 1) <= max|y_t| < 2^e_t,
+    and the factors 2^e_t that undo it."""
+    e = np.frexp(np.abs(y).max(axis=1, initial=0.0))[1]
     # clamped so that 2^e and 2^-e are both finite floats
-    e = min(max(math.frexp(peak)[1], -1021), 1023)
-    y = y * math.ldexp(1.0, -e)
-    norm_y = float(np.linalg.norm(y))
-    support: list = []
-    norms = [norm_y]
-    if norm_y == 0.0:
-        return np.zeros(0, dtype=complex), support, norms
-    m = y.size
+    np.minimum(np.maximum(e, -1021, out=e), 1023, out=e)
+    return y * np.ldexp(1.0, -e)[:, None], np.ldexp(1.0, e)
+
+
+def _pursue(y, scale, grams, atoms, gram_rows, dtype, max_atoms, residual_tol):
+    """``omp_solve``'s pursuit on T trials at once, one pick of each per step.
+
+    ``y`` holds the T observations as rows, scaled as ``_scaled`` leaves
+    them, and ``scale`` the factors that undo it.  ``grams`` is a
+    (T, min(max_atoms, m) + 1, G) array whose row grams[t, 0] holds the
+    correlations y_t^H A_t; the pursuit writes the Gram row a^H A_t of pick
+    k into grams[t, k + 1], and the correlations are then these rows
+    weighted by [1, -conj(x)] with x the least-squares fit.  ``atoms(live,
+    picks, out)`` writes atom picks[i] at the ports of trial live[i] into
+    row i of ``out``, and ``gram_rows(live, picks, out)`` its Gram row.  A
+    trial whose pursuit stops leaves the arrays, and the others go on.
+
+    Each product of a trial's QR arithmetic is its own BLAS call, the one
+    a lone trial makes: ``np.matvec`` and ``np.vecdot`` call BLAS as ``@``
+    and ``np.vdot`` do on one trial's vectors.  So a trial's fit does not
+    depend on the trials beside it.
+
+    Returns (coeffs, picked, norms, counts): trial t picked the atoms
+    picked[t, :k] with k = counts[t], fitted them with coeffs[t, :k] and
+    left the residual norms norms[t, :k + 1]; the entries beyond are 0.
+    """
+    trials, m = y.shape
+    g = grams.shape[2]
     max_atoms = int(max_atoms)
     size = min(max_atoms, m)
-    stop = residual_tol * norm_y
-    dtype = np.result_type(a, y, 1.0)
-    q_rows = np.zeros((size, m), dtype=dtype)  # q_k as rows
-    qh_rows = np.zeros((size, m), dtype=dtype)  # their conjugates, so Q^H v = qh_rows @ v
-    r = np.zeros((size, size), dtype=dtype)
-    r_inv = np.zeros((size, size), dtype=dtype)
-    r_fro2 = r_inv_fro2 = 0.0  # squared Frobenius norms of R and R^-1
-    picked = np.zeros(size, dtype=np.intp)
     eps = np.finfo(float).eps
+    coeffs_out = np.zeros((trials, size), dtype=dtype)
+    picked_out = np.zeros((trials, size), dtype=np.intp)
+    norms_out = np.zeros((trials, size + 1))
+    counts = np.zeros(trials, dtype=np.intp)
+    live = np.arange(trials)
+    offsets = live[:, None] * g  # flat index of each row of the correlations
+    q = np.zeros((trials, size, m), dtype=dtype)  # q_k as rows
+    qh = np.zeros_like(q)  # their conjugates, so Q^H v = qh @ v
+    r = np.zeros((trials, size, size), dtype=dtype)
+    r_inv = np.zeros_like(r)
+    fro2 = np.zeros(trials)  # squared Frobenius norms of R and R^-1
+    inv_fro2 = np.zeros(trials)
+    picked = np.zeros((trials, size), dtype=np.intp)
+    alpha, alpha_rows = grams[:, 0], np.empty((trials, g), dtype=complex)
+    magnitudes = np.empty((trials, g))
+    weights = np.empty((trials, size + 1), dtype=complex)  # [1, -conj(x)], conj(x) = conj(R^-1) t
+    weights[:, 0] = 1.0
+    t = np.zeros((trials, size), dtype=complex)  # conj(Q^H y)
     residual_h = np.conj(y).astype(complex)  # r^H, so a^H r is the conjugate of residual_h @ a
-    product = np.empty(a.shape[1], dtype=np.result_type(residual_h, a))
-    corr = np.empty(a.shape[1])
-    for k in range(max_atoms):
-        if norms[-1] <= stop:
-            break
-        np.abs(np.matmul(residual_h, a, out=product), out=corr)
-        corr[picked[:k]] = -1.0  # an atom is never picked twice
-        pick = int(corr.argmax())
-        if k == m:
-            _warn_rank_deficient()
-            break
-        q_k, qh_k = q_rows[:k], qh_rows[:k]
-        atom = a[:, pick]
-        col = qh_k @ atom
-        w = atom - col @ q_k
-        again = qh_k @ w
-        w -= again @ q_k
-        col += again
-        r_kk = math.sqrt(np.vdot(w, w).real)
-        if r_kk == 0.0:
-            _warn_rank_deficient()
-            break
-        r[:k, k], r[k, k] = col, r_kk
-        inv_kk = 1.0 / r_kk
-        inv_col = r_inv[:k, :k] @ col  # times -inv_kk, R^-1's new column above the diagonal
-        fro2 = r_fro2 + np.vdot(col, col).real + r_kk * r_kk
-        inv_fro2 = r_inv_fro2 + (np.vdot(inv_col, inv_col).real + 1.0) * inv_kk * inv_kk
-        rcond = eps * max(m, k + 1)
-        # 1/||R^-1||_F > rcond * ||R||_F certifies full rank without an SVD
-        if not fro2 * inv_fro2 * rcond * rcond < 1.0:
-            sv = np.linalg.svd(r[: k + 1, : k + 1], compute_uv=False)
-            if sv[-1] <= rcond * sv[0]:
-                _warn_rank_deficient()
+    norms = np.empty((trials, size + 1))
+    # ||y|| as np.linalg.norm forms it
+    parts = (y.real, y.imag) if np.iscomplexobj(y) else (y,)
+    norms[:, 0] = np.sqrt(sum(np.vecdot(part, part) for part in parts))
+    stop = residual_tol * norms[:, 0]
+    stopped = np.zeros(trials, dtype=bool)
+    # a column of a measured block reaches BLAS at a stride, where a dot
+    # product is summed in another order than at unit stride: lay atoms out so
+    atom_rows = np.empty((trials, m, 2), dtype=dtype)
+    (trtrs,) = get_lapack_funcs(("trtrs",), (r,))
+
+    def finish(rows, k):
+        """Solve and keep the fits of ``rows`` after their k picks."""
+        done = live[rows]
+        counts[done] = k
+        picked_out[done] = picked[rows]
+        norms_out[done, : k + 1] = norms[rows, : k + 1] * scale[rows, None]
+        if not k:
+            return
+        rhs = np.matvec(qh[rows, :k], y[rows])
+        # y is finite, so a non-finite Q^H y comes from a picked atom
+        if not np.isfinite(rhs).all():
+            raise ValueError("measured atoms hold a non-finite entry")
+        for row, trial, b in zip(rows.tolist(), done.tolist(), rhs):
+            # R x = Q^H y through LAPACK, as scipy's solve_triangular does for a
+            # C-ordered R: its transpose is F-ordered, and lower, so solve with trans
+            coeffs, info = trtrs(r[row, :k, :k].T, b, lower=1, trans=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+            coeffs_out[trial, :k] = coeffs * scale[row]
+
+    # a row whose r_kk is 0 divides by it before it stops, and leaves at the next step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(max_atoms):
+            leave = stopped | (norms[:, k] <= stop)
+            if leave.any():
+                finish(np.flatnonzero(leave & ~stopped), k)
+                keep = ~leave
+                live, y, scale, alpha, q, qh, r, r_inv, fro2, inv_fro2, picked, grams, weights, t = (
+                    x[keep] for x in (live, y, scale, alpha, q, qh, r, r_inv, fro2, inv_fro2, picked, grams, weights, t)
+                )
+                magnitudes = magnitudes[: live.size]
+                residual_h, norms, stop, stopped = residual_h[keep], norms[keep], stop[keep], stopped[keep]
+            n = live.size
+            if not n:
                 break
-        q_new, qh_new = q_rows[k], qh_rows[k]
-        np.multiply(w, inv_kk, out=q_new)
-        np.conjugate(q_new, out=qh_new)
-        np.multiply(inv_col, -inv_kk, out=r_inv[:k, k])
-        r_inv[k, k] = inv_kk
-        r_fro2, r_inv_fro2 = fro2, inv_fro2
-        picked[k] = pick
-        support.append(pick)
-        residual_h -= (q_new @ residual_h) * qh_new
-        norms.append(math.sqrt(np.vdot(residual_h, residual_h).real))
-    k = len(support)
-    scale = math.ldexp(1.0, e)
-    norms = [v * scale for v in norms]
-    if k == 0:
-        return np.zeros(0, dtype=complex), support, norms
-    # R x = Q^H y through LAPACK, as scipy's solve_triangular does for a
-    # C-ordered R: its transpose is F-ordered, and lower, so solve with trans
-    rhs = qh_rows[:k] @ y
-    # y is finite, so a non-finite Q^H y comes from a picked atom
-    if not np.isfinite(rhs).all():
-        raise ValueError("measured atoms hold a non-finite entry")
-    (trtrs,) = get_lapack_funcs(("trtrs",), (r, rhs))
-    coeffs, info = trtrs(r[:k, :k].T, rhs, lower=1, trans=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
-    return coeffs * scale, support, norms
+            if k == m:
+                for _ in live:
+                    _warn_rank_deficient()
+                finish(np.arange(n), k)
+                break
+            np.abs(alpha, out=magnitudes)
+            np.put(magnitudes, picked[:, :k] + offsets[:n], -1.0)  # an atom is never picked twice
+            pick = magnitudes.argmax(axis=1)
+            atom = atom_rows[:n, :, 0]
+            atoms(live, pick, atom)
+            q_k, qh_k, q_new, qh_new = q[:, :k], qh[:, :k], q[:, k], qh[:, k]
+            q_kt = q_k.transpose(0, 2, 1)  # np.matvec(q_kt, c) is c @ q_k
+            col = np.matvec(qh_k, atom)
+            w = atom - np.matvec(q_kt, col)
+            again = np.matvec(qh_k, w)
+            w -= np.matvec(q_kt, again)
+            col += again
+            r_kk = np.sqrt(np.vecdot(w, w).real)
+            r[:, :k, k], r[:, k, k] = col, r_kk
+            inv_kk = 1.0 / r_kk
+            inv_col = np.matvec(r_inv[:, :k, :k], col)  # times -inv_kk, R^-1's new column above the diagonal
+            new_fro2 = fro2 + np.vecdot(col, col).real + r_kk * r_kk
+            new_inv_fro2 = inv_fro2 + (np.vecdot(inv_col, inv_col).real + 1.0) * inv_kk * inv_kk
+            rcond = eps * max(m, k + 1)
+            # 1/||R^-1||_F > rcond * ||R||_F certifies full rank without an SVD
+            certified = new_fro2 * new_inv_fro2 * rcond * rcond < 1.0
+            if not certified.all():
+                for row in np.flatnonzero(~certified):
+                    if r_kk[row] == 0.0:
+                        stopped[row] = True
+                    else:
+                        sv = np.linalg.svd(r[row, : k + 1, : k + 1], compute_uv=False)
+                        stopped[row] = sv[-1] <= rcond * sv[0]
+                rows = np.flatnonzero(stopped)
+                for _ in rows:
+                    _warn_rank_deficient()
+                finish(rows, k)
+                inv_kk[rows] = 0.0  # zeros keep their rows finite until they leave
+            np.multiply(w, inv_kk[:, None], out=q_new)
+            np.conjugate(q_new, out=qh_new)
+            np.multiply(inv_col, -inv_kk[:, None], out=r_inv[:, :k, k])
+            r_inv[:, k, k] = inv_kk
+            fro2, inv_fro2 = new_fro2, new_inv_fro2
+            picked[:, k] = pick
+            # conj(q_k^H r), which the residual loses times q_k
+            t_k = np.vecdot(qh_new, residual_h)
+            residual_h -= t_k[:, None] * qh_new
+            norms[:, k + 1] = np.sqrt(np.vecdot(residual_h, residual_h).real)
+            t[:, k] = t_k
+            if k + 1 < size:  # the next step picks
+                gram_rows(live, pick, grams[:, k + 1])
+                np.negative(np.matvec(np.conj(r_inv[:, : k + 1, : k + 1]), t[:, : k + 1]), out=weights[:, 1 : k + 2])
+                alpha = np.matvec(grams[:, : k + 2].transpose(0, 2, 1), weights[:, : k + 2], out=alpha_rows[:n])
+        else:
+            finish(np.flatnonzero(~stopped), max_atoms)
+    return coeffs_out, picked_out, norms_out, counts
 
 
 def _warn_rank_deficient():
     warnings.warn(
         "matching pursuit hit a rank-deficient refit; stopping early",
         RankDeficientFitWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
 
 
@@ -273,30 +408,80 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     """Sparse recovery of the full channel from random-port measurements.
 
     Runs OMP on the atoms' entries at the measured ports, then expands the
-    recovered atom coefficients over all ports.  Both are formed from the
-    dictionary's phase tables: one (len(ports), G) block for the pursuit
-    and the picked columns for the expansion.
+    recovered atom coefficients over all ports.  The pursuit is
+    ``omp_solve``'s, with each Gram column cut from the Toeplitz Gram of
+    the measured atoms (see ``SteeringDictionary._correlations``): a trial
+    fills its (K, G) block once, for its first correlations and the Gram's
+    first row, and a pick then costs (k + 1) * G, not K * G.
+
+    A block of trials runs in chunks whose pursuit arrays take about 2 MB,
+    so memory does not grow with T beyond the estimate itself.  A trial's
+    estimate is bit for bit that of its lone call.
 
     Parameters
     ----------
     y : array or PilotObservation
-        Measurements at ``ports``.
+        Measurements at ``ports``: one trial, shape (K,), or a block of T
+        trials, shape (T, K).
     ports : array of int
-        Measured 0-based port indices, distinct and in [0, N), as
-        ``observe_ports`` takes them.
+        Measured 0-based port indices, of the shape of ``y``: one port set
+        per trial, each distinct and in [0, N), as ``observe_ports`` takes
+        them.
     dictionary : SteeringDictionary
         Full-aperture atoms to search over.
     max_atoms : int
         Sparsity cap (number of pursuit iterations).
     residual_tol : float
         Relative residual at which the pursuit stops early.
+
+    Returns
+    -------
+    ChannelRealization
+        The estimate at every port, shape (N,), or (T, N) for a block.
     """
     y = np.asarray(getattr(y, "values", y))
-    ports = _measured_ports(ports, dictionary.num_ports)
+    if y.ndim not in (1, 2):
+        raise ValueError("one measurement per port is required")
+    ports = _measured_ports(ports, dictionary.num_ports, y.ndim)
     if y.shape != ports.shape:
         raise ValueError("one measurement per port is required")
-    coeffs, support, _ = omp_solve(dictionary._rows(ports), y, max_atoms, residual_tol)
-    estimate = np.zeros(dictionary.num_ports, dtype=complex)
-    if support:
-        estimate = dictionary._columns(support) @ coeffs
-    return ChannelRealization(estimate)
+    _check_pursuit(y, max_atoms, residual_tol)
+    one = y.ndim == 1
+    y, ports = np.atleast_2d(y, ports)
+    n, g, b = dictionary.num_ports, dictionary.grid.size, dictionary.lo.shape[0]
+    hi, lo = dictionary.hi.reshape(-1), dictionary.lo.reshape(-1)
+    # a trial keeps size + 1 Gram rows and 2G - 1 lags
+    size = min(int(max_atoms), y.shape[1])
+    chunk = max(1, min(len(y), _CHUNK_BYTES // (16 * g * (size + 3))))
+    alpha = np.empty((chunk, g), dtype=complex)
+    lags = np.empty((chunk, 2 * g - 1), dtype=complex)
+    grams = None
+    estimates = np.zeros((len(y), n), dtype=complex)
+    for start in range(0, len(y), chunk):
+        part = slice(start, start + chunk)
+        scaled, scale = _scaled(y[part])
+        trials = len(scaled)
+        dictionary._correlations(ports[part], scaled, alpha[:trials], lags[:trials])
+        if grams is None:  # made once the first measured block is freed, so a lone chunk never holds both
+            grams = np.empty((chunk, size + 1, g), dtype=complex)
+        grams[:trials, 0] = alpha[:trials]
+        # flat positions of each measured port's row in the phase tables
+        hi_at, lo_at = np.divmod(ports[part], b)
+        hi_at *= g
+        lo_at *= g
+
+        def atoms(live, picks, out):
+            column = picks[:, None]
+            np.multiply(hi[hi_at[live] + column], lo[lo_at[live] + column], out=out)
+
+        def gram_rows(live, picks, out):
+            for row, trial, first in zip(out, live.tolist(), (g - 1 - picks).tolist()):
+                row[...] = lags[trial, first : first + g]
+
+        coeffs, picked, _, counts = _pursue(
+            scaled, scale, grams[:trials], atoms, gram_rows, complex, max_atoms, residual_tol
+        )
+        for estimate, support, fit, k in zip(estimates[part], picked, coeffs, counts.tolist()):
+            if k:
+                estimate[:] = dictionary._columns(support[:k]) @ fit[:k]
+    return ChannelRealization(estimates[0] if one else estimates)

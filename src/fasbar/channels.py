@@ -270,22 +270,30 @@ def draw_port_noise(num_ports, noise_power, rng_seed):
     return scale * (rng.standard_normal(num_ports) + 1j * rng.standard_normal(num_ports))
 
 
-def _measured_ports(ports, num_ports):
-    """``ports`` as a 1-D int array of distinct ports in [0, num_ports), each an
+def _measured_ports(ports, num_ports, ndim=1):
+    """``ports`` as an int array of distinct ports in [0, num_ports), each an
     integral number (3.0 is port 3): the one rule for every measured port set.
-    Anything else (a bool, a fraction, another shape, a repeat) raises ValueError."""
+    A 1-D array is one set; with ``ndim=2`` each row of a 2-D array is one.
+    Anything else (a bool, a fraction, another shape, a repeat within a set)
+    raises ValueError."""
     arr = np.asarray(ports)
-    if arr.ndim != 1:
+    if arr.ndim != ndim:
         raise ValueError(f"one measurement per port is required; ports have shape {arr.shape}")
     # np.asarray reads [True, 3] as the ints [1, 3], so bools are sought in the input itself
-    bools = not isinstance(ports, np.ndarray) and any(isinstance(p, (bool, np.bool_)) for p in ports)
+    entries = ports if ndim == 1 else (p for row in ports for p in row)
+    bools = not isinstance(ports, np.ndarray) and any(isinstance(p, (bool, np.bool_)) for p in entries)
     if bools or arr.dtype.kind not in "iuf" or arr.dtype.kind == "f" and (arr != np.rint(arr)).any():
         raise ValueError(f"ports must be integral numbers, got {ports!r}")
     if arr.size and (arr.min() < 0 or arr.max() >= num_ports):
         raise ValueError(f"port index out of range [0, {num_ports})")
     arr = arr.astype(int, copy=False)
-    # a set of the few measured ports is cheaper to build than np.unique
-    if len(set(arr.tolist())) != arr.size:
+    if ndim == 1:
+        # a set of the few measured ports is cheaper to build than np.unique
+        repeats = len(set(arr.tolist())) != arr.size
+    else:
+        ordered = np.sort(arr, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any()
+    if repeats:
         raise ValueError("ports must be distinct")
     return arr
 
@@ -293,10 +301,13 @@ def _measured_ports(ports, num_ports):
 def observe_ports(h_values, ports, noise_power, rng_seed):
     """Measure the channel at the given ports with additive noise.
 
-    Returns y with y[k] = h[ports[k]] + z[ports[k]] where z is the per-port
-    noise vector from ``draw_port_noise``.
+    ``h_values`` is one channel, shape (N,).  Returns y with
+    y[k] = h[ports[k]] + z[ports[k]] where z is the per-port noise vector
+    from ``draw_port_noise``.
     """
     h_values = np.asarray(h_values)
+    if h_values.ndim != 1:
+        raise ValueError(f"observe_ports measures one channel of shape (N,), got shape {h_values.shape}")
     ports = _measured_ports(ports, h_values.size)
     noise = draw_port_noise(h_values.size, noise_power, rng_seed)
     return h_values[ports] + noise[ports]
@@ -322,7 +333,9 @@ def observe_pilots(channel, plan, noise_power, rng_seed):
         y(k) = h(order[k]) + z_k, bound to ``plan.plan_id``.
     """
     values = np.asarray(channel.values)
-    if values.size != plan.num_ports:
+    if values.shape != (plan.num_ports,):
         raise ValueError("channel length does not match the plan's port count")
-    y = observe_ports(values, np.asarray(plan.order, dtype=int), noise_power, rng_seed)
-    return PilotObservation(y, float(noise_power), plan.plan_id)
+    # SamplingPlan checked its order when it was made, and it is frozen
+    order = np.asarray(plan.order, dtype=int)
+    noise = draw_port_noise(plan.num_ports, noise_power, rng_seed)
+    return PilotObservation(values[order] + noise[order], float(noise_power), plan.plan_id)

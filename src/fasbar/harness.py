@@ -246,12 +246,12 @@ def run_sweep(config, plan_cache=None):
     per-port noise vector of every trial once and stacks them into (T, N)
     blocks H and R = H + Z, so a point holds O(T*N) memory.  Every pilot
     budget P and every scheme then measures those noisy channels at its own
-    ports: sbar and selmmse estimate all T trials in one call on the
-    (T, P*M) block of their fixed ports, and fas-omp runs its pursuit per
-    trial at ports drawn per trial.  Records come back sorted by (scheme
+    ports and estimates all T trials in one call on the (T, P*M) block:
+    sbar and selmmse at their fixed ports, fas-omp at ports drawn per
+    trial, one port set per row.  Records come back sorted by (scheme
     position, P, snr, trial).  With ``record_timing`` a record's
-    ``wall_time_stage2_ns`` is the block time divided by T for sbar and
-    selmmse and the time of its own fit for fas-omp.  Plans are designed
+    ``wall_time_stage2_ns`` is the block call's time divided by T for every
+    scheme.  Plans are designed
     once per (kernel fingerprint, P, M, noise power) and kept in
     ``plan_cache``, a fresh dict unless the caller passes one; a dict
     passed in exposes the designed plans and carries them over to later
@@ -299,25 +299,25 @@ def run_sweep(config, plan_cache=None):
                     plan = plan_for(scheme, p, noise_power)
                     obs = PilotObservation(received[:, plan.order], noise_power, plan.plan_id)
                     result, wall = timed(reconstruct, plan, obs)
-                    estimates, walls = result.estimate, [wall // trials] * trials
+                    estimates = result.estimate
                 elif scheme.method == SELMMSE:
                     ports = selmmse_ports(n, p * m)
                     result, wall = timed(estimate_selmmse, received[:, ports], ports, n)
-                    estimates, walls = result.values, [wall // trials] * trials
+                    estimates = result.values
                 else:
-                    estimates, walls = np.empty((trials, n), dtype=complex), []
-                    for t in range(trials):
-                        ports = random_ports(n, p * m, ports_seed(config.base_seed, p, snr, t))
-                        result, wall = timed(
-                            estimate_fas_omp,
-                            received[t, ports],
-                            ports,
-                            dictionaries[scheme.dict_oversampling],
-                            max_atoms=scheme.max_atoms,
-                            residual_tol=scheme.residual_tol,
-                        )
-                        estimates[t] = result.values
-                        walls.append(wall)
+                    ports = np.array(
+                        [random_ports(n, p * m, ports_seed(config.base_seed, p, snr, t)) for t in range(trials)]
+                    )
+                    result, wall = timed(
+                        estimate_fas_omp,
+                        np.take_along_axis(received, ports, axis=1),
+                        ports,
+                        dictionaries[scheme.dict_oversampling],
+                        max_atoms=scheme.max_atoms,
+                        residual_tol=scheme.residual_tol,
+                    )
+                    estimates = result.values
+                wall = wall // trials if config.record_timing else 0
                 records.extend(
                     ResultRecord(
                         scheme=scheme.method,
@@ -329,9 +329,9 @@ def run_sweep(config, plan_cache=None):
                         trial=t,
                         seed=seeds[t],
                         nmse=error,
-                        wall_time_stage2_ns=wall if config.record_timing else 0,
+                        wall_time_stage2_ns=wall,
                     )
-                    for t, (error, wall) in enumerate(zip(nmse(truth, estimates).tolist(), walls))
+                    for t, error in enumerate(nmse(truth, estimates).tolist())
                 )
     order = {(s.method, s.kernel_kind): i for i, s in enumerate(config.schemes)}
     records.sort(key=lambda r: (order[r.scheme, r.kernel_kind], r.num_timeslots, r.snr_db, r.trial))

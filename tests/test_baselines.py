@@ -9,7 +9,9 @@ preallocated and its triangular solve went to LAPACK directly.  The
 steering dictionary's atoms, formed from its two phase tables, are pinned
 bit for bit against ``steering_matrix``, and ``estimate_fas_omp`` against
 ``matrix_fas_omp``, the fit as it stood when the dictionary held the full
-(N, G) matrix.
+(N, G) matrix.  A (T, P*M) block of fits is pinned bit for bit against T
+lone calls, on both sides of a chunk boundary, and its Toeplitz Gram rows
+against the explicit products of the measured atoms.
 """
 
 import math
@@ -32,6 +34,7 @@ from fasbar import (
     selmmse_ports,
     steering_matrix,
 )
+from fasbar import baselines
 from fasbar.baselines import _warn_rank_deficient, omp_solve
 
 
@@ -611,6 +614,123 @@ class TestFasOmpBitsPinned:
                 ref = matrix_fas_omp(matrix, y, ports, max_atoms, tol)
             assert new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
             assert [w.category for w in caught] == [w.category for w in ref_caught]
+
+
+def mixed_block(dictionary, atoms, trials, pm, seed):
+    """(y, ports) of ``trials`` fits at ``pm`` < max_atoms = 9 ports that stop
+    at different picks: a noiseless on-grid atom (after one pick), noise
+    (once every port is used, on the tolerance or rank deficient without
+    one) and a zero observation (before the first pick)."""
+    n = dictionary.num_ports
+    rng = np.random.default_rng(seed)
+    ports = np.array([rng.choice(n, pm, replace=False) for _ in range(trials)])
+    y = rng.standard_normal((trials, pm)) + 1j * rng.standard_normal((trials, pm))
+    for t in range(0, trials, 3):
+        y[t] = (0.5 - 2j) * atoms[ports[t], (37 * t) % atoms.shape[1]]
+    y[2::5] = 0.0
+    return y, ports
+
+
+def _fits_with_warnings(y, ports, dictionary, residual_tol):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = estimate_fas_omp(y, ports, dictionary, residual_tol=residual_tol).values
+    return values, [w.category for w in caught]
+
+
+class TestFasOmpBlock:
+    """A (T, P*M) block is T lone fits, chunk by chunk, in bounded memory."""
+
+    @pytest.mark.parametrize("residual_tol", [1e-3, 0.0])
+    @pytest.mark.parametrize("trials", [1, 3, 4, 5, 9])
+    def test_block_matches_single_calls_across_chunk_boundaries(
+        self, dictionary, atoms, monkeypatch, trials, residual_tol
+    ):
+        # room for 4 trials a chunk: 16 * G * (min(max_atoms, P*M) + 3) bytes each
+        monkeypatch.setattr(baselines, "_CHUNK_BYTES", 4 * 16 * 256 * (8 + 3))
+        y, ports = mixed_block(dictionary, atoms, trials, 8, seed=trials)
+        block, block_caught = _fits_with_warnings(y, ports, dictionary, residual_tol)
+        assert block.shape == (trials, 64) and block.dtype == complex
+        singles = [_fits_with_warnings(y[t], ports[t], dictionary, residual_tol) for t in range(trials)]
+        for row, (single, _) in zip(block, singles):
+            assert row.tobytes() == single.tobytes()
+        assert block_caught == [c for _, caught in singles for c in caught]
+
+    def test_sweep_sized_block_at_the_default_chunk(self):
+        geom = build_port_geometry(256, 10.0, 3.5e9)
+        dictionary = build_steering_dictionary(geom)
+        chunk = baselines._CHUNK_BYTES // (16 * 1024 * (9 + 3))
+        trials = chunk + 2
+        rng = np.random.default_rng(31)
+        ports = np.array([random_ports(256, 24, rng_seed=t) for t in range(trials)])
+        h = np.array([generate_ssc_channel(geom, SscModelParams(9, 100, 5.0, rng_seed=t)).values for t in range(trials)])
+        y = np.take_along_axis(h, ports, axis=1) + rng.standard_normal((trials, 24))
+        block = estimate_fas_omp(y, ports, dictionary).values
+        for t, row in enumerate(block):
+            assert row.tobytes() == estimate_fas_omp(y[t], ports[t], dictionary).values.tobytes()
+
+    def test_one_warning_per_trial_that_stopped_early(self, dictionary, atoms):
+        y, ports = mixed_block(dictionary, atoms, 12, 4, seed=32)
+        _, caught = _fits_with_warnings(y, ports, dictionary, 0.0)
+        # with no tolerance a noisy fit at four ports stops rank deficient at its
+        # fifth pick; an exact one-atom fit or a zero observation stops without a warning
+        early = sum(len(_fits_with_warnings(y[t], ports[t], dictionary, 0.0)[1]) for t in range(12))
+        assert 0 < early < 12 and caught == [RankDeficientFitWarning] * early
+
+    @pytest.mark.parametrize("n", [64, 96, 256, 1024])
+    def test_gram_rows_are_windows_of_the_lags(self, n):
+        # the Gram of the measured atoms is Toeplitz: every row is a window of one (2G - 1) vector
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        dictionary = build_steering_dictionary(geom)
+        g = dictionary.grid.size
+        rng = np.random.default_rng(n)
+        for pm in (4, 40):
+            ports = np.array([rng.choice(n, pm, replace=False) for _ in range(2)])
+            y = rng.standard_normal((2, pm)) + 1j * rng.standard_normal((2, pm))
+            alpha = np.empty((2, g), dtype=complex)
+            lags = np.empty((2, 2 * g - 1), dtype=complex)
+            dictionary._correlations(ports, y, alpha, lags)
+            for t in range(2):
+                a = dictionary._rows(ports[t])
+                assert np.abs(alpha[t] - np.conj(y[t]) @ a).max() <= 1e-12 * np.abs(y[t]).sum()
+                for j in np.r_[0, g - 1, rng.choice(g, 20, replace=False)]:
+                    # row j of the Hermitian Gram, a_j^H A, is the conjugate of column j, A^H a_j
+                    explicit = np.conj(a[:, j]) @ a
+                    assert np.abs(lags[t, g - 1 - j : 2 * g - 1 - j] - explicit).max() <= 1e-12 * pm
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        geom = build_port_geometry(256, 10.0, 3.5e9)
+        dictionary = build_steering_dictionary(geom)
+        rng = np.random.default_rng(33)
+
+        def peak_above_estimate(trials):
+            ports = np.array([random_ports(256, 40, rng_seed=t) for t in range(trials)])
+            y = rng.standard_normal((trials, 40)) + 1j * rng.standard_normal((trials, 40))
+            tracemalloc.start()
+            try:
+                estimate = estimate_fas_omp(y, ports, dictionary).values
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - estimate.nbytes
+
+        small, large = peak_above_estimate(50), peak_above_estimate(500)
+        assert large <= small + 64 * 1024, f"T=500 took {(large - small) / 1e3:.0f} kB more than T=50"
+        assert large < 4e6, f"the pursuit took {large / 1e6:.1f} MB besides the estimate"
+
+    @pytest.mark.parametrize(
+        "ports, match",
+        [([[0, 1, 2], [3, 3, 4]], "distinct"), ([[0, 1, 2], [3, 4, 64]], "out of range"), ([[0, 1, 2.5]] * 2, "integral")],
+    )
+    def test_each_row_is_checked_as_a_port_set(self, dictionary, ports, match):
+        with pytest.raises(ValueError, match=match):
+            estimate_fas_omp(np.ones((2, 3)), ports, dictionary)
+
+    def test_trials_may_measure_the_same_ports(self, dictionary, atoms):
+        # ports must be distinct within a row, not across rows
+        ports = np.array([[5, 9, 30], [5, 9, 30]])
+        block = estimate_fas_omp(atoms[ports, 100], ports, dictionary).values
+        assert block[0].tobytes() == block[1].tobytes()
 
 
 def _pinned_fit(a, y, max_atoms, residual_tol):

@@ -5,10 +5,13 @@ Frozen expected values were computed by hand from the construction rules
 with brute-force Monte Carlo where a distributional claim is made.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fasbar import (
+    ChannelRealization,
     PilotObservation,
     SscModelParams,
     build_port_geometry,
@@ -231,3 +234,27 @@ class TestObservation:
     def test_whole_float_ports_are_ports(self):
         h = np.arange(8.0) + 0j
         assert np.array_equal(observe_ports(h, np.array([3.0, 0.0]), 0.0, 0), [3.0, 0.0])
+
+    @pytest.mark.parametrize("ports", [[1, 2], [10, 2]])
+    def test_a_block_of_channels_is_rejected(self, ports):
+        # a (4, 8) block used to pass the port check against 4 * 8 ports, then
+        # fail in numpy broadcasting ([1, 2]) or indexing ([10, 2])
+        with pytest.raises(ValueError, match=r"\(4, 8\)"):
+            observe_ports(np.ones((4, 8), dtype=complex), ports, 0.0, 0)
+
+    def test_observe_pilots_measures_the_plan_order_as_observe_ports_does(self):
+        plan = self._plan(noise=0.5)
+        ch = generate_ssc_channel(build_port_geometry(16, 5.0, 3.5e9), SscModelParams(3, 10, 5.0, rng_seed=9))
+        obs = observe_pilots(ch, plan, 0.5, rng_seed=11)
+        assert obs.values.tobytes() == observe_ports(ch.values, plan.order, 0.5, rng_seed=11).tobytes()
+
+    @pytest.mark.parametrize("order", [(3, 0, 3, 5), (3, 0, 2, 16), (3, -1, 2, 5), (3, 0, 2, 4.5)])
+    def test_a_bad_order_is_rejected_before_observe_pilots(self, order):
+        # observe_pilots reads the frozen plan's order unchecked: the plan is what refuses it
+        with pytest.raises(ValueError):
+            replace(self._plan(), order=order)
+
+    def test_observe_pilots_rejects_a_block_of_channels(self):
+        plan = self._plan()
+        with pytest.raises(ValueError, match="channel length"):
+            observe_pilots(ChannelRealization(np.ones((1, 16), dtype=complex)), plan, 0.0, rng_seed=0)

@@ -247,7 +247,7 @@ class TestRunSweep:
         for r, ref in zip(records, reference):
             assert abs(r.nmse - ref.nmse) <= 1e-12 * ref.nmse
 
-    def test_sbar_and_selmmse_estimate_each_point_as_one_block(self, monkeypatch):
+    def test_every_scheme_estimates_each_point_as_one_block(self, monkeypatch):
         calls = Counter()
 
         def counted(name):
@@ -276,7 +276,7 @@ class TestRunSweep:
         points = len(cfg.pilot_counts) * len(cfg.snr_db)
         assert calls["reconstruct"] == 2 * points
         assert calls["estimate_selmmse"] == points
-        assert calls["estimate_fas_omp"] == points * cfg.trials
+        assert calls["estimate_fas_omp"] == points
         assert calls["nmse"] == 4 * points
         assert len(records) == 4 * points * cfg.trials
 
