@@ -414,9 +414,10 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     fills its (K, G) block once, for its first correlations and the Gram's
     first row, and a pick then costs (k + 1) * G, not K * G.
 
-    A block of trials runs in chunks whose pursuit arrays take about 2 MB,
-    so memory does not grow with T beyond the estimate itself.  A trial's
-    estimate is bit for bit that of its lone call.
+    A block of trials runs in chunks of as many trials as fit 2 MiB of kept
+    Gram rows and lags (10 at N = 256, one from N = 2048 on), so memory does
+    not grow with T beyond the estimate itself.  A trial's estimate is bit
+    for bit that of its lone call.
 
     Parameters
     ----------
