@@ -13,14 +13,13 @@ Two conventional references for the planned Bayesian scheme:
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .channels import ChannelRealization, _expand, _measured_ports, _phase_table
+from .channels import ChannelRealization, _expand, _measured_ports, _phase_table, _whole_number
 
 
 class RankDeficientFitWarning(RuntimeWarning):
@@ -97,15 +96,10 @@ def build_steering_dictionary(geom, oversampling=4):
     ``oversampling`` must be a whole number of at least 1; a bool, a
     fraction or a non-number raises ValueError.
     """
-    if (
-        isinstance(oversampling, bool)
-        or not isinstance(oversampling, numbers.Real)
-        or oversampling % 1 != 0
-    ):
-        raise ValueError(f"oversampling must be a whole number, got {oversampling!r}")
+    oversampling = _whole_number(oversampling, "oversampling")
     if oversampling < 1:
         raise ValueError("oversampling must be at least 1")
-    grid = np.linspace(-1.0, 1.0, int(oversampling) * geom.num_ports)
+    grid = np.linspace(-1.0, 1.0, oversampling * geom.num_ports)
     return SteeringDictionary(geom.num_ports, grid, *_phase_table(geom, grid))
 
 
@@ -116,7 +110,7 @@ def selmmse_ports(num_ports, num_measurements):
     which lands on every port when PM = N.  Centers lie N/PM >= 1 apart, so
     the ports, returned 0-based, are strictly increasing.
     """
-    n, pm = int(num_ports), int(num_measurements)
+    n, pm = _whole_number(num_ports, "num_ports"), _whole_number(num_measurements, "num_measurements")
     if pm < 1:
         raise ValueError("num_measurements must be positive")
     if pm > n:
@@ -150,7 +144,7 @@ def estimate_selmmse(y, ports, num_ports):
 
 def random_ports(num_ports, num_measurements, rng_seed):
     """Distinct uniformly random measurement ports, 0-based sorted."""
-    n, pm = int(num_ports), int(num_measurements)
+    n, pm = _whole_number(num_ports, "num_ports"), _whole_number(num_measurements, "num_measurements")
     if pm < 1 or pm > n:
         raise ValueError("need 1 <= num_measurements <= num_ports")
     rng = np.random.default_rng(rng_seed)
@@ -159,82 +153,6 @@ def random_ports(num_ports, num_measurements, rng_seed):
 
 # the kept Gram rows and the lags of one chunk of trials stay within this
 _CHUNK_BYTES = 2 << 20
-
-
-def omp_solve(measured_atoms, y, max_atoms, residual_tol):
-    """Orthogonal matching pursuit on an explicit measurement matrix.
-
-    Greedily picks the atom most correlated with the residual, |a_g^H r|,
-    and stops when max_atoms are used or the residual drops below
-    residual_tol * ||y||.  The picked atoms A_S are kept as a thin QR
-    factor A_S = Q R: each pick orthogonalizes its atom against Q by
-    classical Gram-Schmidt applied twice, appending one column to Q and
-    to the upper-triangular R, and the residual loses its projection on
-    the new column.  The least-squares coefficients come at the end from
-    one triangular solve R x = Q^H y.
-
-    The correlations are not formed from the residual.  With x = R^-1 Q^H y
-    the least-squares fit of the picks so far, A^H r = A^H y - sum_j x_j A^H a_j
-    over the picked atoms a_j, so a pick costs the new Gram column A^H a_j
-    and one product with the k + 1 columns kept: (k + 1) * G work where
-    A^H r would take m * G.  Here the Gram columns come from the matrix;
-    ``estimate_fas_omp`` cuts them from the Toeplitz Gram of its measured
-    atoms.  Picks, coefficients and norms are those of a pursuit that
-    correlates the residual itself, except where two correlations tie to
-    rounding.
-
-    A pick is rank deficient, by the rule of ``np.linalg.lstsq`` with
-    ``rcond=None`` applied to R (which has the singular values of A_S),
-    when it would use more atoms k than the m rows, when r_kk = 0, or when
-    s_min(R) <= eps * max(m, k) * s_max(R).  The bounds
-    s_min >= 1 / ||R^-1||_F and s_max <= ||R||_F, both updated in O(k^2)
-    per pick, certify most picks; only when they cannot is R's SVD taken.
-    A rank-deficient pick stops the pursuit early with a
-    RankDeficientFitWarning, keeping the last full-rank fit.
-
-    The pursuit runs on y * 2^-e, where 2^(e-1) <= max|y| < 2^e within
-    the float range, and scales its coefficients and norms back by 2^e.
-    Scaling by a power of two is exact, so the result is unchanged wherever
-    ||y|| could be formed directly, and ||y|| neither underflows nor
-    overflows at extreme scales.  A NaN or infinite entry of y raises
-    ValueError before the pursuit starts, and a picked atom holding one
-    raises ValueError before the solve.
-
-    Returns
-    -------
-    (coeffs, support, residual_norms)
-        Least-squares coefficients per support atom, the picked column
-        indices in order, and ||residual|| after 0, 1, ... picks.
-    """
-    a = np.asarray(measured_atoms)
-    y = np.asarray(y)
-    if a.shape[0] != y.size:
-        raise ValueError("measurement matrix rows must match observation length")
-    _check_pursuit(y, max_atoms, residual_tol)
-    y, scale = _scaled(y.reshape(1, -1))
-    grams = np.empty((1, min(int(max_atoms), y.size) + 1, a.shape[1]), dtype=complex)
-    grams[:, 0] = np.conj(y) @ a
-    coeffs, picked, norms, counts = _pursue(
-        y,
-        scale,
-        grams,
-        lambda live, picks, out: np.copyto(out, a[:, picks].T),
-        lambda live, picks, out: np.matmul(np.conj(a[:, picks]).T, a, out=out),
-        np.result_type(a, y, 1.0),
-        max_atoms,
-        residual_tol,
-    )
-    k = counts[0]
-    return coeffs[0, :k] if k else np.zeros(0, dtype=complex), picked[0, :k].tolist(), norms[0, : k + 1].tolist()
-
-
-def _check_pursuit(y, max_atoms, residual_tol):
-    if max_atoms < 1:
-        raise ValueError("max_atoms must be positive")
-    if residual_tol < 0.0:
-        raise ValueError("residual_tol must be nonnegative")
-    if not np.isfinite(y).all():
-        raise ValueError("observation y holds a non-finite entry")
 
 
 def _scaled(y):
@@ -246,42 +164,64 @@ def _scaled(y):
     return y * np.ldexp(1.0, -e)[:, None], np.ldexp(1.0, e)
 
 
-def _pursue(y, scale, grams, atoms, gram_rows, dtype, max_atoms, residual_tol):
-    """``omp_solve``'s pursuit on T trials at once, one pick of each per step.
+def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
+    """Orthogonal matching pursuit of T trials at once, one pick of each per step.
+
+    Trial t greedily picks the atom most correlated with its residual,
+    |a_g^H r|, and stops when max_atoms are used or the residual drops to
+    residual_tol * ||y_t||.  Its picked atoms A_S are kept as a thin QR
+    factor A_S = Q R: each pick orthogonalizes its atom, formed from the
+    dictionary's phase tables at ``ports[t]``, against Q by classical
+    Gram-Schmidt applied twice, appending one column to Q and to the
+    upper-triangular R, and the residual loses its projection on the new
+    column.  The least-squares coefficients come at the end from one
+    triangular solve R x = Q^H y.
+
+    The correlations are not formed from the residual.  With x the fit of
+    the picks so far, A^H r = A^H y - sum_j x_j A^H a_j, so a pick costs one
+    Gram row and a product with the k + 1 rows kept: (k + 1) * G work where
+    A^H r would take m * G.  ``grams`` is a (T, min(max_atoms, m) + 1, G)
+    array whose row grams[t, 0] holds y_t^H A_t; the pursuit cuts the Gram
+    row a^H A_t of pick k from ``lags[t]`` into grams[t, k + 1], as
+    ``SteeringDictionary._correlations`` lays both out, and weights the
+    rows by [1, -conj(x)].  Picks and coefficients are those of a pursuit
+    that correlates the residual itself, except where correlations differ
+    by less than the rounding of that difference of O(||y||) terms, as
+    they do among nearly collinear atoms.
+
+    A pick is rank deficient, by the rule of ``np.linalg.lstsq`` with
+    ``rcond=None`` applied to R (which has the singular values of A_S),
+    when it would use more atoms k than the m rows, when r_kk = 0, or when
+    s_min(R) <= eps * max(m, k) * s_max(R).  The bounds
+    s_min >= 1 / ||R^-1||_F and s_max <= ||R||_F, both updated in O(k^2)
+    per pick, certify most picks; only when they cannot is R's SVD taken.
+    A rank-deficient pick stops its trial with a RankDeficientFitWarning,
+    keeping the last full-rank fit.
 
     ``y`` holds the T observations as rows, scaled as ``_scaled`` leaves
-    them, and ``scale`` the factors that undo it.  ``grams`` is a
-    (T, min(max_atoms, m) + 1, G) array whose row grams[t, 0] holds the
-    correlations y_t^H A_t; the pursuit writes the Gram row a^H A_t of pick
-    k into grams[t, k + 1], and the correlations are then these rows
-    weighted by [1, -conj(x)] with x the least-squares fit.  ``atoms(live,
-    picks, out)`` writes atom picks[i] at the ports of trial live[i] into
-    row i of ``out``, and ``gram_rows(live, picks, out)`` its Gram row.  A
-    trial whose pursuit stops leaves the arrays, and the others go on.
+    them, and ``scale`` the factors that undo it.  A trial whose pursuit
+    stops leaves the arrays, and the others go on.  Each product of a
+    trial's QR arithmetic is its own BLAS call, the one a lone trial makes:
+    ``np.matvec`` and ``np.vecdot`` call BLAS as ``@`` and ``np.vdot`` do on
+    one trial's vectors.  So a trial's fit does not depend on the trials
+    beside it.
 
-    Each product of a trial's QR arithmetic is its own BLAS call, the one
-    a lone trial makes: ``np.matvec`` and ``np.vecdot`` call BLAS as ``@``
-    and ``np.vdot`` do on one trial's vectors.  So a trial's fit does not
-    depend on the trials beside it.
-
-    Returns (coeffs, picked, norms, counts): trial t picked the atoms
-    picked[t, :k] with k = counts[t], fitted them with coeffs[t, :k] and
-    left the residual norms norms[t, :k + 1]; the entries beyond are 0.
+    Returns (coeffs, picked, counts): trial t picked the atoms
+    picked[t, :k] with k = counts[t] and fitted them with coeffs[t, :k];
+    the entries beyond are 0.
     """
     trials, m = y.shape
     g = grams.shape[2]
-    max_atoms = int(max_atoms)
     size = min(max_atoms, m)
     eps = np.finfo(float).eps
-    coeffs_out = np.zeros((trials, size), dtype=dtype)
+    coeffs_out = np.zeros((trials, size), dtype=complex)
     picked_out = np.zeros((trials, size), dtype=np.intp)
-    norms_out = np.zeros((trials, size + 1))
     counts = np.zeros(trials, dtype=np.intp)
     live = np.arange(trials)
     offsets = live[:, None] * g  # flat index of each row of the correlations
-    q = np.zeros((trials, size, m), dtype=dtype)  # q_k as rows
+    q = np.zeros((trials, size, m), dtype=complex)  # q_k as rows
     qh = np.zeros_like(q)  # their conjugates, so Q^H v = qh @ v
-    r = np.zeros((trials, size, size), dtype=dtype)
+    r = np.zeros((trials, size, size), dtype=complex)
     r_inv = np.zeros_like(r)
     fro2 = np.zeros(trials)  # squared Frobenius norms of R and R^-1
     inv_fro2 = np.zeros(trials)
@@ -292,15 +232,18 @@ def _pursue(y, scale, grams, atoms, gram_rows, dtype, max_atoms, residual_tol):
     weights[:, 0] = 1.0
     t = np.zeros((trials, size), dtype=complex)  # conj(Q^H y)
     residual_h = np.conj(y).astype(complex)  # r^H, so a^H r is the conjugate of residual_h @ a
-    norms = np.empty((trials, size + 1))
     # ||y|| as np.linalg.norm forms it
-    parts = (y.real, y.imag) if np.iscomplexobj(y) else (y,)
-    norms[:, 0] = np.sqrt(sum(np.vecdot(part, part) for part in parts))
-    stop = residual_tol * norms[:, 0]
+    norm = np.sqrt(np.vecdot(y.real, y.real) + np.vecdot(y.imag, y.imag))
+    stop = residual_tol * norm
     stopped = np.zeros(trials, dtype=bool)
+    # flat positions of each measured port's row in the phase tables
+    hi, lo = dictionary.hi.reshape(-1), dictionary.lo.reshape(-1)
+    hi_at, lo_at = np.divmod(ports, dictionary.lo.shape[0])
+    hi_at *= g
+    lo_at *= g
     # a column of a measured block reaches BLAS at a stride, where a dot
     # product is summed in another order than at unit stride: lay atoms out so
-    atom_rows = np.empty((trials, m, 2), dtype=dtype)
+    atom_rows = np.empty((trials, m, 2), dtype=complex)
     (trtrs,) = get_lapack_funcs(("trtrs",), (r,))
 
     def finish(rows, k):
@@ -308,7 +251,6 @@ def _pursue(y, scale, grams, atoms, gram_rows, dtype, max_atoms, residual_tol):
         done = live[rows]
         counts[done] = k
         picked_out[done] = picked[rows]
-        norms_out[done, : k + 1] = norms[rows, : k + 1] * scale[rows, None]
         if not k:
             return
         rhs = np.matvec(qh[rows, :k], y[rows])
@@ -326,7 +268,7 @@ def _pursue(y, scale, grams, atoms, gram_rows, dtype, max_atoms, residual_tol):
     # a row whose r_kk is 0 divides by it before it stops, and leaves at the next step
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(max_atoms):
-            leave = stopped | (norms[:, k] <= stop)
+            leave = stopped | (norm <= stop)
             if leave.any():
                 finish(np.flatnonzero(leave & ~stopped), k)
                 keep = ~leave
@@ -334,7 +276,7 @@ def _pursue(y, scale, grams, atoms, gram_rows, dtype, max_atoms, residual_tol):
                     x[keep] for x in (live, y, scale, alpha, q, qh, r, r_inv, fro2, inv_fro2, picked, grams, weights, t)
                 )
                 magnitudes = magnitudes[: live.size]
-                residual_h, norms, stop, stopped = residual_h[keep], norms[keep], stop[keep], stopped[keep]
+                residual_h, norm, stop, stopped = residual_h[keep], norm[keep], stop[keep], stopped[keep]
             n = live.size
             if not n:
                 break
@@ -347,7 +289,8 @@ def _pursue(y, scale, grams, atoms, gram_rows, dtype, max_atoms, residual_tol):
             np.put(magnitudes, picked[:, :k] + offsets[:n], -1.0)  # an atom is never picked twice
             pick = magnitudes.argmax(axis=1)
             atom = atom_rows[:n, :, 0]
-            atoms(live, pick, atom)
+            column = pick[:, None]
+            np.multiply(hi[hi_at[live] + column], lo[lo_at[live] + column], out=atom)
             q_k, qh_k, q_new, qh_new = q[:, :k], qh[:, :k], q[:, k], qh[:, k]
             q_kt = q_k.transpose(0, 2, 1)  # np.matvec(q_kt, c) is c @ q_k
             col = np.matvec(qh_k, atom)
@@ -385,15 +328,17 @@ def _pursue(y, scale, grams, atoms, gram_rows, dtype, max_atoms, residual_tol):
             # conj(q_k^H r), which the residual loses times q_k
             t_k = np.vecdot(qh_new, residual_h)
             residual_h -= t_k[:, None] * qh_new
-            norms[:, k + 1] = np.sqrt(np.vecdot(residual_h, residual_h).real)
+            norm = np.sqrt(np.vecdot(residual_h, residual_h).real)
             t[:, k] = t_k
             if k + 1 < size:  # the next step picks
-                gram_rows(live, pick, grams[:, k + 1])
+                # Gram row j of trial t is lags[t, G - 1 - j : 2G - 1 - j]
+                for row, trial, first in zip(grams[:, k + 1], live.tolist(), (g - 1 - pick).tolist()):
+                    row[...] = lags[trial, first : first + g]
                 np.negative(np.matvec(np.conj(r_inv[:, : k + 1, : k + 1]), t[:, : k + 1]), out=weights[:, 1 : k + 2])
                 alpha = np.matvec(grams[:, : k + 2].transpose(0, 2, 1), weights[:, : k + 2], out=alpha_rows[:n])
         else:
             finish(np.flatnonzero(~stopped), max_atoms)
-    return coeffs_out, picked_out, norms_out, counts
+    return coeffs_out, picked_out, counts
 
 
 def _warn_rank_deficient():
@@ -407,12 +352,19 @@ def _warn_rank_deficient():
 def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     """Sparse recovery of the full channel from random-port measurements.
 
-    Runs OMP on the atoms' entries at the measured ports, then expands the
-    recovered atom coefficients over all ports.  The pursuit is
-    ``omp_solve``'s, with each Gram column cut from the Toeplitz Gram of
-    the measured atoms (see ``SteeringDictionary._correlations``): a trial
-    fills its (K, G) block once, for its first correlations and the Gram's
-    first row, and a pick then costs (k + 1) * G, not K * G.
+    Runs OMP (see ``_pursue``) on the atoms' entries at the measured ports,
+    then expands the recovered atom coefficients over all ports.  Each Gram
+    row is cut from the Toeplitz Gram of the measured atoms (see
+    ``SteeringDictionary._correlations``): a trial fills its (K, G) block
+    once, for its first correlations and the Gram's first row, and a pick
+    then costs (k + 1) * G, not K * G.
+
+    The pursuit runs on y_t * 2^-e, where 2^(e-1) <= max|y_t| < 2^e within
+    the float range, and scales its coefficients back by 2^e.  Scaling by
+    a power of two is exact, so the fit is unchanged wherever ||y_t|| could
+    be formed directly, and ||y_t|| neither underflows nor overflows at
+    extreme scales.  A NaN or infinite entry of y raises ValueError before
+    the pursuit starts.
 
     A block of trials runs in chunks of as many trials as fit 2 MiB of kept
     Gram rows and lags (10 at N = 256, one from N = 2048 on), so memory does
@@ -431,7 +383,8 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     dictionary : SteeringDictionary
         Full-aperture atoms to search over.
     max_atoms : int
-        Sparsity cap (number of pursuit iterations).
+        Sparsity cap (number of pursuit iterations), a whole number of at
+        least 1.
     residual_tol : float
         Relative residual at which the pursuit stops early.
 
@@ -446,13 +399,18 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     ports = _measured_ports(ports, dictionary.num_ports, y.ndim)
     if y.shape != ports.shape:
         raise ValueError("one measurement per port is required")
-    _check_pursuit(y, max_atoms, residual_tol)
+    max_atoms = _whole_number(max_atoms, "max_atoms")
+    if max_atoms < 1:
+        raise ValueError("max_atoms must be positive")
+    if residual_tol < 0.0:
+        raise ValueError("residual_tol must be nonnegative")
+    if not np.isfinite(y).all():
+        raise ValueError("observation y holds a non-finite entry")
     one = y.ndim == 1
     y, ports = np.atleast_2d(y, ports)
-    n, g, b = dictionary.num_ports, dictionary.grid.size, dictionary.lo.shape[0]
-    hi, lo = dictionary.hi.reshape(-1), dictionary.lo.reshape(-1)
+    n, g = dictionary.num_ports, dictionary.grid.size
     # a trial keeps size + 1 Gram rows and 2G - 1 lags
-    size = min(int(max_atoms), y.shape[1])
+    size = min(max_atoms, y.shape[1])
     chunk = max(1, min(len(y), _CHUNK_BYTES // (16 * g * (size + 3))))
     alpha = np.empty((chunk, g), dtype=complex)
     lags = np.empty((chunk, 2 * g - 1), dtype=complex)
@@ -466,21 +424,8 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
         if grams is None:  # made once the first measured block is freed, so a lone chunk never holds both
             grams = np.empty((chunk, size + 1, g), dtype=complex)
         grams[:trials, 0] = alpha[:trials]
-        # flat positions of each measured port's row in the phase tables
-        hi_at, lo_at = np.divmod(ports[part], b)
-        hi_at *= g
-        lo_at *= g
-
-        def atoms(live, picks, out):
-            column = picks[:, None]
-            np.multiply(hi[hi_at[live] + column], lo[lo_at[live] + column], out=out)
-
-        def gram_rows(live, picks, out):
-            for row, trial, first in zip(out, live.tolist(), (g - 1 - picks).tolist()):
-                row[...] = lags[trial, first : first + g]
-
-        coeffs, picked, _, counts = _pursue(
-            scaled, scale, grams[:trials], atoms, gram_rows, complex, max_atoms, residual_tol
+        coeffs, picked, counts = _pursue(
+            scaled, scale, grams[:trials], lags[:trials], ports[part], dictionary, max_atoms, residual_tol
         )
         for estimate, support, fit, k in zip(estimates[part], picked, coeffs, counts.tolist()):
             if k:

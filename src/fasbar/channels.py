@@ -29,6 +29,7 @@ absolute at N = 256, ~2e-14 at N = 4096).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from dataclasses import dataclass
@@ -268,6 +269,15 @@ def draw_port_noise(num_ports, noise_power, rng_seed):
     rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(noise_power / 2.0)
     return scale * (rng.standard_normal(num_ports) + 1j * rng.standard_normal(num_ports))
+
+
+def _whole_number(value, name):
+    """``value`` as an int, for a count: a whole number such as 4, 4.0 or
+    np.int64(4).  A bool, a fraction or a non-number raises ValueError
+    naming ``name``, where a bare ``int()`` would read True as 1 and 2.7 as 2."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _measured_ports(ports, num_ports, ndim=1):

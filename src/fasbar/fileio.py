@@ -210,11 +210,14 @@ def save_plan(path, plan):
 
 def load_plan(path):
     """Read a plan; ValueError if a dimension or port is not an integer, the
-    noise power is not a finite number or its order or arrays disagree
-    with N, P, M."""
+    noise power is not a finite number, its weights or variances hold a
+    NaN or infinity, or its order or arrays disagree with N, P, M."""
     header, arrays = read_container(path)
     if header.get("content") != "plan":
         raise ValueError(f"{path} does not hold a sampling plan")
+    for name in ("weights", "post_diag"):
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"plan array {name!r} holds a non-finite entry")
     return SamplingPlan(
         num_ports=_header_int(header["num_ports"], "num_ports"),
         num_timeslots=_header_int(header["num_timeslots"], "num_timeslots"),
@@ -228,21 +231,32 @@ def load_plan(path):
 
 
 def save_observation(path, observation):
+    """Write one round of pilots, shape (K,); ValueError for any other shape."""
+    values = np.asarray(observation.values)
+    if values.ndim != 1:
+        raise ValueError(f"an observation file holds one round of shape (K,), got shape {values.shape}")
     doc = {
         "content": "observation",
         "plan_id": observation.plan_id,
         "noise_power": observation.noise_power,
-        "values": [[float(v.real), float(v.imag)] for v in np.asarray(observation.values)],
+        "values": [[float(v.real), float(v.imag)] for v in values],
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 def load_observation(path):
+    """Read an observation; ValueError naming the field for a noise power
+    that is not a finite number, a NaN or infinite value or a plan id that
+    is not a string."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("content") != "observation":
         raise ValueError(f"{path} does not hold an observation")
     values = np.array([complex(re, im) for re, im in doc["values"]])
-    return PilotObservation(values, float(doc["noise_power"]), doc["plan_id"])
+    if not np.isfinite(values).all():
+        raise ValueError("observation 'values' holds a non-finite entry")
+    if not isinstance(doc["plan_id"], str):
+        raise ValueError(f"observation 'plan_id' must be a string, got {doc['plan_id']!r}")
+    return PilotObservation(values, _header_float(doc["noise_power"], "noise_power"), doc["plan_id"])
 
 
 def save_estimate(path, reconstruction):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .channels import _check_noise_power, _measured_ports
+from .channels import _check_noise_power, _measured_ports, _whole_number
 
 #: posterior-variance-plus-noise denominators below this times trace/N
 #: indicate a collapsed prior; raising the kernel jitter is the fix
@@ -257,9 +257,9 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     kernel : Kernel
         Prior covariance over ports.
     num_timeslots : int
-        P, number of pilot slots to schedule.
+        P, number of pilot slots to schedule, a whole number.
     antennas_per_slot : int
-        M, ports measured per slot.
+        M, ports measured per slot, a whole number.
     noise_power : float
         Per-measurement noise variance s2 assumed online.
 
@@ -270,13 +270,14 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     Raises
     ------
     ValueError
-        For bad dimensions or noise power, or if the final variances show
-        the prior covariance is not positive semidefinite.
+        For bad dimensions (a bool or a fraction among them) or noise
+        power, or if the final variances show the prior covariance is not
+        positive semidefinite.
     numpy.linalg.LinAlgError
         If a pivot collapses to numerical zero or the weight solve misses
         its residual bound.
     """
-    p, m = int(num_timeslots), int(antennas_per_slot)
+    p, m = _whole_number(num_timeslots, "num_timeslots"), _whole_number(antennas_per_slot, "antennas_per_slot")
     if p < 1 or m < 1:
         raise ValueError("num_timeslots and antennas_per_slot must be positive")
     n = kernel.num_ports

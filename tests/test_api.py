@@ -4,7 +4,9 @@ Adding, removing or renaming a public name has to show up as an edit to
 this file.
 """
 
+import ast
 import types
+from pathlib import Path
 
 import fasbar
 
@@ -78,3 +80,25 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(fasbar, name), types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public top-level function or class that the package neither exports
+    # nor calls is reachable only from tests
+    sources = Path(fasbar.__file__).parent.glob("*.py")
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = sorted(
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in PUBLIC_NAMES | used
+    )
+    assert unused == []

@@ -233,6 +233,14 @@ def _negate_noise_power(doc):
     doc["noise_power"] = -0.5
 
 
+def _nan_weight(doc):
+    doc["array_data"]["weights"][3] = float("nan")
+
+
+def _infinite_variance(doc):
+    doc["array_data"]["post_diag"][1] = float("inf")
+
+
 def _drop_weight_column(doc):
     spec = next(s for s in doc["arrays"] if s["name"] == "weights")
     rows, cols = spec["shape"]
@@ -277,7 +285,8 @@ class TestPlanFiles:
 
     @pytest.mark.parametrize(
         "edit",
-        [_repeat_first_port, _use_port_zero, _drop_last_port, _drop_weight_column, _negate_noise_power],
+        [_repeat_first_port, _use_port_zero, _drop_last_port, _drop_weight_column, _negate_noise_power,
+         _nan_weight, _infinite_variance],
     )
     def test_hand_edited_plan_rejected(self, tmp_path, plan, edit):
         path = tmp_path / "plan.json"
@@ -405,6 +414,36 @@ class TestObservationAndEstimateFiles:
         assert np.array_equal(loaded.values, obs.values)
         assert loaded.noise_power == obs.noise_power
         assert loaded.plan_id == obs.plan_id
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("noise_power", True),
+            ("noise_power", "0.01"),
+            ("noise_power", float("nan")),
+            ("values", [[1.0, 2.0], [float("nan"), 0.0]]),
+            ("values", [[1.0, float("-inf")], [0.0, 0.0]]),
+            ("plan_id", 5),
+            ("plan_id", None),
+        ],
+        ids=["noise-bool", "noise-string", "noise-nan", "values-nan", "values-inf", "plan-id-number", "plan-id-null"],
+    )
+    def test_malformed_observation_file_rejected(self, tmp_path, key, value):
+        # a bare float() read true as 1.0, and NaN values loaded and reconstructed to NaN
+        path = tmp_path / "obs.json"
+        save_observation(path, PilotObservation(np.array([1 + 2j, -0.25j]), 0.01, "abc123"))
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_observation(path)
+
+    def test_block_of_rounds_is_not_saved(self, tmp_path):
+        # run_sweep builds (T, K) observations; saving one raised a TypeError from float()
+        obs = PilotObservation(np.ones((2, 3), dtype=complex), 0.01, "abc123")
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            save_observation(tmp_path / "obs.json", obs)
+        assert not (tmp_path / "obs.json").exists()
 
     def test_estimate_round_trip(self, tmp_path, plan):
         rng = np.random.default_rng(3)
