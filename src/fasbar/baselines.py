@@ -125,11 +125,13 @@ def estimate_selmmse(y, ports, num_ports):
     Every port copies the measurement of its closest measured port,
     ties going to the lower port index; measured ports keep their own
     measurement exactly.  ``ports`` must be distinct ports in
-    [0, num_ports), as ``observe_ports`` takes them.  ``y``
+    [0, num_ports), as ``observe_ports`` takes them, and ``num_ports`` a
+    whole number.  ``y``
     is one measurement per port, shape (K,), or a block of T rounds,
     shape (T, K), which holds T rounds in one (T, num_ports) estimate.
     """
     y = np.asarray(getattr(y, "values", y))
+    num_ports = _whole_number(num_ports, "num_ports")
     ports = _measured_ports(ports, num_ports)
     if y.ndim not in (1, 2) or y.shape[-1] != ports.size:
         raise ValueError("one measurement per port is required")
@@ -138,7 +140,7 @@ def estimate_selmmse(y, ports, num_ports):
     srt = np.argsort(ports)
     ports_sorted = ports[srt]
     # port n counts the midpoints strictly below it, so a tie goes to the lower port
-    nearest = np.searchsorted((ports_sorted[:-1] + ports_sorted[1:]) / 2, np.arange(int(num_ports)))
+    nearest = np.searchsorted((ports_sorted[:-1] + ports_sorted[1:]) / 2, np.arange(num_ports))
     return ChannelRealization(y.take(srt[nearest], axis=-1))
 
 

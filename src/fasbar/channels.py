@@ -120,7 +120,7 @@ def build_port_geometry(num_ports, aperture_in_wavelengths, carrier_hz):
     Parameters
     ----------
     num_ports : int
-        Number of ports N >= 2.
+        Number of ports N >= 2, a whole number.
     aperture_in_wavelengths : float
         Aperture length in carrier wavelengths, > 0.
     carrier_hz : float
@@ -132,7 +132,7 @@ def build_port_geometry(num_ports, aperture_in_wavelengths, carrier_hz):
         Geometry with positions x_n = (n-1) * W/(N-1) * lambda for
         n = 1..N (0-based internally).
     """
-    num_ports = int(num_ports)
+    num_ports = _whole_number(num_ports, "num_ports")
     if num_ports < 2:
         raise ValueError("num_ports must be at least 2")
     if aperture_in_wavelengths <= 0.0:

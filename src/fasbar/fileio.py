@@ -141,6 +141,15 @@ def _header_float(value, key):
     return float(value)
 
 
+def _complex_pair(pair, key):
+    """A stored [re, im] pair as a complex number; ValueError naming ``key``
+    unless both parts are numbers by the ``_header_float`` rule, where
+    ``complex()`` would read [true, false] as 1+0j."""
+    if not isinstance(pair, list) or len(pair) != 2 or any(type(v) not in (int, float) for v in pair):
+        raise ValueError(f"{key!r} must hold [re, im] pairs of numbers, got {pair!r}")
+    return complex(*pair)
+
+
 def save_kernel(path, kernel):
     """Persist a kernel with its hyperparameters.
 
@@ -246,12 +255,12 @@ def save_observation(path, observation):
 
 def load_observation(path):
     """Read an observation; ValueError naming the field for a noise power
-    that is not a finite number, a NaN or infinite value or a plan id that
-    is not a string."""
+    that is not a finite number, a value that is not an [re, im] pair of
+    numbers, a NaN or infinite value or a plan id that is not a string."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("content") != "observation":
         raise ValueError(f"{path} does not hold an observation")
-    values = np.array([complex(re, im) for re, im in doc["values"]])
+    values = np.array([_complex_pair(pair, "values") for pair in doc["values"]])
     if not np.isfinite(values).all():
         raise ValueError("observation 'values' holds a non-finite entry")
     if not isinstance(doc["plan_id"], str):
@@ -276,6 +285,6 @@ def load_estimate(path):
     if doc.get("content") != "estimate":
         raise ValueError(f"{path} does not hold an estimate")
     return Reconstruction(
-        estimate=np.array([complex(re, im) for re, im in doc["estimate"]]),
+        estimate=np.array([_complex_pair(pair, "estimate") for pair in doc["estimate"]]),
         post_variance=np.asarray(doc["post_variance"], dtype=float),
     )

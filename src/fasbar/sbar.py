@@ -16,8 +16,10 @@ factorization of Sigma with s2 added at each pivot (Harbrecht, Peters &
 Schneider, 2012), so one pass over K = P*M pivots gives the port order,
 the posterior variances and the Cholesky factor of the measured-port
 system together.  It costs O(N*K^2) time and O(N*K) memory beyond the
-kernel.  ``initial_posterior``/``posterior_update_one`` keep the dense
-rank-one recursion over the full N x N posterior as a reference.  A plan
+kernel.  No pick depends on P, so the first P*M picks of a longer pass
+are the plan for P, and a sweep designs all its budgets in one pass.
+``initial_posterior``/``posterior_update_one`` keep the dense rank-one
+recursion over the full N x N posterior as a reference.  A plan
 stores the port order and the weights; switch matrices are read off the
 order.
 
@@ -277,23 +279,40 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
         If a pivot collapses to numerical zero or the weight solve misses
         its residual bound.
     """
-    p, m = _whole_number(num_timeslots, "num_timeslots"), _whole_number(antennas_per_slot, "antennas_per_slot")
-    if p < 1 or m < 1:
+    return _design_plans(kernel, (num_timeslots,), antennas_per_slot, noise_power)[0]
+
+
+def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
+    """``design_plan`` for every P in ``pilot_counts``, from one greedy pass.
+
+    No pick depends on P, so the plan for P is the first P*M picks of one
+    pass over max(P)*M pivots: its variances are copied after pick P*M,
+    and its weights solve against the leading P*M rows of the block.  The
+    plans come back in the order the counts are given and equal the ones
+    lone designs return.  A collapsed pivot anywhere in the pass fails the
+    call, as it fails a lone design of the largest P; the other checks run
+    count by count, in the given order.
+    """
+    counts = [_whole_number(p, "num_timeslots") for p in pilot_counts]
+    m = _whole_number(antennas_per_slot, "antennas_per_slot")
+    if min(counts) < 1 or m < 1:
         raise ValueError("num_timeslots and antennas_per_slot must be positive")
     n = kernel.num_ports
-    k = p * m
-    if k > n:
-        raise ValueError(f"plan asks for {k} measurements but only {n} ports exist")
+    k_max = max(counts) * m
+    if k_max > n:
+        raise ValueError(f"plan asks for {k_max} measurements but only {n} ports exist")
     _check_noise_power(noise_power)
     sigma = kernel.matrix
     var = sigma.diagonal().real.copy()
     prior_max = float(var.max())
     measured = np.zeros(n, dtype=bool)
-    # row i of bh is column i of B, conjugated: bh = B^H, shape (K, N)
-    bh = np.empty((k, n), dtype=complex)
+    # row i of bh is column i of B, conjugated: bh = B^H, shape (max K, N)
+    bh = np.empty((k_max, n), dtype=complex)
     order = []
-    pivots = np.empty(k)
-    for i in range(k):
+    pivots = np.empty(k_max)
+    # the variances after pick K, for every requested K = P*M
+    post_diags = dict.fromkeys(p * m for p in counts)
+    for i in range(k_max):
         j = int(np.argmax(np.where(measured, -np.inf, var)))
         pivot = var[j] + noise_power
         floor = _DENOM_FLOOR_SCALE * float(var.sum()) / n
@@ -308,37 +327,45 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
         var -= bh[i].real ** 2 + bh[i].imag ** 2
         measured[j] = True
         order.append(j)
-    if var.min() < -_NEGATIVE_VARIANCE_TOL * prior_max:
-        raise ValueError(
-            f"prior covariance is not positive semidefinite: a posterior variance "
-            f"reached {var.min():.3e}"
+        if i + 1 in post_diags:
+            post_diags[i + 1] = var.copy()
+    plans = []
+    for p in counts:
+        k = p * m
+        var = post_diags[k]
+        if var.min() < -_NEGATIVE_VARIANCE_TOL * prior_max:
+            raise ValueError(
+                f"prior covariance is not positive semidefinite: a posterior variance "
+                f"reached {var.min():.3e}"
+            )
+        idx = np.asarray(order[:k])
+        # L = tril(B(Omega, :), -1) + diag(pivots), and B(Omega, :) = bh[:K, Omega]^H
+        factor = np.tril(bh[:k, idx].conj().T, -1)
+        factor[np.diag_indices(k)] = pivots[:k]
+        # C-ordered so the online product sums identically after a save/load cycle
+        weights = np.ascontiguousarray(solve_triangular(factor, bh[:k], lower=True, trans="C"))
+        gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
+        residual = np.abs(gram @ weights - sigma[idx, :]).max()
+        bound = _WEIGHT_RESIDUAL_TOL * prior_max
+        if not residual < bound:
+            raise np.linalg.LinAlgError(
+                f"weight solve residual {residual:.3e} exceeds {bound:.3e}; system too ill-conditioned"
+            )
+        var.flags.writeable = False
+        weights.flags.writeable = False
+        plans.append(
+            SamplingPlan(
+                num_ports=n,
+                num_timeslots=p,
+                antennas_per_slot=m,
+                order=tuple(order[:k]),
+                weights=weights,
+                noise_power_design=float(noise_power),
+                kernel_fingerprint=kernel.fingerprint,
+                post_diag=var,
+            )
         )
-    idx = np.asarray(order)
-    # L = tril(B(Omega, :), -1) + diag(pivots), and B(Omega, :) = bh[:, Omega]^H
-    factor = np.tril(bh[:, idx].conj().T, -1)
-    factor[np.diag_indices(k)] = pivots
-    # C-ordered so the online product sums identically after a save/load cycle
-    weights = np.ascontiguousarray(solve_triangular(factor, bh, lower=True, trans="C"))
-    gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
-    residual = np.abs(gram @ weights - sigma[idx, :]).max()
-    bound = _WEIGHT_RESIDUAL_TOL * prior_max
-    if not residual < bound:
-        raise np.linalg.LinAlgError(
-            f"weight solve residual {residual:.3e} exceeds {bound:.3e}; system too ill-conditioned"
-        )
-    order = tuple(order)
-    var.flags.writeable = False
-    weights.flags.writeable = False
-    return SamplingPlan(
-        num_ports=n,
-        num_timeslots=p,
-        antennas_per_slot=m,
-        order=order,
-        weights=weights,
-        noise_power_design=float(noise_power),
-        kernel_fingerprint=kernel.fingerprint,
-        post_diag=var,
-    )
+    return plans
 
 
 def reconstruct(plan, observation):

@@ -381,6 +381,17 @@ class TestSelmmse:
         with pytest.raises(ValueError, match="distinct"):
             estimate_selmmse(np.arange(1.0, 4.0), ports, 16)
 
+    @pytest.mark.parametrize("num_ports", [16.7, True, "16"])
+    def test_port_count_must_be_a_whole_number(self, num_ports):
+        # int() truncated 16.7, so the estimate had 16 ports
+        with pytest.raises(ValueError, match="num_ports must be a whole number"):
+            estimate_selmmse(np.ones(2), [0, 3], num_ports)
+
+    def test_whole_port_count_accepted(self):
+        expected = estimate_selmmse(np.arange(1.0, 3.0), [0, 3], 16).values
+        for num_ports in (16.0, np.int64(16)):
+            assert np.array_equal(estimate_selmmse(np.arange(1.0, 3.0), [0, 3], num_ports).values, expected)
+
     @pytest.mark.parametrize("ports", [[[0, 2]], [[0], [2]]])
     def test_two_dimensional_ports_rejected(self, ports):
         # [[0, 2]] used to fail with an IndexError inside the hold

@@ -64,6 +64,18 @@ class TestPortGeometry:
         with pytest.raises(ValueError):
             build_port_geometry(n, w, f)
 
+    @pytest.mark.parametrize("n", [16.7, 2.5, True, "16", None])
+    def test_port_count_must_be_a_whole_number(self, n):
+        # int() built 16 ports from 16.7 and 16 from "16"
+        with pytest.raises(ValueError, match="num_ports must be a whole number"):
+            build_port_geometry(n, 5.0, 3.5e9)
+
+    @pytest.mark.parametrize("n", [16.0, np.int64(16), np.float64(16.0)])
+    def test_whole_port_count_accepted(self, n):
+        geom = build_port_geometry(n, 5.0, 3.5e9)
+        assert geom.num_ports == 16 and type(geom.num_ports) is int
+        assert geom.positions.tobytes() == build_port_geometry(16, 5.0, 3.5e9).positions.tobytes()
+
 
 class TestSscChannel:
     def test_single_broadside_ray_is_constant(self):

@@ -438,6 +438,39 @@ class TestObservationAndEstimateFiles:
         with pytest.raises(ValueError, match=f"'{key}'"):
             load_observation(path)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [[True, False], [1.0, False], ["1.0", 0.0], [1.0, None], [1.0, 2.0, 3.0], [1.0], 1.0],
+        ids=["bools", "bool-imag", "string", "null", "triple", "single", "bare-number"],
+    )
+    def test_values_must_be_pairs_of_numbers(self, tmp_path, pair):
+        # complex(re, im) read [true, false] as 1+0j
+        path = tmp_path / "obs.json"
+        save_observation(path, PilotObservation(np.array([1 + 2j, -0.25j]), 0.01, "abc123"))
+        doc = json.loads(path.read_text())
+        doc["values"][1] = pair
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'values' must hold"):
+            load_observation(path)
+
+    def test_integer_parts_load(self, tmp_path):
+        path = tmp_path / "obs.json"
+        save_observation(path, PilotObservation(np.array([1 + 2j, -0.25j]), 0.01, "abc123"))
+        doc = json.loads(path.read_text())
+        doc["values"][0] = [1, 2]
+        path.write_text(json.dumps(doc))
+        assert np.array_equal(load_observation(path).values, [1 + 2j, -0.25j])
+
+    def test_estimate_entries_must_be_pairs_of_numbers(self, tmp_path, plan):
+        rec = reconstruct(plan, PilotObservation(np.ones(6, dtype=complex), 0.8, plan.plan_id))
+        path = tmp_path / "est.json"
+        save_estimate(path, rec)
+        doc = json.loads(path.read_text())
+        doc["estimate"][0] = [True, False]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'estimate' must hold"):
+            load_estimate(path)
+
     def test_block_of_rounds_is_not_saved(self, tmp_path):
         # run_sweep builds (T, K) observations; saving one raised a TypeError from float()
         obs = PilotObservation(np.ones((2, 3), dtype=complex), 0.01, "abc123")

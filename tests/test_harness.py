@@ -177,23 +177,58 @@ class TestRunSweep:
         cfg = small_config(record_timing=False)
         assert run_sweep(cfg) == run_sweep(cfg)
 
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """(kernel fingerprint, M, noise power, pilot counts) of every greedy
+        pass the sweep runs, in call order."""
+        passes = []
+        original = fasbar.harness._design_plans
+
+        def counted(kernel, pilot_counts, antennas_per_slot, noise_power):
+            passes.append((kernel.fingerprint, antennas_per_slot, noise_power, tuple(pilot_counts)))
+            return original(kernel, pilot_counts, antennas_per_slot, noise_power)
+
+        monkeypatch.setattr(fasbar.harness, "_design_plans", counted)
+        return passes
+
     def test_plan_cache_does_not_change_results(self, monkeypatch):
-        cfg = small_config(record_timing=False)
+        cfg = small_config(
+            record_timing=False,
+            pilot_counts=(2, 1, 3),
+            snr_db=(10.0, 20.0),
+            schemes=(SchemeSpec("sbar", kernel="exponential"), SchemeSpec("sbar", kernel="bessel")),
+        )
+        passes = self._count_passes(monkeypatch)
         cache = {}
         cold = run_sweep(cfg, plan_cache=cache)
-        designs = Counter()
-        original = fasbar.harness.design_plan
-
-        def counted(*args, **kwargs):
-            designs["design_plan"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(fasbar.harness, "design_plan", counted)
+        # a cold cache makes one pass per (kernel, M, noise) over every budget
+        assert len(passes) == len({pass_[:3] for pass_ in passes}) == 2 * 2
+        assert {counts for *_, counts in passes} == {cfg.pilot_counts}
+        assert len(cache) == 2 * 2 * 3
+        geom = fasbar.build_port_geometry(cfg.num_ports, cfg.aperture_wavelengths, cfg.carrier_hz)
+        kernels = {k.fingerprint: k for k in (fasbar.kernel_exponential(geom), fasbar.kernel_bessel(geom))}
+        for (fingerprint, p, m, noise_power), plan in cache.items():
+            lone = fasbar.design_plan(kernels[fingerprint], p, m, noise_power)
+            assert plan.plan_id == lone.plan_id
+            assert plan.weights.tobytes() == lone.weights.tobytes()
+            assert plan.post_diag.tobytes() == lone.post_diag.tobytes()
+        passes.clear()
         assert run_sweep(cfg, plan_cache=cache) == cold
-        assert designs["design_plan"] == 0
-        # without a warm cache every (P, noise) point is designed once
+        assert passes == []
         assert run_sweep(cfg) == cold
-        assert designs["design_plan"] == len(cfg.pilot_counts)
+        assert len(passes) == 2 * 2
+
+    def test_pass_designs_only_the_budgets_the_cache_lacks(self, monkeypatch):
+        cfg = small_config(record_timing=False)
+        full = {}
+        cold = run_sweep(cfg, plan_cache=full)
+        cache = {key: plan for key, plan in full.items() if key[1] == 1}
+        passes = self._count_passes(monkeypatch)
+        assert run_sweep(cfg, plan_cache=cache) == cold
+        assert [counts for *_, counts in passes] == [(2,)]
+        assert cache.keys() == full.keys()
+        for key, plan in cache.items():
+            assert plan.plan_id == full[key].plan_id
 
     def test_channel_seed_shared_across_schemes_and_budgets(self):
         records = run_sweep(small_config())

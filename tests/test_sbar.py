@@ -343,6 +343,65 @@ class TestPivotedCholeskyDesign:
         assert peak < n * n * 16 / 4
 
 
+class TestDesignPass:
+    """One greedy pass designs every pilot budget, as lone designs do."""
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("bessel", 256), ("bessel", 1024), ("exponential", 256), ("exponential", 1024), ("covariance", 256)],
+    )
+    def test_each_budget_equals_its_lone_design(self, kind, n):
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        if kind == "bessel":
+            kernel = kernel_bessel(geom)
+        elif kind == "exponential":
+            kernel = kernel_exponential(geom)
+        else:
+            kernel = kernel_covariance(
+                [generate_ssc_channel(geom, SscModelParams(rng_seed=s)) for s in range(40)]
+            )
+        counts = (10, 1, 4, 4, 7)
+        plans = fasbar.sbar._design_plans(kernel, counts, 4, n / 100.0)
+        assert [plan.num_timeslots for plan in plans] == list(counts)
+        for p, plan in zip(counts, plans):
+            lone = design_plan(kernel, p, 4, n / 100.0)
+            assert plan.order == lone.order
+            assert plan.plan_id == lone.plan_id
+            assert plan.weights.tobytes() == lone.weights.tobytes()
+            assert plan.post_diag.tobytes() == lone.post_diag.tobytes()
+
+    def test_pivot_collapse_fails_as_the_largest_lone_design(self):
+        # three ports carry variance, so a fourth noiseless pick collapses
+        kernel = diag_kernel([1.0, 2.0, 3.0, 0.0, 0.0])
+        design_plan(kernel, 3, 1, 0.0)
+        with pytest.raises(np.linalg.LinAlgError) as lone:
+            design_plan(kernel, 4, 1, 0.0)
+        with pytest.raises(np.linalg.LinAlgError) as joint:
+            fasbar.sbar._design_plans(kernel, (1, 4, 3), 1, 0.0)
+        assert str(joint.value) == str(lone.value)
+
+    def test_indefinite_prior_fails_at_the_first_count_gone_negative(self):
+        # ports 1 and 2 form the indefinite block [[3, 2], [2, 1]]; port 0 is
+        # uncoupled and port 3 couples to port 2 alone, so the variances are
+        # nonnegative after pick 1, then port 2 reaches 1 - 4/3.1 after pick 2
+        # and lower after pick 3
+        sigma = np.array(
+            [[4.0, 0, 0, 0], [0, 3.0, 2.0, 0], [0, 2.0, 1.0, 0.3], [0, 0, 0.3, 0.5]], dtype=complex
+        )
+        kernel = Kernel(sigma, "covariance")
+        design_plan(kernel, 1, 1, 0.1)
+        messages = {}
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="not positive semidefinite") as lone:
+                design_plan(kernel, p, 1, 0.1)
+            messages[p] = str(lone.value)
+        assert messages[2] != messages[3]
+        for counts, first in [((1, 2, 3), 2), ((3, 2), 3), ((2, 3), 2), ((1, 3), 3)]:
+            with pytest.raises(ValueError) as joint:
+                fasbar.sbar._design_plans(kernel, counts, 1, 0.1)
+            assert str(joint.value) == messages[first]
+
+
 class TestComputeWeights:
     def test_identity_kernel_zero_noise_selects(self):
         kernel = diag_kernel([1.0] * 6)
