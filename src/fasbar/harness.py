@@ -276,10 +276,7 @@ def run_sweep(config, plan_cache=None):
     def plan_for(scheme, p, noise_power):
         fingerprint = kernels[scheme].fingerprint
         if (fingerprint, p, m, noise_power) not in plan_cache:
-            # one greedy pass designs every pilot budget still missing
-            missing = [
-                q for q in dict.fromkeys(config.pilot_counts) if (fingerprint, q, m, noise_power) not in plan_cache
-            ]
+            missing = [q for q in config.pilot_counts if (fingerprint, q, m, noise_power) not in plan_cache]
             for q, plan in zip(missing, _design_plans(kernels[scheme], missing, m, noise_power)):
                 plan_cache[fingerprint, q, m, noise_power] = plan
         return plan_cache[fingerprint, p, m, noise_power]
