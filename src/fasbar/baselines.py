@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .channels import ChannelRealization, _expand, _measured_ports, _phase_table, _whole_number
+from .channels import ChannelRealization, _expand, _finite, _measured_ports, _phase_table, _whole_number
 
 
 class RankDeficientFitWarning(RuntimeWarning):
@@ -404,7 +404,7 @@ def estimate_fas_omp(y, ports, dictionary, max_atoms=9, residual_tol=1e-3):
     max_atoms = _whole_number(max_atoms, "max_atoms")
     if max_atoms < 1:
         raise ValueError("max_atoms must be positive")
-    if residual_tol < 0.0:
+    if _finite(residual_tol, "residual_tol") < 0.0:
         raise ValueError("residual_tol must be nonnegative")
     if not np.isfinite(y).all():
         raise ValueError("observation y holds a non-finite entry")

@@ -135,9 +135,9 @@ def build_port_geometry(num_ports, aperture_in_wavelengths, carrier_hz):
     num_ports = _whole_number(num_ports, "num_ports")
     if num_ports < 2:
         raise ValueError("num_ports must be at least 2")
-    if aperture_in_wavelengths <= 0.0:
+    if _finite(aperture_in_wavelengths, "aperture_in_wavelengths") <= 0.0:
         raise ValueError("aperture_in_wavelengths must be positive")
-    if carrier_hz <= 0.0:
+    if _finite(carrier_hz, "carrier_hz") <= 0.0:
         raise ValueError("carrier_hz must be positive")
     wavelength = SPEED_OF_LIGHT / float(carrier_hz)
     width = float(aperture_in_wavelengths) * wavelength
@@ -246,16 +246,17 @@ def noise_power_for_snr(h_ensemble_power, snr_db):
 
     The receiver SNR convention is E||h||^2 / sigma^2, so for the clustered
     model pass h_ensemble_power = N.  snr_db may be float('inf') for the
-    noiseless limit.
+    noiseless limit; NaN raises ValueError.
     """
-    if h_ensemble_power <= 0.0:
+    if _finite(h_ensemble_power, "h_ensemble_power") <= 0.0:
         raise ValueError("h_ensemble_power must be positive")
-    return float(h_ensemble_power) / 10.0 ** (float(snr_db) / 10.0)
+    snr_db = snr_db if snr_db == np.inf else _finite(snr_db, "snr_db")
+    return float(h_ensemble_power) / 10.0 ** (snr_db / 10.0)
 
 
 def _check_noise_power(noise_power):
-    if not 0.0 <= noise_power < np.inf:
-        raise ValueError(f"noise power must be finite and nonnegative, got {noise_power!r}")
+    if _finite(noise_power, "noise power") < 0.0:
+        raise ValueError(f"noise power must be nonnegative, got {noise_power!r}")
 
 
 def draw_port_noise(num_ports, noise_power, rng_seed):
@@ -280,6 +281,15 @@ def _whole_number(value, name):
     return int(value)
 
 
+def _finite(value, name):
+    """``value`` as a float, for a real number: a finite number such as 2 or
+    0.5.  A bool, NaN, an infinity or a non-number raises ValueError naming
+    ``name``, where a bare comparison lets NaN through and ``float()`` reads True as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _measured_ports(ports, num_ports, ndim=1):
     """``ports`` as an int array of distinct ports in [0, num_ports), each an
     integral number (3.0 is port 3): the one rule for every measured port set.
@@ -291,7 +301,7 @@ def _measured_ports(ports, num_ports, ndim=1):
         raise ValueError(f"one measurement per port is required; ports have shape {arr.shape}")
     # np.asarray reads [True, 3] as the ints [1, 3], so bools are sought in the input itself
     entries = ports if ndim == 1 else (p for row in ports for p in row)
-    bools = not isinstance(ports, np.ndarray) and any(isinstance(p, (bool, np.bool_)) for p in entries)
+    bools = not isinstance(ports, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, entries))
     if bools or arr.dtype.kind not in "iuf" or arr.dtype.kind == "f" and (arr != np.rint(arr)).any():
         raise ValueError(f"ports must be integral numbers, got {ports!r}")
     if arr.size and (arr.min() < 0 or arr.max() >= num_ports):
@@ -342,10 +352,7 @@ def observe_pilots(channel, plan, noise_power, rng_seed):
     PilotObservation
         y(k) = h(order[k]) + z_k, bound to ``plan.plan_id``.
     """
-    values = np.asarray(channel.values)
-    if values.shape != (plan.num_ports,):
+    if np.shape(channel.values) != (plan.num_ports,):
         raise ValueError("channel length does not match the plan's port count")
-    # SamplingPlan checked its order when it was made, and it is frozen
-    order = np.asarray(plan.order, dtype=int)
-    noise = draw_port_noise(plan.num_ports, noise_power, rng_seed)
-    return PilotObservation(values[order] + noise[order], float(noise_power), plan.plan_id)
+    values = observe_ports(channel.values, plan.order, noise_power, rng_seed)
+    return PilotObservation(values, float(noise_power), plan.plan_id)

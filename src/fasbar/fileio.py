@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import PilotObservation
+from .channels import PilotObservation, _finite, _whole_number
 from .kernels import KINDS, Kernel, toeplitz_view
 from .sbar import Reconstruction, SamplingPlan
 
@@ -124,30 +124,14 @@ def read_container(path):
     return header, arrays
 
 
-def _header_int(value, key):
-    """``value`` as an int; ValueError naming ``key`` for anything but an
-    integral number, where a bare ``int()`` would read true as 1 and 1.7 as 1."""
-    if type(value) not in (int, float) or value % 1 != 0:
-        raise ValueError(f"header {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _header_float(value, key):
-    """``value`` as a float; ValueError naming ``key`` for anything but a
-    finite number, where a bare ``float()`` would read true as 1.0 and
-    "1.0" as 1.0."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"header {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _complex_pair(pair, key):
     """A stored [re, im] pair as a complex number; ValueError naming ``key``
-    unless both parts are numbers by the ``_header_float`` rule, where
+    unless both parts are finite numbers by the ``_finite`` rule, where
     ``complex()`` would read [true, false] as 1+0j."""
-    if not isinstance(pair, list) or len(pair) != 2 or any(type(v) not in (int, float) for v in pair):
+    if not isinstance(pair, list) or len(pair) != 2:
         raise ValueError(f"{key!r} must hold [re, im] pairs of numbers, got {pair!r}")
-    return complex(*pair)
+    name = f"{key!r} must hold [re, im] pairs of numbers; each part"
+    return complex(_finite(pair[0], name), _finite(pair[1], name))
 
 
 def save_kernel(path, kernel):
@@ -179,7 +163,7 @@ def load_kernel(path):
         raise ValueError(f"{path} holds a Bessel kernel of order {header['order']}; only order 0 is supported")
     if header["kind"] not in KINDS:
         raise ValueError(f"header 'kind' must be one of {', '.join(KINDS)}, got {header['kind']!r}")
-    n = _header_int(header["num_ports"], "num_ports")
+    n = _whole_number(header["num_ports"], "header 'num_ports'")
     stored = np.asarray(arrays["matrix"], dtype=complex)
     if stored.shape not in ((n,), (n, n)):
         raise ValueError(f"kernel array must have shape ({n},) or ({n}, {n}), got {stored.shape}")
@@ -197,9 +181,9 @@ def load_kernel(path):
     return Kernel(
         matrix=matrix,
         kind=header["kind"],
-        alpha=_header_float(header["alpha"], "alpha"),
-        eta=_header_float(header["eta"], "eta"),
-        jitter=_header_float(header["jitter"], "jitter"),
+        alpha=_finite(header["alpha"], "header 'alpha'"),
+        eta=_finite(header["eta"], "header 'eta'"),
+        jitter=_finite(header["jitter"], "header 'jitter'"),
     )
 
 
@@ -228,12 +212,12 @@ def load_plan(path):
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"plan array {name!r} holds a non-finite entry")
     return SamplingPlan(
-        num_ports=_header_int(header["num_ports"], "num_ports"),
-        num_timeslots=_header_int(header["num_timeslots"], "num_timeslots"),
-        antennas_per_slot=_header_int(header["antennas_per_slot"], "antennas_per_slot"),
-        order=tuple(_header_int(p, "order") - 1 for p in header["order"]),
+        num_ports=_whole_number(header["num_ports"], "header 'num_ports'"),
+        num_timeslots=_whole_number(header["num_timeslots"], "header 'num_timeslots'"),
+        antennas_per_slot=_whole_number(header["antennas_per_slot"], "header 'antennas_per_slot'"),
+        order=tuple(_whole_number(p, "header 'order'") - 1 for p in header["order"]),
         weights=arrays["weights"],
-        noise_power_design=_header_float(header["noise_power"], "noise_power"),
+        noise_power_design=_finite(header["noise_power"], "header 'noise_power'"),
         kernel_fingerprint=header["kernel_fingerprint"],
         post_diag=arrays["post_diag"],
     )
@@ -261,11 +245,9 @@ def load_observation(path):
     if doc.get("content") != "observation":
         raise ValueError(f"{path} does not hold an observation")
     values = np.array([_complex_pair(pair, "values") for pair in doc["values"]])
-    if not np.isfinite(values).all():
-        raise ValueError("observation 'values' holds a non-finite entry")
     if not isinstance(doc["plan_id"], str):
         raise ValueError(f"observation 'plan_id' must be a string, got {doc['plan_id']!r}")
-    return PilotObservation(values, _header_float(doc["noise_power"], "noise_power"), doc["plan_id"])
+    return PilotObservation(values, _finite(doc["noise_power"], "observation 'noise_power'"), doc["plan_id"])
 
 
 def save_estimate(path, reconstruction):
@@ -279,12 +261,15 @@ def save_estimate(path, reconstruction):
 
 
 def load_estimate(path):
-    """Read an estimate; the band arrays that older files carry are ignored,
-    since the band is derived from the estimate and the variances."""
+    """Read an estimate; ValueError naming the key unless it holds [re, im]
+    pairs and one variance each, all finite numbers.  A variance a rounding
+    error below zero loads, as in a plan's ``post_diag``; the band clamps it.
+    The band arrays of older files are ignored: the band is derived."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("content") != "estimate":
         raise ValueError(f"{path} does not hold an estimate")
-    return Reconstruction(
-        estimate=np.array([_complex_pair(pair, "estimate") for pair in doc["estimate"]]),
-        post_variance=np.asarray(doc["post_variance"], dtype=float),
-    )
+    estimate = np.array([_complex_pair(pair, "estimate") for pair in doc["estimate"]])
+    variance = np.array([_finite(v, "estimate 'post_variance' entry") for v in doc["post_variance"]])
+    if variance.shape != estimate.shape:
+        raise ValueError(f"'post_variance' holds {variance.size} entries for {estimate.size} estimate entries")
+    return Reconstruction(estimate=estimate, post_variance=variance)

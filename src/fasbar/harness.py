@@ -35,6 +35,7 @@ from .baselines import (
 from .channels import (
     PilotObservation,
     SscModelParams,
+    _whole_number,
     build_port_geometry,
     draw_port_noise,
     generate_ssc_channel,
@@ -220,7 +221,7 @@ def train_covariance_kernel(config, train_timeslots):
     Training channels use the dedicated training seed stream derived from
     ``base_seed``, never the evaluation stream.
     """
-    t = int(train_timeslots)
+    t = _whole_number(train_timeslots, "train_timeslots")
     if t < 1:
         raise ValueError("train_timeslots must be at least 1")
     seeds = [training_seed(config.base_seed, i) for i in range(t)]

@@ -33,6 +33,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import jv
 
+from .channels import _finite
+
 EXPONENTIAL = "exponential"
 BESSEL = "bessel"
 COVARIANCE = "covariance"
@@ -108,7 +110,7 @@ def default_eta():
 def _checked_jitter(matrix, jitter):
     if jitter is None:
         jitter = DEFAULT_JITTER_SCALE * float(np.trace(matrix).real) / matrix.shape[0]
-    if jitter < 0.0:
+    if _finite(jitter, "jitter") < 0.0:
         raise ValueError("jitter must be nonnegative")
     return float(jitter)
 
@@ -135,11 +137,11 @@ def toeplitz_view(column):
 def _analytic(profile, kind, alpha, eta, jitter, geom):
     """Kernel alpha^2 * profile(lag / eta) over the N lags of ``geom``, with
     ``jitter`` added at lag 0; eta None means ``default_eta()``."""
-    if alpha <= 0.0:
+    if _finite(alpha, "alpha") <= 0.0:
         raise ValueError("alpha must be positive")
     if eta is None:
         eta = default_eta()
-    if eta <= 0.0:
+    if _finite(eta, "eta") <= 0.0:
         raise ValueError("eta must be positive")
     column = (alpha**2 * profile(_lags(geom) / eta)).astype(complex)
     jitter = _checked_jitter(toeplitz_view(column), jitter)
@@ -198,6 +200,8 @@ def kernel_covariance(training_channels, jitter=None):
     if any(r.ndim != 1 or r.size != n for r in rows):
         raise ValueError("all training channels must be 1-D with identical length")
     stack = np.vstack(rows)  # (T, N)
+    if not np.isfinite(stack).all():
+        raise ValueError("training_channels hold a non-finite entry")
     mat = stack.T @ stack.conj() / stack.shape[0]
     mat = 0.5 * (mat + mat.conj().T)
     jitter = _checked_jitter(mat, jitter)

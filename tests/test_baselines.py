@@ -532,6 +532,9 @@ class TestOmp:
             estimate_fas_omp(np.ones(4), [0, 1, 2, 3], dictionary, 0, 1e-3)
         with pytest.raises(ValueError, match="residual_tol must be nonnegative"):
             estimate_fas_omp(np.ones(4), [0, 1, 2, 3], dictionary, 2, -1.0)
+        # a NaN tolerance compared false against every residual and turned the early stop off
+        with pytest.raises(ValueError, match="residual_tol must be a finite number"):
+            estimate_fas_omp(np.ones(4), [0, 1, 2, 3], dictionary, 2, float("nan"))
 
     @pytest.mark.parametrize("ports", [[-1, 2, 5], [2, 5, 64]])
     def test_ports_outside_the_aperture_rejected(self, dictionary, ports):

@@ -58,9 +58,20 @@ class TestPortGeometry:
             geom.positions[0] = 1.0
 
     @pytest.mark.parametrize(
-        "n,w,f", [(1, 10.0, 3.5e9), (0, 10.0, 3.5e9), (16, 0.0, 3.5e9), (16, 10.0, -1.0)]
+        "n,w,f",
+        [
+            (1, 10.0, 3.5e9),
+            (0, 10.0, 3.5e9),
+            (16, 0.0, 3.5e9),
+            (16, 10.0, -1.0),
+            (16, float("nan"), 3.5e9),
+            (16, float("inf"), 3.5e9),
+            (16, 10.0, float("nan")),
+            (16, 10.0, float("inf")),
+        ],
     )
     def test_rejects_bad_arguments(self, n, w, f):
+        # a NaN or infinite aperture or carrier passed the bare comparisons and laid out NaN ports
         with pytest.raises(ValueError):
             build_port_geometry(n, w, f)
 
@@ -156,6 +167,19 @@ class TestNoiseAndSnr:
         with pytest.raises(ValueError):
             noise_power_for_snr(0.0, 20.0)
 
+    @pytest.mark.parametrize(
+        "power, snr_db, name",
+        [
+            (float("nan"), 20.0, "h_ensemble_power"),
+            (float("inf"), 20.0, "h_ensemble_power"),
+            (256.0, float("nan"), "snr_db"),
+        ],
+    )
+    def test_snr_rejects_non_finite_numbers(self, power, snr_db, name):
+        # a NaN SNR gave a NaN noise power, and run_sweep failed later on its seed key
+        with pytest.raises(ValueError, match=name):
+            noise_power_for_snr(power, snr_db)
+
     def test_noise_variance_matches_request(self):
         # sample-variance oracle over 1e5 draws
         z = draw_port_noise(100_000, 0.01, rng_seed=77)
@@ -234,6 +258,7 @@ class TestObservation:
             ([0.9, 2.5], "integral"),  # used to measure ports 0 and 2
             ([True, False], "integral"),  # used to measure ports 1 and 0
             ([True, 3], "integral"),
+            ((3, np.True_), "integral"),
             (np.array([2.0, np.nan]), "integral"),
             ([[0, 1], [2, 3]], "one measurement per port"),  # used to return a 2 x 2 block
             (np.array([2.0, np.inf]), "out of range"),
@@ -262,7 +287,7 @@ class TestObservation:
 
     @pytest.mark.parametrize("order", [(3, 0, 3, 5), (3, 0, 2, 16), (3, -1, 2, 5), (3, 0, 2, 4.5)])
     def test_a_bad_order_is_rejected_before_observe_pilots(self, order):
-        # observe_pilots reads the frozen plan's order unchecked: the plan is what refuses it
+        # the frozen plan refuses a bad order when it is made, before any observation
         with pytest.raises(ValueError):
             replace(self._plan(), order=order)
 

@@ -392,6 +392,22 @@ def test_non_numeric_header_rejected(tmp_path, kernel, name, content, key, value
 
 
 @pytest.mark.parametrize("name", ["file.bin", "file.json"])
+@pytest.mark.parametrize("content, key", [("plan", "antennas_per_slot"), ("kernel", "num_ports")])
+def test_whole_float_header_loads(tmp_path, kernel, name, content, key):
+    # 4.0 is the count 4: a header written by another tool as a float still loads
+    path = tmp_path / name
+    original = design_plan(kernel, 1, 4, 0.8) if content == "plan" else kernel
+    (save_plan if content == "plan" else save_kernel)(path, original)
+    _edit_header(path, key, float)
+    loaded = (load_plan if content == "plan" else load_kernel)(path)
+    assert type(getattr(loaded, key)) is int
+    if content == "plan":
+        assert loaded.plan_id == original.plan_id
+    else:
+        assert loaded.fingerprint == original.fingerprint
+
+
+@pytest.mark.parametrize("name", ["file.bin", "file.json"])
 def test_covariance_kernel_zero_hyperparameters_load(tmp_path, name):
     # trained covariances store alpha and eta as 0.0, and an int header value is a number
     rng = np.random.default_rng(9)
@@ -470,6 +486,43 @@ class TestObservationAndEstimateFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="'estimate' must hold"):
             load_estimate(path)
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("estimate", lambda doc: doc["estimate"].__setitem__(1, [float("nan"), 0.0])),
+            ("estimate", lambda doc: doc["estimate"].__setitem__(2, [0.0, float("inf")])),
+            ("post_variance", lambda doc: doc["post_variance"].__setitem__(0, float("nan"))),
+            ("post_variance", lambda doc: doc["post_variance"].__setitem__(3, float("inf"))),
+            ("post_variance", lambda doc: doc["post_variance"].__setitem__(3, "0.5")),
+            ("post_variance", lambda doc: doc["post_variance"].pop()),
+            ("post_variance", lambda doc: doc["post_variance"].append(0.5)),
+        ],
+        ids=["estimate-nan", "estimate-inf", "variance-nan", "variance-inf", "variance-string",
+             "variance-short", "variance-long"],
+    )
+    def test_malformed_estimate_file_rejected(self, tmp_path, plan, key, edit):
+        # these loaded and gave a NaN or infinite band, or arrays of two lengths
+        rec = reconstruct(plan, PilotObservation(np.ones(6, dtype=complex), 0.8, plan.plan_id))
+        path = tmp_path / "est.json"
+        save_estimate(path, rec)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_estimate(path)
+
+    def test_rounding_level_negative_variance_loads(self, tmp_path, plan):
+        # a plan's post_diag may sit a rounding error below zero; the band clamps it
+        rec = reconstruct(plan, PilotObservation(np.ones(6, dtype=complex), 0.8, plan.plan_id))
+        path = tmp_path / "est.json"
+        save_estimate(path, rec)
+        doc = json.loads(path.read_text())
+        doc["post_variance"][0] = -1e-12
+        path.write_text(json.dumps(doc))
+        loaded = load_estimate(path)
+        assert loaded.post_variance[0] == -1e-12
+        assert loaded.confidence_lo[0] == loaded.confidence_hi[0] == loaded.estimate[0]
 
     def test_block_of_rounds_is_not_saved(self, tmp_path):
         # run_sweep builds (T, K) observations; saving one raised a TypeError from float()

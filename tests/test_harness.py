@@ -336,6 +336,21 @@ class TestRunSweep:
         ]
         assert labels == expect
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"aperture_wavelengths": float("nan")}, "aperture_in_wavelengths"),
+            ({"snr_db": (float("nan"),)}, "snr_db"),
+            ({"schemes": (SchemeSpec("sbar", kernel="covariance", train_timeslots=2.5),)}, "train_timeslots"),
+        ],
+        ids=["aperture-nan", "snr-nan", "train-fraction"],
+    )
+    def test_bad_number_fails_the_sweep_naming_it(self, overrides, name):
+        # a NaN aperture gave NaN for every record, a NaN SNR failed inside the seed key,
+        # and 2.5 training timeslots trained on 2
+        with pytest.raises(ValueError, match=name):
+            run_sweep(small_config(**overrides))
+
     def test_timing_toggle(self):
         cfg = small_config(record_timing=False)
         assert all(r.wall_time_stage2_ns == 0 for r in run_sweep(cfg))
@@ -373,6 +388,12 @@ class TestTrainedKernel:
         b = train_covariance_kernel(small_config(base_seed=5), 2)
         c = train_covariance_kernel(small_config(base_seed=7), 2)
         assert a.fingerprint == b.fingerprint != c.fingerprint
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_training_count_must_be_a_whole_number(self, count):
+        # int() trained on 2 channels for 2.5 and on 1 for True
+        with pytest.raises(ValueError, match="train_timeslots must be a whole number"):
+            train_covariance_kernel(small_config(), count)
 
 
 class TestCsv:

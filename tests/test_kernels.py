@@ -93,10 +93,25 @@ class TestExponentialKernel:
     def test_default_eta_value(self):
         assert np.isclose(default_eta(), math.sqrt(1.0 / (2 * math.pi)), rtol=1e-15)
 
-    @pytest.mark.parametrize("kwargs", [{"alpha": 0.0}, {"eta": -1.0}, {"jitter": -1e-3}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": 0.0},
+            {"eta": -1.0},
+            {"jitter": -1e-3},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"eta": float("nan")},
+            {"eta": float("inf")},
+            {"jitter": float("nan")},
+            {"jitter": float("inf")},
+        ],
+    )
     def test_rejects_bad_hyperparameters(self, kwargs):
+        # NaN and infinity passed the bare comparisons and built a NaN or infinite kernel
         geom = build_port_geometry(8, 2.0, 1e9)
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             kernel_exponential(geom, **kwargs)
 
 
@@ -240,6 +255,9 @@ class TestCovarianceKernel:
             kernel_covariance([])
         with pytest.raises(ValueError):
             kernel_covariance([np.ones(4), np.ones(5)])
+        # a NaN entry built a kernel whose default jitter was NaN
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_covariance([np.ones(4), np.array([1.0, np.nan, 1.0, 1.0])])
 
 
 class TestValidateAndFingerprint:

@@ -261,10 +261,11 @@ class TestDesignPlan:
         with pytest.raises(ValueError):
             design_plan(kernel_exponential(geom), p, m, 0.5)
 
-    @pytest.mark.parametrize("noise_power", [-0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("noise_power", [-0.5, float("nan"), float("inf"), True, "0.5"])
     def test_bad_noise_power_rejected_up_front(self, noise_power):
+        # True designed with s2 = 1 and "0.5" raised a TypeError from the comparison
         geom = build_port_geometry(8, 2.0, 1e9)
-        with pytest.raises(ValueError, match="noise power must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="noise power must be (a finite number|nonnegative)"):
             design_plan(kernel_exponential(geom), 1, 2, noise_power)
 
 
