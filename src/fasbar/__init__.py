@@ -62,12 +62,9 @@ from .kernels import (
     kernel_exponential,
 )
 from .sbar import (
-    PosteriorState,
     Reconstruction,
     SamplingPlan,
     design_plan,
-    initial_posterior,
-    posterior_update_one,
     reconstruct,
     stacked_switch_matrix,
 )

@@ -77,7 +77,8 @@ class SscModelParams:
     Cluster centers are drawn uniformly on (-60, 60) degrees; each of the
     R rays of a cluster is offset uniformly within +-angle_spread_deg of
     its center.  Ray gains are i.i.d. circularly symmetric unit-variance
-    complex Gaussians.
+    complex Gaussians.  The two counts and ``rng_seed`` go through the
+    whole-number rule and are stored as ints.
     """
 
     num_clusters: int = 9
@@ -86,6 +87,8 @@ class SscModelParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_clusters", "rays_per_cluster", "rng_seed"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         if self.num_clusters < 1:
             raise ValueError("num_clusters must be at least 1")
         if self.rays_per_cluster < 1:

@@ -111,7 +111,11 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one sweep; validated on construction."""
+    """Full description of one sweep; validated on construction.
+
+    The counts and ``base_seed`` go through the whole-number rule and are
+    stored as ints, so 16.0 builds the config of 16 and 2.5 or True fails.
+    """
 
     num_ports: int = 256
     antennas_per_slot: int = 4
@@ -126,6 +130,10 @@ class ExperimentConfig:
     record_timing: bool = True
 
     def __post_init__(self):
+        for name in ("num_ports", "antennas_per_slot", "trials", "base_seed"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
+        counts = tuple(_whole_number(p, "pilot_counts") for p in self.pilot_counts)
+        object.__setattr__(self, "pilot_counts", counts)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.pilot_counts:
@@ -454,8 +462,8 @@ def config_from_dict(doc, seed_override=None):
     The document must carry ``config_version: 1`` and a ``schemes`` list;
     unknown keys, at the top level and in the ``channel`` and ``schemes``
     entries, are rejected.  Every value is coerced to the type its field
-    is annotated with.  ``seed_override`` replaces base_seed when given
-    (the sweep command requires an explicit seed).
+    is annotated with.  ``seed_override`` replaces base_seed when given,
+    under the same check (the sweep command requires an explicit seed).
     """
     doc = dict(doc)
     version = doc.pop("config_version", None)
@@ -464,7 +472,7 @@ def config_from_dict(doc, seed_override=None):
     if "schemes" not in doc:
         raise ValueError("config needs a schemes list")
     if seed_override is not None:
-        doc["base_seed"] = int(seed_override)
+        doc["base_seed"] = seed_override
     return _build(ExperimentConfig, doc)
 
 

@@ -18,10 +18,10 @@ the posterior variances and the Cholesky factor of the measured-port
 system together.  It costs O(N*K^2) time and O(N*K) memory beyond the
 kernel.  No pick depends on P, so the first P*M picks of a longer pass
 are the plan for P, and a sweep designs all its budgets in one pass.
-``initial_posterior``/``posterior_update_one`` keep the dense rank-one
-recursion over the full N x N posterior as a reference.  A plan
-stores the port order and the weights; switch matrices are read off the
-order.
+The dense rank-one recursion over the full N x N posterior that this pass
+must reproduce lives with the tests, as the oracle
+``tests/posterior_reference.py``.  A plan stores the port order and the
+weights; switch matrices are read off the order.
 
 Stage 2 (online).  Reconstruct hhat = w^H y.  One matrix-vector product,
 O(N) per measurement; no kernel, no factorization.  A block of T rounds
@@ -55,33 +55,6 @@ _NOISE_POWER_RTOL = 1e-12
 #: final posterior variances below this times the largest prior variance
 #: mean the prior covariance is not positive semidefinite
 _NEGATIVE_VARIANCE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PosteriorState:
-    """Gaussian posterior over all ports after some measurements.
-
-    Attributes
-    ----------
-    measured : tuple of int
-        Ports folded in so far, in selection order.
-    post_cov : np.ndarray
-        Posterior covariance, Hermitian as stored, shape (N, N).
-    noise_power : float
-        Per-measurement noise variance s2 assumed by the updates.
-    prior_fingerprint : str
-        Fingerprint of the kernel the recursion started from.
-    """
-
-    measured: tuple
-    post_cov: np.ndarray
-    noise_power: float
-    prior_fingerprint: str
-
-    @property
-    def variances(self) -> np.ndarray:
-        """Real posterior variance of every port."""
-        return self.post_cov.diagonal().real
 
 
 @dataclass(frozen=True)
@@ -185,43 +158,6 @@ class Reconstruction:
     @property
     def confidence_hi(self) -> np.ndarray:
         return self.estimate + self._band_shift()
-
-
-def initial_posterior(kernel, noise_power):
-    """Posterior before any measurement: the prior itself."""
-    _check_noise_power(noise_power)
-    cov = np.array(kernel.matrix, dtype=complex)
-    return PosteriorState((), cov, float(noise_power), kernel.fingerprint)
-
-
-def posterior_update_one(state, port):
-    """Fold one measured port into the posterior covariance.
-
-    A single measurement at port n with noise s2 changes the covariance by
-    the rank-one Schur complement
-
-        Sigma' = Sigma - Sigma(:, n) Sigma(n, :) / (Sigma(n, n) + s2),
-
-    independent of the measured value.  Returns a new state; the input is
-    untouched.
-    """
-    n = int(port)
-    cov = state.post_cov
-    if n < 0 or n >= cov.shape[0]:
-        raise ValueError("port index out of range")
-    if n in state.measured:
-        raise ValueError(f"port {n} was already measured")
-    variance = cov[n, n].real
-    denom = variance + state.noise_power
-    floor = _DENOM_FLOOR_SCALE * float(np.trace(cov).real) / cov.shape[0]
-    if denom <= max(floor, 0.0):
-        raise np.linalg.LinAlgError(
-            "posterior variance plus noise is numerically zero; increase the kernel jitter"
-        )
-    col = cov[:, n]
-    new_cov = cov - np.outer(col, col.conj()) / denom
-    new_cov = 0.5 * (new_cov + new_cov.conj().T)
-    return PosteriorState(state.measured + (n,), new_cov, state.noise_power, state.prior_fingerprint)
 
 
 def stacked_switch_matrix(plan):

@@ -20,17 +20,16 @@ from fasbar import (
     design_plan,
     emit_csv,
     generate_ssc_channel,
-    initial_posterior,
     kernel_bessel,
     kernel_covariance,
     kernel_exponential,
     nmse,
     observe_ports,
-    posterior_update_one,
     reconstruct,
     run_sweep,
     stacked_switch_matrix,
 )
+from posterior_reference import initial_posterior, posterior_update_one
 
 N = 256
 M = 4
@@ -244,21 +243,25 @@ def test_criterion_07_posterior_variances_never_increase(sweep):
 
 
 def test_criterion_08_online_stage_scales_linearly():
-    medians = {}
+    cases = {}
     for ports in (1024, 2048):
         geom = build_port_geometry(ports, 10.0, 3.5e9)
         plan = design_plan(kernel_bessel(geom), 10, 4, NOISE_POWER)  # PM = 40
         rng = np.random.default_rng(8)
         y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        obs = PilotObservation(y, NOISE_POWER, plan.plan_id)
+        cases[ports] = plan, PilotObservation(y, NOISE_POWER, plan.plan_id)
+    for plan, obs in cases.values():
         for _ in range(10):  # warm-up
             reconstruct(plan, obs)
-        samples = []
-        for _ in range(100):
+    # one call of each size per sample, so a drift in machine speed hits
+    # both medians alike
+    samples = {ports: [] for ports in cases}
+    for _ in range(100):
+        for ports, (plan, obs) in cases.items():
             tic = time.perf_counter_ns()
             reconstruct(plan, obs)
-            samples.append(time.perf_counter_ns() - tic)
-        medians[ports] = float(np.median(samples))
+            samples[ports].append(time.perf_counter_ns() - tic)
+    medians = {ports: float(np.median(times)) for ports, times in samples.items()}
     ratio = medians[2048] / medians[1024]
     _report(
         8,

@@ -60,12 +60,9 @@ PUBLIC_NAMES = {
     "kernel_covariance",
     "kernel_exponential",
     # sbar
-    "PosteriorState",
     "Reconstruction",
     "SamplingPlan",
     "design_plan",
-    "initial_posterior",
-    "posterior_update_one",
     "reconstruct",
     "stacked_switch_matrix",
     # svgplot

@@ -145,10 +145,32 @@ class TestSscChannel:
             acc += np.linalg.norm(ch.values) ** 2 / 256.0
         assert 0.9 < acc / 1000.0 < 1.1
 
-    @pytest.mark.parametrize("c,r,s", [(0, 100, 5.0), (9, 0, 5.0), (9, 100, -1.0), (9, 100, 90.0)])
+    @pytest.mark.parametrize(
+        "c,r,s",
+        [
+            (0, 100, 5.0),
+            (9, 0, 5.0),
+            (9, 100, -1.0),
+            (9, 100, 90.0),
+            (2.5, 100, 5.0),
+            (True, 100, 5.0),
+            (9, 2.5, 5.0),
+            (9, True, 5.0),
+        ],
+    )
     def test_params_validation(self, c, r, s):
         with pytest.raises(ValueError):
             SscModelParams(c, r, s)
+
+    def test_fractional_seed_rejected(self):
+        # a bare int() would draw the channel of seed 2
+        with pytest.raises(ValueError, match="rng_seed must be a whole number"):
+            SscModelParams(rng_seed=2.5)
+
+    def test_whole_float_counts_are_stored_as_ints(self):
+        params = SscModelParams(3.0, 10.0, 5.0, rng_seed=np.int64(7))
+        assert params == SscModelParams(3, 10, 5.0, rng_seed=7)
+        assert all(type(v) is int for v in (params.num_clusters, params.rays_per_cluster, params.rng_seed))
 
     def test_ray_shape_mismatch(self):
         geom = build_port_geometry(8, 2.0, 1e9)

@@ -140,6 +140,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(trials=0)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name", ["num_ports", "antennas_per_slot", "trials", "pilot_counts", "base_seed"])
+    def test_counts_must_be_whole_numbers(self, name, value):
+        # a bool or a fraction used to build, then fail later or run as
+        # another count; base_seed=2.5 reproduced base_seed=2 record for record
+        given = (1, value) if name == "pilot_counts" else value
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            small_config(**{name: given})
+
+    def test_whole_float_counts_give_the_int_config_csv(self, tmp_path):
+        exact = small_config(record_timing=False)
+        floats = small_config(record_timing=False, num_ports=16.0, antennas_per_slot=2.0, pilot_counts=(1, 2.0))
+        assert floats == exact
+        emit_csv(run_sweep(exact), tmp_path / "int.csv")
+        emit_csv(run_sweep(floats), tmp_path / "float.csv")
+        assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "int.csv").read_bytes()
+
     def test_budget_cannot_exceed_ports(self):
         with pytest.raises(ValueError):
             small_config(pilot_counts=(9,))  # 9 slots * 2 ports > 16
@@ -462,6 +479,10 @@ class TestConfigFile:
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(doc))
         assert load_config(path, seed_override=123).base_seed == 123
+        # the override is a base_seed value like any other, not cast by int()
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="base_seed"):
+                load_config(path, seed_override=bad)
 
     def test_unsigned_exponents_load_as_numbers(self, tmp_path):
         # YAML 1.1 resolves 3.5e9 / 1e-3 (no exponent sign) as strings

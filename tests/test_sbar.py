@@ -9,9 +9,9 @@ Oracles used here and nowhere in the package:
   every step;
 * compute_weights  - the weights by a Cholesky solve of the measured-port
   system, given the order;
-* reference_design - the dense rank-one chain (initial_posterior +
-  posterior_update_one + compute_weights) that the pivoted-Cholesky
-  design_plan must reproduce.
+* reference_design - the dense rank-one chain (initial_posterior and
+  posterior_update_one from posterior_reference, then compute_weights)
+  that the pivoted-Cholesky design_plan must reproduce.
 
 Hand-frozen cases (the diag(1,2,3) walk-through, identity-kernel weights)
 were worked out by hand first.
@@ -39,15 +39,14 @@ from fasbar import (
     default_eta,
     design_plan,
     generate_ssc_channel,
-    initial_posterior,
     kernel_bessel,
     kernel_covariance,
     kernel_exponential,
-    posterior_update_one,
     reconstruct,
     ssc_channel_from_rays,
     stacked_switch_matrix,
 )
+from posterior_reference import initial_posterior, posterior_update_one
 
 
 def batch_posterior(sigma, measured, noise_power):
@@ -310,16 +309,6 @@ class TestPivotedCholeskyDesign:
         assert a.order == b.order
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.post_diag.tobytes() == b.post_diag.tobytes()
-
-    def test_runs_without_the_dense_chain(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("design_plan must not use the dense chain")
-
-        for name in ("initial_posterior", "posterior_update_one"):
-            monkeypatch.setattr(fasbar.sbar, name, forbidden)
-        geom = build_port_geometry(64, 10.0, 3.5e9)
-        plan = design_plan(kernel_bessel(geom), 4, 4, 0.64)
-        assert len(plan.order) == 16
 
     def test_indefinite_prior_rejected(self):
         # J_1(0) = 0, so this kernel has a zero diagonal and is indefinite
