@@ -78,7 +78,7 @@ class SscModelParams:
     R rays of a cluster is offset uniformly within +-angle_spread_deg of
     its center.  Ray gains are i.i.d. circularly symmetric unit-variance
     complex Gaussians.  The two counts and ``rng_seed`` go through the
-    whole-number rule and are stored as ints.
+    whole-number rule and are stored as ints; the seed must be nonnegative.
     """
 
     num_clusters: int = 9
@@ -89,6 +89,8 @@ class SscModelParams:
     def __post_init__(self):
         for name in ("num_clusters", "rays_per_cluster", "rng_seed"):
             object.__setattr__(self, name, _whole_number(getattr(self, name), name))
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         if self.num_clusters < 1:
             raise ValueError("num_clusters must be at least 1")
         if self.rays_per_cluster < 1:
@@ -331,7 +333,12 @@ def observe_ports(h_values, ports, noise_power, rng_seed):
     h_values = np.asarray(h_values)
     if h_values.ndim != 1:
         raise ValueError(f"observe_ports measures one channel of shape (N,), got shape {h_values.shape}")
-    ports = _measured_ports(ports, h_values.size)
+    return _observe(h_values, _measured_ports(ports, h_values.size), noise_power, rng_seed)
+
+
+def _observe(h_values, ports, noise_power, rng_seed):
+    """``observe_ports`` on a channel array and an int array of ports that
+    the measured-port rule has already passed: the one gather-and-add."""
     noise = draw_port_noise(h_values.size, noise_power, rng_seed)
     return h_values[ports] + noise[ports]
 
@@ -357,5 +364,7 @@ def observe_pilots(channel, plan, noise_power, rng_seed):
     """
     if np.shape(channel.values) != (plan.num_ports,):
         raise ValueError("channel length does not match the plan's port count")
-    values = observe_ports(channel.values, plan.order, noise_power, rng_seed)
+    # SamplingPlan checked its order by the measured-port rule when it was made
+    ports = np.asarray(plan.order, dtype=int)
+    values = _observe(np.asarray(channel.values), ports, noise_power, rng_seed)
     return PilotObservation(values, float(noise_power), plan.plan_id)

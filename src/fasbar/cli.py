@@ -12,6 +12,7 @@ Subcommands cover the full offline/online workflow:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import fileio
@@ -117,7 +118,15 @@ def _cmd_plot(args):
     print(f"wrote {args.out}")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process.
+
+    Parsing leaves no state in it, so repeated ``main`` calls in one process
+    share it.  It names subcommands only: ``main`` maps them to handlers at
+    call time, and the handlers look the package functions up as module
+    globals, where a caller may have rebound them.
+    """
     parser = argparse.ArgumentParser(prog="fasbar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     _add_design(sub)
@@ -125,7 +134,11 @@ def main(argv=None):
     _add_estimate(sub)
     _add_sweep(sub)
     _add_plot(sub)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     handler = {
         "design": _cmd_design,
         "train-kernel": _cmd_train,

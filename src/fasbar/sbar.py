@@ -37,7 +37,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .channels import _check_noise_power, _measured_ports, _whole_number
 
@@ -210,7 +210,8 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     ValueError
         For bad dimensions (a bool or a fraction among them) or noise
         power, or if the final variances show the prior covariance is not
-        positive semidefinite.
+        positive semidefinite or are not finite (a NaN or infinity in a
+        measured kernel column).
     numpy.linalg.LinAlgError
         If a pivot collapses to numerical zero or the weight solve misses
         its residual bound.
@@ -265,6 +266,7 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         order.append(j)
         if i + 1 in post_diags:
             post_diags[i + 1] = var.copy()
+    (trtrs,) = get_lapack_funcs(("trtrs",), (bh,))
     plans = []
     for p in counts:
         k = p * m
@@ -274,14 +276,25 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
                 f"prior covariance is not positive semidefinite: a posterior variance "
                 f"reached {var.min():.3e}"
             )
+        # a non-finite entry of a measured kernel column reaches bh, and
+        # through |bh|^2 these variances, so finite variances mean a finite solve
+        if not np.isfinite(var).all():
+            raise ValueError("kernel holds a non-finite entry in a measured column")
         idx = np.asarray(order[:k])
         # L = tril(B(Omega, :), -1) + diag(pivots), and B(Omega, :) = bh[:K, Omega]^H
         factor = np.tril(bh[:k, idx].conj().T, -1)
         factor[np.diag_indices(k)] = pivots[:k]
+        # L^H w = B^H through LAPACK, with what scipy's solve_triangular(factor,
+        # bh[:k], lower=True, trans="C") passes, so the weights keep its bits
+        weights, info = trtrs(factor, bh[:k], lower=1, trans=2)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
         # C-ordered so the online product sums identically after a save/load cycle
-        weights = np.ascontiguousarray(solve_triangular(factor, bh[:k], lower=True, trans="C"))
+        weights = np.ascontiguousarray(weights)
         gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
-        residual = np.abs(gram @ weights - sigma[idx, :]).max()
+        diff = gram @ weights
+        diff -= sigma[idx, :]
+        residual = np.abs(diff).max()
         bound = _WEIGHT_RESIDUAL_TOL * prior_max
         if not residual < bound:
             raise np.linalg.LinAlgError(

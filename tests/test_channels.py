@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fasbar.channels
 from fasbar import (
     ChannelRealization,
     PilotObservation,
@@ -146,21 +147,24 @@ class TestSscChannel:
         assert 0.9 < acc / 1000.0 < 1.1
 
     @pytest.mark.parametrize(
-        "c,r,s",
+        "c,r,s,seed",
         [
-            (0, 100, 5.0),
-            (9, 0, 5.0),
-            (9, 100, -1.0),
-            (9, 100, 90.0),
-            (2.5, 100, 5.0),
-            (True, 100, 5.0),
-            (9, 2.5, 5.0),
-            (9, True, 5.0),
+            (0, 100, 5.0, 0),
+            (9, 0, 5.0, 0),
+            (9, 100, -1.0, 0),
+            (9, 100, 90.0, 0),
+            (2.5, 100, 5.0, 0),
+            (True, 100, 5.0, 0),
+            (9, 2.5, 5.0, 0),
+            (9, True, 5.0, 0),
+            # used to build, and fail later inside numpy's seeding
+            (9, 100, 5.0, -1),
+            (9, 100, 5.0, np.int64(-1)),
         ],
     )
-    def test_params_validation(self, c, r, s):
-        with pytest.raises(ValueError):
-            SscModelParams(c, r, s)
+    def test_params_validation(self, c, r, s, seed):
+        with pytest.raises(ValueError, match=None if seed == 0 else "rng_seed"):
+            SscModelParams(c, r, s, seed)
 
     def test_fractional_seed_rejected(self):
         # a bare int() would draw the channel of seed 2
@@ -301,11 +305,23 @@ class TestObservation:
         with pytest.raises(ValueError, match=r"\(4, 8\)"):
             observe_ports(np.ones((4, 8), dtype=complex), ports, 0.0, 0)
 
-    def test_observe_pilots_measures_the_plan_order_as_observe_ports_does(self):
+    def test_observe_pilots_measures_the_plan_order_as_observe_ports_does(self, monkeypatch):
         plan = self._plan(noise=0.5)
         ch = generate_ssc_channel(build_port_geometry(16, 5.0, 3.5e9), SscModelParams(3, 10, 5.0, rng_seed=9))
+        calls = []
+        rule = fasbar.channels._measured_ports
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(fasbar.channels, "_measured_ports", counted)
+        # the frozen plan's order was checked when the plan was made
         obs = observe_pilots(ch, plan, 0.5, rng_seed=11)
-        assert obs.values.tobytes() == observe_ports(ch.values, plan.order, 0.5, rng_seed=11).tobytes()
+        assert len(calls) == 0
+        values = observe_ports(ch.values, plan.order, 0.5, rng_seed=11)
+        assert len(calls) == 1
+        assert obs.values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("order", [(3, 0, 3, 5), (3, 0, 2, 16), (3, -1, 2, 5), (3, 0, 2, 4.5)])
     def test_a_bad_order_is_rejected_before_observe_pilots(self, order):

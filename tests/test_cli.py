@@ -1,8 +1,16 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
+
+import fasbar.cli
 
 from fasbar import (
     PilotObservation,
@@ -163,3 +171,106 @@ class TestParser:
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def design_bessel_16(tmp_path, *extra):
+    """One ``fasbar design`` of a 16-port Bessel plan, P = M = 2; the plan file is reread."""
+    out = tmp_path / "plan.bin"
+    rc = main(
+        [
+            "design", "--kernel-kind", "bessel",
+            "--ports", "16", "--aperture", "10.0", "--carrier-hz", "3.5e9",
+            "--pilots", "2", "--antennas", "2",
+            "--noise-power", "0.16", "--out", str(out), *extra,
+        ]
+    )
+    assert rc == 0
+    return fileio.load_plan(out)
+
+
+class TestRepeatedCalls:
+    """main is called many times in one process and builds its parser once."""
+
+    def test_options_do_not_carry_over_to_the_next_call(self, tmp_path):
+        default = kernel_bessel(build_port_geometry(16, 10.0, 3.5e9))
+        tuned = design_bessel_16(tmp_path, "--alpha", "2.0", "--eta", "0.5")
+        plain = design_bessel_16(tmp_path)
+        assert tuned.kernel_fingerprint != default.fingerprint
+        assert plain.kernel_fingerprint == default.fingerprint
+
+    def test_a_usage_error_leaves_the_next_call_working(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["design"])
+        assert exc.value.code == 2
+        assert design_bessel_16(tmp_path).num_measurements == 4
+
+    def test_a_rebound_design_plan_sees_every_design_call(self, tmp_path, monkeypatch):
+        design_bessel_16(tmp_path)  # the parser exists before the rebinding
+        seen = []
+
+        def recording(kernel, *args):
+            seen.append(args)
+            return design_plan(kernel, *args)
+
+        monkeypatch.setattr(fasbar.cli, "design_plan", recording)
+        design_bessel_16(tmp_path)
+        design_bessel_16(tmp_path, "--eta", "0.5")
+        assert seen == [(2, 2, 0.16)] * 2
+
+    def test_later_calls_construct_no_parser(self, tmp_path, monkeypatch):
+        plan = design_bessel_16(tmp_path)
+        y = observe_ports(np.ones(16, dtype=complex), plan.order, 0.16, 11)
+        fileio.save_observation(tmp_path / "obs.json", PilotObservation(y, 0.16, plan.plan_id))
+        cfg = write_config(tmp_path / "cfg.yaml")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        design_bessel_16(tmp_path)
+        commands = [
+            ["train-kernel", "--config", str(cfg), "--train-slots", "4", "--out", str(tmp_path / "k.bin")],
+            ["estimate", "--plan", str(tmp_path / "plan.bin"), "--observation", str(tmp_path / "obs.json"),
+             "--out", str(tmp_path / "est.json")],
+            ["sweep", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "r.csv")],
+            ["plot", "--csv", str(tmp_path / "r.csv"), "--out", str(tmp_path / "r.svg")],
+        ]
+        for argv in commands:
+            assert main(argv) == 0
+        with pytest.raises(SystemExit):
+            main(["sweep", "--config", str(cfg)])
+        assert built == []
+
+
+class TestConsoleEntry:
+    """``python -m fasbar.cli`` reads its arguments from sys.argv, as the
+    installed ``fasbar`` script does."""
+
+    @staticmethod
+    def run(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        return subprocess.run(
+            [sys.executable, "-m", "fasbar.cli", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_help(self):
+        done = self.run("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: fasbar ")
+        assert "design" in done.stdout
+
+    def test_subcommand_help(self):
+        done = self.run("design", "--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: fasbar design ")
+        assert "--kernel-kind" in done.stdout
+
+    def test_a_command_is_required(self):
+        done = self.run()
+        assert done.returncode == 2
+        assert "usage: fasbar" in done.stderr

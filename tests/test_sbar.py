@@ -11,7 +11,10 @@ Oracles used here and nowhere in the package:
   system, given the order;
 * reference_design - the dense rank-one chain (initial_posterior and
   posterior_update_one from posterior_reference, then compute_weights)
-  that the pivoted-Cholesky design_plan must reproduce.
+  that the pivoted-Cholesky design_plan must reproduce;
+* solve_triangular_design - the pivoted-Cholesky pass with its weights
+  solved by scipy.linalg.solve_triangular, which the package's direct
+  LAPACK solve must match bit for bit.
 
 Hand-frozen cases (the diag(1,2,3) walk-through, identity-kernel weights)
 were worked out by hand first.
@@ -25,7 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
 from scipy.special import jv
 from scipy.stats import chi2, norm
 
@@ -109,6 +112,35 @@ def reference_design(kernel, num_picks, noise_power):
         state = posterior_update_one(state, int(np.argmax(scores)))
         history.append(state.variances.copy())
     return state.measured, history, compute_weights(kernel, state.measured, noise_power)
+
+
+def solve_triangular_design(kernel, pilot_counts, m, noise_power):
+    """(order, weights, post_diag) per count, as ``sbar._design_plans`` computes
+    them, with the weights solved by ``scipy.linalg.solve_triangular``."""
+    sigma = kernel.matrix
+    n = kernel.num_ports
+    k_max = max(pilot_counts) * m
+    var = sigma.diagonal().real.copy()
+    measured = np.zeros(n, dtype=bool)
+    bh = np.empty((k_max, n), dtype=complex)
+    pivots = np.empty(k_max)
+    order, post_diags = [], {}
+    for i in range(k_max):
+        j = int(np.argmax(np.where(measured, -np.inf, var)))
+        pivots[i] = np.sqrt(var[j] + noise_power)
+        bh[i] = (sigma[:, j].conj() - bh[:i, j].conj() @ bh[:i]) / pivots[i]
+        var -= bh[i].real ** 2 + bh[i].imag ** 2
+        measured[j] = True
+        order.append(j)
+        post_diags[i + 1] = var.copy()
+    designs = []
+    for p in pilot_counts:
+        k = p * m
+        factor = np.tril(bh[:k, order[:k]].conj().T, -1)
+        factor[np.diag_indices(k)] = pivots[:k]
+        weights = np.ascontiguousarray(solve_triangular(factor, bh[:k], lower=True, trans="C"))
+        designs.append((tuple(order[:k]), weights, post_diags[k]))
+    return designs
 
 
 def assert_matches_reference(kernel, p, m, noise_power):
@@ -390,6 +422,41 @@ class TestDesignPass:
             with pytest.raises(ValueError) as joint:
                 fasbar.sbar._design_plans(kernel, counts, 1, 0.1)
             assert str(joint.value) == messages[first]
+
+
+class TestDirectSolve:
+    """The weights come from LAPACK's trtrs directly, with scipy's bits."""
+
+    @pytest.mark.parametrize("kind", ["bessel", "exponential", "covariance"])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_matches_the_solve_triangular_design(self, kind, n):
+        geom = build_port_geometry(n, 10.0, 3.5e9)
+        if kind == "bessel":
+            kernel = kernel_bessel(geom)
+        elif kind == "exponential":
+            kernel = kernel_exponential(geom)
+        else:
+            kernel = kernel_covariance(
+                [generate_ssc_channel(geom, SscModelParams(rng_seed=s)) for s in range(40)]
+            )
+        counts = (10, 1, 4)
+        plans = fasbar.sbar._design_plans(kernel, counts, 4, n / 100.0)
+        for plan, (order, weights, post_diag) in zip(plans, solve_triangular_design(kernel, counts, 4, n / 100.0)):
+            assert plan.order == order
+            assert plan.weights.flags.c_contiguous
+            assert plan.weights.tobytes() == weights.tobytes()
+            assert plan.post_diag.tobytes() == post_diag.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_in_a_measured_column_is_rejected(self, bad):
+        sigma = np.array(kernel_exponential(build_port_geometry(16, 5.0, 3.5e9)).matrix)
+        # all variances tie, so the first pick is port 0
+        sigma[5, 0] = bad
+        # the pass divides by the non-finite pivots it meets before the check
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as exc:
+            design_plan(Kernel(sigma, "covariance"), 2, 2, 0.1)
+        # a ValueError at the solve, not the LinAlgError (a subclass) of a NaN residual
+        assert exc.type is ValueError
 
 
 class TestComputeWeights:
