@@ -1,0 +1,113 @@
+"""Wall time of fasbar's stage-1 layers: kernel build, fingerprint, design.
+
+From the repository root:
+
+    python3 bench/layers.py --out BENCH.json
+    python3 bench/layers.py --ports 64 --repeats 1 --out /tmp/layers.json
+
+For each N in ``--ports`` it builds the Bessel and exponential kernels
+and, up to N = 2048, the trained covariance of T = 100 clustered channels
+(at N = 4096 that kernel alone is a 268 MB matrix).  It hashes each fresh
+kernel, then designs a plan with P*M = 40 (P = 10, M = 4) at 20 dB, i.e.
+noise power N/100.  Every layer is timed ``--repeats`` times, and the
+JSON file records the median and quartiles in seconds, next to the BLAS
+thread pinning, the core count, the library versions and the git SHA.
+
+Like perfbench/run.py, the script pins OpenBLAS and OpenMP to one thread
+before numpy is imported: OpenBLAS threading on a small machine can make
+stage-1 design loops many times slower and the timings unrepeatable.
+"""
+
+import os
+import sys
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+import fasbar  # noqa: E402
+from perfbench.workloads import environment  # noqa: E402
+
+TRAIN_TIMESLOTS = 100
+#: the largest N whose trained covariance is built; one more doubling is 268 MB
+TRAINED_MAX_PORTS = 2048
+PILOTS, ANTENNAS = 10, 4
+SNR_DB = 20.0
+APERTURE_WAVELENGTHS = 10.0
+CARRIER_HZ = 3.5e9
+
+
+def _summary(layer, kernel, num_ports, seconds):
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return {"layer": layer, "kernel": kernel, "num_ports": num_ports, "n": len(seconds),
+            "median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}
+
+
+def _timed(call):
+    start = time.perf_counter()
+    result = call()
+    return time.perf_counter() - start, result
+
+
+def measure(num_ports, repeats):
+    """Summaries of every layer at one N, in the order they ran."""
+    geom = fasbar.build_port_geometry(num_ports, APERTURE_WAVELENGTHS, CARRIER_HZ)
+    noise_power = fasbar.noise_power_for_snr(num_ports, SNR_DB)
+    builders = {"bessel": lambda: fasbar.kernel_bessel(geom),
+                "exponential": lambda: fasbar.kernel_exponential(geom)}
+    if num_ports <= TRAINED_MAX_PORTS:
+        training = [fasbar.generate_ssc_channel(geom, fasbar.SscModelParams(rng_seed=s))
+                    for s in range(TRAIN_TIMESLOTS)]
+        builders["covariance"] = lambda: fasbar.kernel_covariance(training)
+    rows = []
+    for kind, build in builders.items():
+        build_s, hash_s, design_s = [], [], []
+        for _ in range(repeats):
+            seconds, kernel = _timed(build)
+            build_s.append(seconds)
+            # a fresh kernel hashes once; later designs read the cached digest
+            hash_s.append(_timed(lambda: kernel.fingerprint)[0])
+        for _ in range(repeats):
+            design_s.append(_timed(lambda: fasbar.design_plan(kernel, PILOTS, ANTENNAS, noise_power))[0])
+        rows += [_summary(f"kernels.kernel_{kind}", kind, num_ports, build_s),
+                 _summary("kernels.fingerprint", kind, num_ports, hash_s),
+                 _summary("sbar.design_plan", kind, num_ports, design_s)]
+    return rows
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--ports", type=int, nargs="+", default=[256, 1024, 2048, 4096])
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    layers = [row for n in args.ports for row in measure(n, args.repeats)]
+    report = {
+        "script": "bench/layers.py",
+        "design": {"num_timeslots": PILOTS, "antennas_per_slot": ANTENNAS, "snr_db": SNR_DB,
+                   "aperture_wavelengths": APERTURE_WAVELENGTHS, "carrier_hz": CARRIER_HZ,
+                   "train_timeslots": TRAIN_TIMESLOTS},
+        "env": environment(ROOT),
+        "layers": layers,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    for row in layers:
+        print("{layer:<28} {kernel:<12} N={num_ports:<5} median {median_s:.6f} s  "
+              "[{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(**row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -56,6 +56,10 @@ class Kernel:
     Trained covariances are dense.  ``stored`` is what the kernel holds.
     ``alpha`` and ``eta`` are meaningful for the analytic kinds only and are
     zero for trained covariances.
+
+    Construction rejects a NaN or infinite stored entry, in O(N) for a
+    Toeplitz view and one pass over a dense matrix, so no design divides by
+    a non-finite pivot.
     """
 
     matrix: np.ndarray
@@ -63,6 +67,10 @@ class Kernel:
     alpha: float = 1.0
     eta: float = 0.0
     jitter: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.stored).all():
+            raise ValueError("kernel holds a non-finite entry")
 
     @property
     def num_ports(self) -> int:
@@ -170,9 +178,12 @@ def kernel_exponential(geom, alpha=1.0, eta=None, jitter=None):
 def kernel_bessel(geom, alpha=1.0, eta=None, jitter=None):
     """Zeroth-order Bessel-of-the-first-kind covariance over port distance.
 
-    J_0(d / eta) is the classical isotropic-scattering correlation and
-    captures its oscillation with distance.  d is measured in carrier
-    wavelengths, like eta.
+    d is measured in carrier wavelengths, like eta.  The classical
+    isotropic-scattering correlation is J_0(2*pi*d) (Clarke, 1968; Jakes,
+    1974), the port correlation of the fluid-antenna literature, so it is
+    this kernel at eta = 1/(2*pi).  The default eta, sqrt(1/(2*pi)), is
+    shared with the exponential kernel and stretches that correlation
+    2.5 times over distance.
     """
     # jv(0, x), not scipy.special.j0: the two differ by up to ~6e-16, which
     # would change every Bessel kernel's fingerprint

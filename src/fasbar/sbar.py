@@ -18,6 +18,9 @@ the posterior variances and the Cholesky factor of the measured-port
 system together.  It costs O(N*K^2) time and O(N*K) memory beyond the
 kernel.  No pick depends on P, so the first P*M picks of a longer pass
 are the plan for P, and a sweep designs all its budgets in one pass.
+The pass runs in the field of the prior: a kernel with no nonzero
+imaginary part (the analytic kinds) is designed in float64, a trained one
+in complex128, and either way the plan holds complex weights.
 The dense rank-one recursion over the full N x N posterior that this pass
 must reproduce lives with the tests, as the oracle
 ``tests/posterior_reference.py``.  A plan stores the port order and the
@@ -210,8 +213,7 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     ValueError
         For bad dimensions (a bool or a fraction among them) or noise
         power, or if the final variances show the prior covariance is not
-        positive semidefinite or are not finite (a NaN or infinity in a
-        measured kernel column).
+        positive semidefinite or are not finite (an overflow).
     numpy.linalg.LinAlgError
         If a pivot collapses to numerical zero or the weight solve misses
         its residual bound.
@@ -240,11 +242,15 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         raise ValueError(f"plan asks for {k_max} measurements but only {n} ports exist")
     _check_noise_power(noise_power)
     sigma = kernel.matrix
+    # a real prior has real B, L and W, so design it in float64; the scan
+    # stops at the first row of a dense kernel that holds an imaginary part
+    if not any(row.any() for row in np.atleast_2d(kernel.stored.imag)):
+        sigma = sigma.real
     var = sigma.diagonal().real.copy()
     prior_max = float(var.max())
     measured = np.zeros(n, dtype=bool)
     # row i of bh is column i of B, conjugated: bh = B^H, shape (max K, N)
-    bh = np.empty((k_max, n), dtype=complex)
+    bh = np.empty((k_max, n), dtype=sigma.dtype)
     order = []
     pivots = np.empty(k_max)
     # the variances after pick K, for every requested K = P*M
@@ -276,10 +282,10 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
                 f"prior covariance is not positive semidefinite: a posterior variance "
                 f"reached {var.min():.3e}"
             )
-        # a non-finite entry of a measured kernel column reaches bh, and
-        # through |bh|^2 these variances, so finite variances mean a finite solve
+        # a kernel is finite, but its entries can overflow on the way to
+        # |bh|^2; finite variances mean a finite solve
         if not np.isfinite(var).all():
-            raise ValueError("kernel holds a non-finite entry in a measured column")
+            raise ValueError("a posterior variance overflowed; rescale the kernel")
         idx = np.asarray(order[:k])
         # L = tril(B(Omega, :), -1) + diag(pivots), and B(Omega, :) = bh[:K, Omega]^H
         factor = np.tril(bh[:k, idx].conj().T, -1)
@@ -289,8 +295,6 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         weights, info = trtrs(factor, bh[:k], lower=1, trans=2)
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
-        # C-ordered so the online product sums identically after a save/load cycle
-        weights = np.ascontiguousarray(weights)
         gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
         diff = gram @ weights
         diff -= sigma[idx, :]
@@ -300,6 +304,9 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
             raise np.linalg.LinAlgError(
                 f"weight solve residual {residual:.3e} exceeds {bound:.3e}; system too ill-conditioned"
             )
+        # complex and C-ordered whatever the prior's field, so the online
+        # product sums identically after a save/load cycle
+        weights = np.ascontiguousarray(weights, dtype=complex)
         var.flags.writeable = False
         weights.flags.writeable = False
         plans.append(

@@ -1,0 +1,29 @@
+"""The stage-1 layer benchmark runs end to end and writes what it promises."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+
+def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
+    out = tmp_path / "layers.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--ports", "64", "--repeats", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["env"]["OPENBLAS_NUM_THREADS"] == report["env"]["OMP_NUM_THREADS"] == "1"
+    assert {"numpy", "scipy", "python", "git_sha"} <= set(report["env"])
+    seen = {(row["layer"], row["kernel"]) for row in report["layers"]}
+    assert seen == {
+        (layer, kind)
+        for kind in ("bessel", "exponential", "covariance")
+        for layer in (f"kernels.kernel_{kind}", "kernels.fingerprint", "sbar.design_plan")
+    }
+    for row in report["layers"]:
+        assert row["num_ports"] == 64 and row["n"] == 1
+        assert 0 < row["q1_s"] <= row["median_s"] <= row["q3_s"]

@@ -261,6 +261,19 @@ class TestCovarianceKernel:
 
 
 class TestValidateAndFingerprint:
+    @pytest.mark.parametrize("form", ["dense", "lags"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_is_rejected_where_the_kernel_is_made(self, bad, form):
+        # a Kernel built in code held a NaN or infinite entry, which a design
+        # then divided by as a pivot
+        lags = kernel_exponential(build_port_geometry(16, 5.0, 3.5e9)).stored.copy()
+        lags[3] = bad
+        matrix = fasbar.kernels.toeplitz_view(lags)
+        if form == "dense":
+            matrix = np.array(matrix)
+        with pytest.raises(ValueError, match="non-finite"):
+            fasbar.kernels.Kernel(matrix, "exponential" if form == "lags" else "covariance")
+
     def test_psd_after_jitter(self):
         geom = build_port_geometry(96, 10.0, 3.5e9)
         for k in (kernel_exponential(geom), kernel_bessel(geom)):

@@ -116,13 +116,18 @@ def reference_design(kernel, num_picks, noise_power):
 
 def solve_triangular_design(kernel, pilot_counts, m, noise_power):
     """(order, weights, post_diag) per count, as ``sbar._design_plans`` computes
-    them, with the weights solved by ``scipy.linalg.solve_triangular``."""
+    them, with the weights solved by ``scipy.linalg.solve_triangular``.
+
+    The pass runs in the prior's field: float64 for a kernel whose entries
+    are all real, complex128 otherwise; the weights come back complex."""
     sigma = kernel.matrix
+    if not sigma.imag.any():
+        sigma = sigma.real
     n = kernel.num_ports
     k_max = max(pilot_counts) * m
     var = sigma.diagonal().real.copy()
     measured = np.zeros(n, dtype=bool)
-    bh = np.empty((k_max, n), dtype=complex)
+    bh = np.empty((k_max, n), dtype=sigma.dtype)
     pivots = np.empty(k_max)
     order, post_diags = [], {}
     for i in range(k_max):
@@ -138,7 +143,7 @@ def solve_triangular_design(kernel, pilot_counts, m, noise_power):
         k = p * m
         factor = np.tril(bh[:k, order[:k]].conj().T, -1)
         factor[np.diag_indices(k)] = pivots[:k]
-        weights = np.ascontiguousarray(solve_triangular(factor, bh[:k], lower=True, trans="C"))
+        weights = np.ascontiguousarray(solve_triangular(factor, bh[:k], lower=True, trans="C"), dtype=complex)
         designs.append((tuple(order[:k]), weights, post_diags[k]))
     return designs
 
@@ -330,6 +335,27 @@ class TestPivotedCholeskyDesign:
         kernel = kernel_exponential(build_port_geometry(1024, 10.0, 3.5e9))
         assert_matches_reference(kernel, 10, 4, 10.24)
 
+    @pytest.mark.parametrize(
+        "n, build, snr_db",
+        [
+            (16, kernel_bessel, 20),
+            (16, kernel_bessel, 40),
+            (32, kernel_exponential, 20),
+            (64, kernel_bessel, 20),
+            (64, kernel_bessel, 40),
+            (64, kernel_exponential, 10),
+            (128, kernel_exponential, 40),
+            (256, kernel_exponential, 30),
+        ],
+    )
+    def test_real_arithmetic_breaks_ties_only(self, n, build, snr_db):
+        # points where the float64 design of a real prior picks another port
+        # than the complex128 one did, at a pick whose two candidates had
+        # variances within 4e-16 of the largest; the dense chain bounds the gap
+        kernel = build(build_port_geometry(n, 10.0, 3.5e9))
+        pm = min(40, n)
+        assert_matches_reference(kernel, pm // 4, 4, n / 10 ** (snr_db / 10))
+
     @pytest.mark.parametrize("build", [kernel_exponential, kernel_bessel])
     @pytest.mark.parametrize("n", [64, 1024])
     @pytest.mark.parametrize("pm", [20, 40])
@@ -444,6 +470,25 @@ class TestDirectSolve:
         for plan, (order, weights, post_diag) in zip(plans, solve_triangular_design(kernel, counts, 4, n / 100.0)):
             assert plan.order == order
             assert plan.weights.flags.c_contiguous
+            assert plan.weights.dtype == np.complex128
+            assert plan.weights.tobytes() == weights.tobytes()
+            assert plan.post_diag.tobytes() == post_diag.tobytes()
+            if kind != "covariance":
+                # designed in float64: every imaginary part is +0.0, sign bit clear
+                assert not np.signbit(plan.weights.imag).any()
+                assert not plan.weights.imag.any()
+
+    def test_one_imaginary_pair_keeps_the_complex_design(self):
+        sigma = np.array(kernel_exponential(build_port_geometry(64, 10.0, 3.5e9)).matrix)
+        # port 0 is the first pick, so every plan's weights see the pair
+        sigma[0, 5] += 1e-3j
+        sigma[5, 0] -= 1e-3j
+        kernel = Kernel(sigma, "covariance")
+        counts = (10, 1, 4)
+        plans = fasbar.sbar._design_plans(kernel, counts, 4, 0.64)
+        for plan, (order, weights, post_diag) in zip(plans, solve_triangular_design(kernel, counts, 4, 0.64)):
+            assert plan.order == order
+            assert plan.weights.imag.any()
             assert plan.weights.tobytes() == weights.tobytes()
             assert plan.post_diag.tobytes() == post_diag.tobytes()
 
@@ -452,10 +497,11 @@ class TestDirectSolve:
         sigma = np.array(kernel_exponential(build_port_geometry(16, 5.0, 3.5e9)).matrix)
         # all variances tie, so the first pick is port 0
         sigma[5, 0] = bad
-        # the pass divides by the non-finite pivots it meets before the check
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as exc:
+        # the kernel refuses the entry, so no design divides by a non-finite
+        # pivot and the suite's RuntimeWarning filter sees no warning
+        with pytest.raises(ValueError) as exc:
             design_plan(Kernel(sigma, "covariance"), 2, 2, 0.1)
-        # a ValueError at the solve, not the LinAlgError (a subclass) of a NaN residual
+        # a ValueError, not the LinAlgError (a subclass) of a NaN residual
         assert exc.type is ValueError
 
 
