@@ -1,4 +1,4 @@
-"""Wall time of fasbar's stage-1 layers: kernel build, fingerprint, design.
+"""Wall time of fasbar's stage-1 layers and of importing the package.
 
 From the repository root:
 
@@ -9,9 +9,11 @@ For each N in ``--ports`` it builds the Bessel and exponential kernels
 and, up to N = 2048, the trained covariance of T = 100 clustered channels
 (at N = 4096 that kernel alone is a 268 MB matrix).  It hashes each fresh
 kernel, then designs a plan with P*M = 40 (P = 10, M = 4) at 20 dB, i.e.
-noise power N/100.  Every layer is timed ``--repeats`` times, and the
-JSON file records the median and quartiles in seconds, next to the BLAS
-thread pinning, the core count, the library versions and the git SHA.
+noise power N/100.  Every layer is timed ``--repeats`` times, and so is
+``import fasbar, fasbar.cli`` in as many fresh interpreters (``import_s``,
+most of what perfbench's ``setup_s`` measures).  The JSON file records the
+median and quartiles in seconds, next to the BLAS thread pinning, the
+core count, the library versions and the git SHA.
 
 Like perfbench/run.py, the script pins OpenBLAS and OpenMP to one thread
 before numpy is imported: OpenBLAS threading on a small machine can make
@@ -27,6 +29,7 @@ for _var in THREAD_VARS:
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import subprocess  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -47,10 +50,13 @@ APERTURE_WAVELENGTHS = 10.0
 CARRIER_HZ = 3.5e9
 
 
-def _summary(layer, kernel, num_ports, seconds):
+def _spread(seconds):
     q1, median, q3 = np.percentile(seconds, [25, 50, 75])
-    return {"layer": layer, "kernel": kernel, "num_ports": num_ports, "n": len(seconds),
-            "median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}
+    return {"n": len(seconds), "median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}
+
+
+def _summary(layer, kernel, num_ports, seconds):
+    return {"layer": layer, "kernel": kernel, "num_ports": num_ports, **_spread(seconds)}
 
 
 def _timed(call):
@@ -85,6 +91,20 @@ def measure(num_ports, repeats):
     return rows
 
 
+def import_seconds(repeats):
+    """Spread of ``import fasbar, fasbar.cli`` timed inside ``repeats`` fresh
+    interpreters, which inherit the BLAS pins set above."""
+    code = ("import time; start = time.perf_counter(); import fasbar, fasbar.cli; "
+            "print(time.perf_counter() - start)")
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return _spread([
+        float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout)
+        for _ in range(repeats)
+    ])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--ports", type=int, nargs="+", default=[256, 1024, 2048, 4096])
@@ -94,18 +114,22 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     layers = [row for n in args.ports for row in measure(n, args.repeats)]
+    imports = import_seconds(args.repeats)
     report = {
         "script": "bench/layers.py",
         "design": {"num_timeslots": PILOTS, "antennas_per_slot": ANTENNAS, "snr_db": SNR_DB,
                    "aperture_wavelengths": APERTURE_WAVELENGTHS, "carrier_hz": CARRIER_HZ,
                    "train_timeslots": TRAIN_TIMESLOTS},
         "env": environment(ROOT),
+        "import_s": imports,
         "layers": layers,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for row in layers:
         print("{layer:<28} {kernel:<12} N={num_ports:<5} median {median_s:.6f} s  "
               "[{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(**row))
+    print("{:<58} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(
+        "import fasbar, fasbar.cli", **imports))
     return 0
 
 

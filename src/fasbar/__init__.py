@@ -48,7 +48,6 @@ from .harness import (
     config_from_dict,
     emit_csv,
     load_config,
-    mean_nmse_by_point,
     nmse,
     read_csv,
     run_sweep,
@@ -66,7 +65,6 @@ from .sbar import (
     SamplingPlan,
     design_plan,
     reconstruct,
-    stacked_switch_matrix,
 )
 from .svgplot import emit_svg
 

@@ -35,6 +35,7 @@ from .baselines import (
 from .channels import (
     PilotObservation,
     SscModelParams,
+    _finite,
     _whole_number,
     build_port_geometry,
     draw_port_noise,
@@ -134,6 +135,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         counts = tuple(_whole_number(p, "pilot_counts") for p in self.pilot_counts)
         object.__setattr__(self, "pilot_counts", counts)
+        # noise_power_for_snr's rule: a finite number, or +inf for the noiseless limit
+        snrs = tuple(float(s) if s == np.inf else _finite(s, "snr_db") for s in self.snr_db)
+        object.__setattr__(self, "snr_db", snrs)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.pilot_counts:
@@ -142,6 +146,14 @@ class ExperimentConfig:
             raise ValueError("snr_db must not be empty")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
+        # a repeated point would write every one of its records twice
+        if len(set(counts)) != len(counts):
+            raise ValueError(f"pilot_counts must not repeat a count, got {counts}")
+        if len({_snr_key(s) for s in snrs}) != len(snrs):
+            raise ValueError(
+                f"snr_db must not repeat a point, got {snrs}; points within 1e-6 dB "
+                "share their channel and noise seeds"
+            )
         seen = set()
         for scheme in self.schemes:
             identity = (scheme.method, scheme.kernel_kind)
@@ -483,15 +495,3 @@ def load_config(path, seed_override=None):
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a mapping")
     return config_from_dict(doc, seed_override)
-
-
-def mean_nmse_by_point(records, scheme=None, kernel_kind=None):
-    """Mean NMSE keyed by (P, snr_db), optionally filtered by scheme/kernel."""
-    buckets = {}
-    for r in records:
-        if scheme is not None and r.scheme != scheme:
-            continue
-        if kernel_kind is not None and r.kernel_kind != kernel_kind:
-            continue
-        buckets.setdefault((r.num_timeslots, r.snr_db), []).append(r.nmse)
-    return {key: float(np.mean(vals)) for key, vals in buckets.items()}

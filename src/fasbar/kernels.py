@@ -57,9 +57,17 @@ class Kernel:
     ``alpha`` and ``eta`` are meaningful for the analytic kinds only and are
     zero for trained covariances.
 
-    Construction rejects a NaN or infinite stored entry, in O(N) for a
-    Toeplitz view and one pass over a dense matrix, so no design divides by
-    a non-finite pivot.
+    Construction is the one place a prior is judged, whether it was built
+    in code or loaded from a file.  It rejects, in this order, a ``kind``
+    outside ``KINDS``; a ``matrix`` that is not square and 2-D with N >= 1;
+    a NaN or infinite stored entry, so no design divides by a non-finite
+    pivot; a Toeplitz view whose lag column has a nonzero imaginary part or
+    whose first row is not that column; and a dense matrix that is not
+    exactly Hermitian, which the pivoted Cholesky design assumes.  The
+    kind and shape checks are O(1) and a view's checks are O(N).  A dense
+    matrix costs O(N^2): one pass for finiteness and one comparison with
+    its conjugate transpose, which holds one N x N temporary and adds
+    about half to the time ``kernel_covariance`` takes at N >= 1024.
     """
 
     matrix: np.ndarray
@@ -69,8 +77,22 @@ class Kernel:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.stored).all():
+        if self.kind not in KINDS:
+            raise ValueError(f"kernel 'kind' must be one of {', '.join(KINDS)}, got {self.kind!r}")
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise ValueError(f"kernel matrix must be square and 2-D with N >= 1, got shape {shape}")
+        stored = self.stored
+        if not np.isfinite(stored).all():
             raise ValueError("kernel holds a non-finite entry")
+        if stored.ndim == 1:
+            if stored.imag.any():
+                raise ValueError("kernel lag column must be real")
+            hermitian = np.array_equal(self.matrix[0], stored)
+        else:
+            hermitian = np.array_equal(stored, stored.conj().T)
+        if not hermitian:
+            raise ValueError("kernel matrix is not Hermitian; symmetrize it as 0.5 * (S + S^H)")
 
     @property
     def num_ports(self) -> int:

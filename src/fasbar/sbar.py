@@ -70,8 +70,8 @@ class SamplingPlan:
         Dimensions N, P, M with P*M <= N.
     order : tuple of int
         All P*M measured ports in selection order (0-based, distinct);
-        slot s connects order[s*M : (s+1)*M], in RF-chain order (see
-        ``stacked_switch_matrix``).
+        slot s connects order[s*M : (s+1)*M], in RF-chain order, so the
+        slot's switch matrix is read off the order.
     weights : np.ndarray
         Precomputed MAP weights, shape (P*M, N) complex.
     noise_power_design : float
@@ -161,17 +161,6 @@ class Reconstruction:
     @property
     def confidence_hi(self) -> np.ndarray:
         return self.estimate + self._band_shift()
-
-
-def stacked_switch_matrix(plan):
-    """The P switch matrices stacked into one (P*M, N) one-hot int64 matrix.
-
-    Row k connects port ``plan.order[k]``, so slot s is rows s*M to s*M + M - 1.
-    """
-    k = plan.num_measurements
-    stacked = np.zeros((k, plan.num_ports), dtype=np.int64)
-    stacked[np.arange(k), list(plan.order)] = 1
-    return stacked
 
 
 def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):

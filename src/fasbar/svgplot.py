@@ -35,6 +35,12 @@ def _series(records):
     return series
 
 
+def _text(value):
+    """``value`` as XML character data: &, < and > escaped, so a title or a
+    label such as "NMSE & P" leaves the file well formed."""
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _marker(x, y, shape, color):
     if shape == "o":
         return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="{color}"/>'
@@ -83,7 +89,7 @@ def emit_svg(records, path, title="mean NMSE vs pilot slots"):
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{_text(title)}</text>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
     ]
@@ -133,7 +139,7 @@ def emit_svg(records, path, title="mean NMSE vs pilot slots"):
         )
         parts.append(_marker(lx + 12, ly - 4, marker, color))
         parts.append(
-            f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>'
+            f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" font-size="11">{_text(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

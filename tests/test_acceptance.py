@@ -27,8 +27,8 @@ from fasbar import (
     observe_ports,
     reconstruct,
     run_sweep,
-    stacked_switch_matrix,
 )
+from helpers import stacked_switch_matrix
 from posterior_reference import initial_posterior, posterior_update_one
 
 N = 256

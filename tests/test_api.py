@@ -48,7 +48,6 @@ PUBLIC_NAMES = {
     "config_from_dict",
     "emit_csv",
     "load_config",
-    "mean_nmse_by_point",
     "nmse",
     "read_csv",
     "run_sweep",
@@ -64,7 +63,6 @@ PUBLIC_NAMES = {
     "SamplingPlan",
     "design_plan",
     "reconstruct",
-    "stacked_switch_matrix",
     # svgplot
     "emit_svg",
 }

@@ -27,3 +27,7 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
     for row in report["layers"]:
         assert row["num_ports"] == 64 and row["n"] == 1
         assert 0 < row["q1_s"] <= row["median_s"] <= row["q3_s"]
+    # one fresh-interpreter import of fasbar and its CLI, beside the layers
+    imports = report["import_s"]
+    assert imports["n"] == 1
+    assert 0 < imports["q1_s"] <= imports["median_s"] <= imports["q3_s"]

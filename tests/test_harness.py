@@ -9,6 +9,7 @@ import re
 import typing
 from collections import Counter
 from dataclasses import fields, replace
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ from fasbar import (
     emit_csv,
     emit_svg,
     load_config,
-    mean_nmse_by_point,
     nmse,
     read_csv,
     run_sweep,
     train_covariance_kernel,
 )
 from fasbar.harness import CSV_HEADER, channel_seed, derive_seed, noise_seed, ports_seed
+from helpers import mean_nmse_by_point
 
 
 def per_trial_records(cfg):
@@ -156,6 +157,34 @@ class TestConfigValidation:
         emit_csv(run_sweep(exact), tmp_path / "int.csv")
         emit_csv(run_sweep(floats), tmp_path / "float.csv")
         assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "int.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"pilot_counts": (1, 1)}, "pilot_counts"),
+            ({"pilot_counts": (2, 1, 2.0)}, "pilot_counts"),
+            ({"snr_db": (20.0, 20.0)}, "snr_db"),
+            ({"snr_db": (20.0, 30.0, 20)}, "snr_db"),
+            # one _snr_key, so the same channel and noise seeds
+            ({"snr_db": (20.0, 20.0000001)}, "snr_db"),
+            ({"snr_db": (float("inf"), np.inf)}, "snr_db"),
+        ],
+    )
+    def test_repeated_points_rejected(self, overrides, name):
+        # each ran and wrote every record of the repeated point twice
+        with pytest.raises(ValueError, match=f"{name} must not repeat"):
+            small_config(**overrides)
+
+    @pytest.mark.parametrize("value", [float("nan"), True, -np.inf, "20"])
+    def test_snr_points_follow_the_noise_power_rule(self, value):
+        # NaN and True built the config and failed only inside run_sweep
+        with pytest.raises(ValueError, match="snr_db must be a finite number"):
+            small_config(snr_db=(20.0, value))
+
+    def test_snr_points_are_stored_as_floats(self):
+        cfg = small_config(snr_db=[20, np.float64(30.0), np.inf])
+        assert cfg.snr_db == (20.0, 30.0, np.inf)
+        assert all(type(s) is float for s in cfg.snr_db)
 
     def test_budget_cannot_exceed_ports(self):
         with pytest.raises(ValueError):
@@ -672,3 +701,18 @@ class TestSvg:
         emit_svg(records, a)
         emit_svg(records, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("title", ["NMSE & P", "a <b> c", "x > 1 && y < 2"])
+    def test_markup_in_a_title_or_label_is_escaped(self, tmp_path, title):
+        # the title and the labels went into the text nodes as given, so
+        # "&" or "<" made a file that no XML parser reads
+        records = run_sweep(small_config(record_timing=False))
+        records = [replace(r, scheme=f"{r.scheme} <&>") for r in records]
+        path = tmp_path / "plot.svg"
+        emit_svg(records, path, title=title)
+        texts = [
+            "".join(child.data for child in node.childNodes)
+            for node in minidom.parse(str(path)).getElementsByTagName("text")
+        ]
+        assert texts[0] == title
+        assert {"sbar <&> (exponential)", "selmmse <&>"} <= set(texts)

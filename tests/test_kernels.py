@@ -260,6 +260,16 @@ class TestCovarianceKernel:
             kernel_covariance([np.ones(4), np.array([1.0, np.nan, 1.0, 1.0])])
 
 
+def _lopsided_view(column):
+    """A Toeplitz view like ``toeplitz_view``'s whose first row is twice its
+    first column past lag 0, so it is not Hermitian."""
+    n = column.size
+    buf = np.concatenate((column[:0:-1], 2.0 * column))
+    buf[n - 1] = column[0]
+    step = buf.strides[0]
+    return np.lib.stride_tricks.as_strided(buf[n - 1 :], (n, n), (-step, step), writeable=False)
+
+
 class TestValidateAndFingerprint:
     @pytest.mark.parametrize("form", ["dense", "lags"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -273,6 +283,29 @@ class TestValidateAndFingerprint:
             matrix = np.array(matrix)
         with pytest.raises(ValueError, match="non-finite"):
             fasbar.kernels.Kernel(matrix, "exponential" if form == "lags" else "covariance")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda m: (m, "banana"), "'kind'"),
+            (lambda m: (np.ones((4, 6), dtype=complex), "covariance"), "shape"),
+            (lambda m: (np.ones(5, dtype=complex), "covariance"), "shape"),
+            (lambda m: (np.ones((2, 2, 2), dtype=complex), "covariance"), "shape"),
+            (lambda m: (np.ones((0, 0), dtype=complex), "covariance"), "shape"),
+            (lambda m: (fasbar.kernels.toeplitz_view(m[:, 0] + 0.5j), "exponential"), "must be real"),
+            (lambda m: (np.array(m) + np.diag(np.full(15, 0.3), 1), "covariance"), "not Hermitian"),
+            (lambda m: (np.array(m) + 1e-3j * np.eye(16), "covariance"), "not Hermitian"),
+            (lambda m: (_lopsided_view(m[:, 0]), "exponential"), "not Hermitian"),
+        ],
+        ids=["unknown-kind", "4x6", "1-d", "3-d", "0x0", "complex-lags", "asymmetric-entries",
+             "complex-diagonal", "asymmetric-view"],
+    )
+    def test_an_invalid_prior_is_rejected_where_the_kernel_is_made(self, build, message):
+        # each built a Kernel in code; most then failed in design, far from the
+        # input, or planned around a matrix that is not a covariance
+        matrix = kernel_exponential(build_port_geometry(16, 5.0, 3.5e9)).matrix
+        with pytest.raises(ValueError, match=message):
+            fasbar.kernels.Kernel(*build(matrix))
 
     def test_psd_after_jitter(self):
         geom = build_port_geometry(96, 10.0, 3.5e9)

@@ -47,8 +47,8 @@ from fasbar import (
     kernel_exponential,
     reconstruct,
     ssc_channel_from_rays,
-    stacked_switch_matrix,
 )
+from helpers import stacked_switch_matrix
 from posterior_reference import initial_posterior, posterior_update_one
 
 
@@ -169,7 +169,9 @@ def assert_matches_reference(kernel, p, m, noise_power):
 
 def random_psd_kernel(rng, n, base=0.1):
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return Kernel(b @ b.conj().T + base * np.eye(n), "covariance")
+    # a rounded product is not exactly Hermitian; symmetrize as kernel_covariance does
+    sigma = b @ b.conj().T + base * np.eye(n)
+    return Kernel(0.5 * (sigma + sigma.conj().T), "covariance")
 
 
 def diag_kernel(values):
@@ -427,6 +429,15 @@ class TestDesignPass:
         with pytest.raises(np.linalg.LinAlgError) as joint:
             fasbar.sbar._design_plans(kernel, (1, 4, 3), 1, 0.0)
         assert str(joint.value) == str(lone.value)
+
+    def test_a_prior_with_one_nudged_entry_yields_no_plan(self):
+        # this designed a plan from a matrix that is no covariance, while the
+        # same matrix saved to a file and loaded back was rejected
+        rng = np.random.default_rng(7)
+        sigma = np.array(random_psd_kernel(rng, 16).matrix)
+        sigma[2, 9] += 0.3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            design_plan(Kernel(sigma, "covariance"), 2, 2, 0.1)
 
     def test_indefinite_prior_fails_at_the_first_count_gone_negative(self):
         # ports 1 and 2 form the indefinite block [[3, 2], [2, 1]]; port 0 is
