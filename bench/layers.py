@@ -1,4 +1,4 @@
-"""Wall time of fasbar's stage-1 layers and of importing the package.
+"""Wall time of fasbar's offline and online layers and of importing the package.
 
 From the repository root:
 
@@ -9,11 +9,16 @@ For each N in ``--ports`` it builds the Bessel and exponential kernels
 and, up to N = 2048, the trained covariance of T = 100 clustered channels
 (at N = 4096 that kernel alone is a 268 MB matrix).  It hashes each fresh
 kernel, then designs a plan with P*M = 40 (P = 10, M = 4) at 20 dB, i.e.
-noise power N/100.  Every layer is timed ``--repeats`` times, and so is
-``import fasbar, fasbar.cli`` in as many fresh interpreters (``import_s``,
-most of what perfbench's ``setup_s`` measures).  The JSON file records the
-median and quartiles in seconds, next to the BLAS thread pinning, the
-core count, the library versions and the git SHA.
+noise power N/100.  Online, it synthesizes one clustered channel, and
+runs each estimator at P*M = 40 on one round and on a block of 20 rounds:
+``reconstruct`` with the Bessel plan, ``estimate_selmmse`` and
+``estimate_fas_omp``.  A row's ``trials`` is the rounds one call
+estimates, and null for the offline layers.  Every layer is timed
+``--repeats`` times, and so is ``import fasbar, fasbar.cli`` in as many
+fresh interpreters (``import_s``, most of what perfbench's ``setup_s``
+measures).  The JSON file records the median and quartiles in seconds,
+next to the BLAS thread pinning, the core count, the library versions and
+the git SHA.
 
 Like perfbench/run.py, the script pins OpenBLAS and OpenMP to one thread
 before numpy is imported: OpenBLAS threading on a small machine can make
@@ -45,6 +50,8 @@ TRAIN_TIMESLOTS = 100
 #: the largest N whose trained covariance is built; one more doubling is 268 MB
 TRAINED_MAX_PORTS = 2048
 PILOTS, ANTENNAS = 10, 4
+#: rounds in one block call of each estimator
+BLOCK_TRIALS = 20
 SNR_DB = 20.0
 APERTURE_WAVELENGTHS = 10.0
 CARRIER_HZ = 3.5e9
@@ -55,8 +62,8 @@ def _spread(seconds):
     return {"n": len(seconds), "median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}
 
 
-def _summary(layer, kernel, num_ports, seconds):
-    return {"layer": layer, "kernel": kernel, "num_ports": num_ports, **_spread(seconds)}
+def _summary(layer, kernel, num_ports, seconds, trials=None):
+    return {"layer": layer, "kernel": kernel, "num_ports": num_ports, "trials": trials, **_spread(seconds)}
 
 
 def _timed(call):
@@ -91,6 +98,42 @@ def measure(num_ports, repeats):
     return rows
 
 
+def measure_online(num_ports, repeats):
+    """Summaries of channel synthesis and of every estimator at one N, each
+    estimator on one round and on a block of ``BLOCK_TRIALS`` rounds."""
+    geom = fasbar.build_port_geometry(num_ports, APERTURE_WAVELENGTHS, CARRIER_HZ)
+    noise_power = fasbar.noise_power_for_snr(num_ports, SNR_DB)
+    measured = PILOTS * ANTENNAS
+    synth_s = [_timed(lambda: fasbar.generate_ssc_channel(geom, fasbar.SscModelParams(rng_seed=s)))[0]
+               for s in range(repeats)]
+    # round t: channel t plus its per-port noise, as observe_pilots draws it
+    received = np.array([
+        fasbar.generate_ssc_channel(geom, fasbar.SscModelParams(rng_seed=t)).values
+        + fasbar.draw_port_noise(num_ports, noise_power, t)
+        for t in range(BLOCK_TRIALS)
+    ])
+    plan = fasbar.design_plan(fasbar.kernel_bessel(geom), PILOTS, ANTENNAS, noise_power)
+    sbar_y = received[:, list(plan.order)]
+    sel_ports = fasbar.selmmse_ports(num_ports, measured)
+    sel_y = received[:, sel_ports]
+    omp_ports = np.array([fasbar.random_ports(num_ports, measured, t) for t in range(BLOCK_TRIALS)])
+    omp_y = np.take_along_axis(received, omp_ports, axis=1)
+    dictionary = fasbar.build_steering_dictionary(geom)
+    rows = [_summary("channels.generate_ssc_channel", None, num_ports, synth_s, 1)]
+    # index 0 gives one round of shape (P*M,), the full slice the block
+    for trials, pick in ((1, 0), (BLOCK_TRIALS, slice(None))):
+        obs = fasbar.PilotObservation(sbar_y[pick], noise_power, plan.plan_id)
+        calls = {
+            ("sbar.reconstruct", "bessel"): lambda: fasbar.reconstruct(plan, obs),
+            ("baselines.estimate_selmmse", None): lambda: fasbar.estimate_selmmse(sel_y[pick], sel_ports, num_ports),
+            ("baselines.estimate_fas_omp", None): lambda: fasbar.estimate_fas_omp(
+                omp_y[pick], omp_ports[pick], dictionary),
+        }
+        for (layer, kernel), call in calls.items():
+            rows.append(_summary(layer, kernel, num_ports, [_timed(call)[0] for _ in range(repeats)], trials))
+    return rows
+
+
 def import_seconds(repeats):
     """Spread of ``import fasbar, fasbar.cli`` timed inside ``repeats`` fresh
     interpreters, which inherit the BLAS pins set above."""
@@ -113,22 +156,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    layers = [row for n in args.ports for row in measure(n, args.repeats)]
+    layers = [row for n in args.ports for row in measure(n, args.repeats) + measure_online(n, args.repeats)]
     imports = import_seconds(args.repeats)
     report = {
         "script": "bench/layers.py",
         "design": {"num_timeslots": PILOTS, "antennas_per_slot": ANTENNAS, "snr_db": SNR_DB,
                    "aperture_wavelengths": APERTURE_WAVELENGTHS, "carrier_hz": CARRIER_HZ,
-                   "train_timeslots": TRAIN_TIMESLOTS},
+                   "train_timeslots": TRAIN_TIMESLOTS, "block_trials": BLOCK_TRIALS},
         "env": environment(ROOT),
         "import_s": imports,
         "layers": layers,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for row in layers:
-        print("{layer:<28} {kernel:<12} N={num_ports:<5} median {median_s:.6f} s  "
-              "[{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(**row))
-    print("{:<58} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(
+        print("{:<30} {:<12} {:<4} N={num_ports:<5} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(
+            row["layer"], row["kernel"] or "-", row["trials"] or "-", **row))
+    print("{:<65} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(
         "import fasbar, fasbar.cli", **imports))
     return 0
 

@@ -29,7 +29,6 @@ from .channels import (
     observe_pilots,
     observe_ports,
     ssc_channel_from_rays,
-    steering_matrix,
 )
 from .fileio import (
     load_estimate,

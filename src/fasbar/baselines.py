@@ -31,13 +31,14 @@ class SteeringDictionary:
     """Plane-wave atoms on a uniform sin-angle grid, kept as two phase tables.
 
     ``grid`` holds the G sin values in [-1, 1].  With b = ceil(sqrt(N)),
-    atom g at port n = q*b + r is ``hi[q, g] * lo[r, g]``, bit for bit
-    entry (n, g) of ``steering_matrix(geom, grid)``; ``hi`` is
+    atom g at port n = q*b + r is ``hi[q, g] * lo[r, g]``; ``hi`` is
     (ceil(N/b), G) and ``lo`` is (b, G), as ``channels._phase_table``
-    fills them.  Entries have unit modulus, so every atom has norm
-    sqrt(N).  The (N, G) matrix is never formed: at G = 4N the tables take
-    4.2 MB at N = 1024 and 33.5 MB at N = 4096, where the matrix would take
-    67 MB and 1.07 GB.  The arrays are read-only; equality is identity.
+    fills them.  The atoms equal bit for bit the columns of the test
+    oracle ``steering_matrix(geom, grid)`` in ``tests/helpers.py``.
+    Entries have unit modulus, so every atom has norm sqrt(N).  The (N, G)
+    matrix is never formed: at G = 4N the tables take 4.2 MB at N = 1024
+    and 33.5 MB at N = 4096, where the matrix would take 67 MB and 1.07 GB.
+    The arrays are read-only; equality is identity.
     """
 
     num_ports: int

@@ -180,21 +180,6 @@ def _geometric_rows(ratio, rows):
     return out
 
 
-def steering_matrix(geom, sin_angles):
-    """Plane-wave phase response of every port for each direction.
-
-    Entry (n, k) is exp(-j * 2*pi * x_n * s_k / lambda) for s_k the k-th
-    value of ``sin_angles``.  Entries have unit modulus; columns therefore
-    have Euclidean norm sqrt(N).  The ports sit on a uniform grid, so each
-    entry is the product of two phases from ``_phase_table``, whose tables
-    are filled by recurrence; that takes 2 complex exponentials per
-    direction instead of N, and differs from the direct formula by about
-    b*eps with b = ceil(sqrt(N)) (~1e-14 at N = 256, below 1e-12 through
-    N = 4096).  An entry with s_k = 0 is exactly 1.
-    """
-    return _expand(*_phase_table(geom, sin_angles), geom.num_ports)
-
-
 def _expand(hi, lo, num_ports):
     """The (num_ports, K) responses of ``_phase_table``'s tables: row q*b + r is hi[q] * lo[r]."""
     return (hi[:, None, :] * lo[None, :, :]).reshape(-1, lo.shape[1])[:num_ports]

@@ -27,13 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PilotObservation, _finite, _whole_number
-from .kernels import Kernel, toeplitz_view
+from .kernels import Kernel
 from .sbar import Reconstruction, SamplingPlan
 
 MAGIC = b"FASBAR1\x00"
 CONTAINER_VERSION = 1
 
-_DTYPES = {"f8": "<f8", "i8": "<i8", "c16": "<c16"}
+_DTYPES = {"f8": "<f8", "c16": "<c16"}
 
 
 def _array_to_flat(arr, dtype):
@@ -53,23 +53,27 @@ def _array_from_flat(flat, dtype, shape):
     return np.asarray(flat, dtype=_DTYPES[dtype]).reshape(shape)
 
 
+def _tag(spec):
+    """The dtype tag of an array spec; ValueError naming the array unless
+    it is one that ``write_container`` writes."""
+    if spec["dtype"] not in _DTYPES:
+        raise ValueError(f"array {spec['name']!r} has dtype {spec['dtype']!r}, not one of {', '.join(_DTYPES)}")
+    return spec["dtype"]
+
+
 def write_container(path, header, arrays):
     """Write named arrays under a JSON header; flavor chosen by suffix.
 
     ``header`` must not already contain the reserved "arrays" key.  Items of
-    ``arrays`` are (name -> ndarray); dtypes are mapped to f8/i8/c16.
+    ``arrays`` are (name -> ndarray); complex arrays are stored as c16 and
+    every other as f8.
     """
     path = Path(path)
     specs = []
     blobs = []
     for name, arr in arrays.items():
         arr = np.asarray(arr)
-        if np.iscomplexobj(arr):
-            tag = "c16"
-        elif np.issubdtype(arr.dtype, np.integer):
-            tag = "i8"
-        else:
-            tag = "f8"
+        tag = "c16" if np.iscomplexobj(arr) else "f8"
         arr = np.ascontiguousarray(arr, dtype=_DTYPES[tag])
         specs.append({"name": name, "dtype": tag, "shape": list(arr.shape)})
         blobs.append((arr, tag))
@@ -101,7 +105,7 @@ def read_container(path):
             raise ValueError(f"unsupported container version {doc.get('container_version')!r}")
         data = doc.pop("array_data")
         arrays = {
-            spec["name"]: _array_from_flat(data[spec["name"]], spec["dtype"], spec["shape"])
+            spec["name"]: _array_from_flat(data[spec["name"]], _tag(spec), spec["shape"])
             for spec in doc["arrays"]
         }
         return doc, arrays
@@ -115,7 +119,7 @@ def read_container(path):
         size = os.fstat(fh.fileno()).st_size
         arrays = {}
         for spec in header["arrays"]:
-            dtype = np.dtype(_DTYPES[spec["dtype"]])
+            dtype = np.dtype(_DTYPES[_tag(spec)])
             count = int(math.prod(spec["shape"]))
             # fromfile holds each array once but allocates count elements first
             if not 0 <= count * dtype.itemsize <= size - fh.tell():
@@ -137,8 +141,9 @@ def _complex_pair(pair, key):
 def save_kernel(path, kernel):
     """Persist a kernel with its hyperparameters.
 
-    The "matrix" array holds ``kernel.stored``: the N lags of an analytic
-    kernel, or the N x N matrix of a trained covariance.
+    The "matrix" array holds ``kernel.stored`` in the form the kernel holds
+    it: the (N,) lags of an analytic kernel, or the (N, N) matrix of a
+    trained covariance.
     """
     header = {
         "content": "kernel",
@@ -154,9 +159,11 @@ def save_kernel(path, kernel):
 def load_kernel(path):
     """Read a kernel; ValueError unless the file holds a kernel with no
     Bessel order, finite-number hyperparameters and an (N,) lag column or
-    (N, N) matrix for the N its header records.  ``Kernel`` then judges
-    the prior itself: its kind, finiteness, real lags or exact Hermitian
-    symmetry.  The carrier that older headers record is ignored."""
+    (N, N) matrix for the N its header records.  The array becomes the
+    kernel's read-only ``stored`` field as it is, in either form, and
+    ``Kernel`` judges the prior itself: its kind, finiteness, real lags or
+    exact Hermitian symmetry.  The carrier that older headers record is
+    ignored."""
     header, arrays = read_container(path)
     if header.get("content") != "kernel":
         raise ValueError(f"{path} does not hold a kernel")
@@ -166,13 +173,9 @@ def load_kernel(path):
     stored = np.asarray(arrays["matrix"], dtype=complex)
     if stored.shape not in ((n,), (n, n)):
         raise ValueError(f"kernel array must have shape ({n},) or ({n}, {n}), got {stored.shape}")
-    if stored.ndim == 1:
-        matrix = toeplitz_view(stored)
-    else:
-        matrix = stored
-        matrix.flags.writeable = False
+    stored.flags.writeable = False
     return Kernel(
-        matrix=matrix,
+        stored=stored,
         kind=header["kind"],
         alpha=_finite(header["alpha"], "header 'alpha'"),
         eta=_finite(header["eta"], "header 'eta'"),

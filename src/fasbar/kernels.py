@@ -49,28 +49,29 @@ DEFAULT_JITTER_SCALE = 1e-9
 class Kernel:
     """An N x N prior covariance with the hyperparameters that built it.
 
-    ``matrix`` is complex128, read-only and Hermitian exactly as stored; for
-    the analytic kinds the imaginary part is identically zero.  An analytic
-    kernel holds only its N lags: ``matrix`` is a ``toeplitz_view`` of them,
-    indexed exactly like a dense matrix but never expanded to N^2 entries.
-    Trained covariances are dense.  ``stored`` is what the kernel holds.
+    ``stored`` is what the kernel holds, in one of two forms: an (N,) real
+    lag column of a symmetric Toeplitz matrix, as the analytic kinds store
+    it, or a dense (N, N) matrix, as a trained covariance does.  ``matrix``
+    is the N x N prior derived from it and Hermitian exactly: a read-only
+    complex128 ``toeplitz_view`` of the lags, indexed like a dense matrix
+    but never expanded to N^2 entries, or the dense matrix itself.
     ``alpha`` and ``eta`` are meaningful for the analytic kinds only and are
     zero for trained covariances.
 
     Construction is the one place a prior is judged, whether it was built
     in code or loaded from a file.  It rejects, in this order, a ``kind``
-    outside ``KINDS``; a ``matrix`` that is not square and 2-D with N >= 1;
-    a NaN or infinite stored entry, so no design divides by a non-finite
-    pivot; a Toeplitz view whose lag column has a nonzero imaginary part or
-    whose first row is not that column; and a dense matrix that is not
-    exactly Hermitian, which the pivoted Cholesky design assumes.  The
-    kind and shape checks are O(1) and a view's checks are O(N).  A dense
-    matrix costs O(N^2): one pass for finiteness and one comparison with
-    its conjugate transpose, which holds one N x N temporary and adds
-    about half to the time ``kernel_covariance`` takes at N >= 1024.
+    outside ``KINDS``; a ``stored`` array whose shape is not (N,) or
+    (N, N) with N >= 1; a NaN or infinite stored entry, so no design
+    divides by a non-finite pivot; a lag column with a nonzero imaginary
+    part; and a dense matrix that is not exactly Hermitian, which the
+    pivoted Cholesky design assumes.  The kind and shape checks are O(1)
+    and the lag checks O(N).  A dense matrix costs O(N^2): one pass for
+    finiteness and one comparison with its conjugate transpose, which
+    holds one N x N temporary and adds about half to the time
+    ``kernel_covariance`` takes at N >= 1024.
     """
 
-    matrix: np.ndarray
+    stored: np.ndarray
     kind: str
     alpha: float = 1.0
     eta: float = 0.0
@@ -79,33 +80,26 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kernel 'kind' must be one of {', '.join(KINDS)}, got {self.kind!r}")
-        shape = self.matrix.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
-            raise ValueError(f"kernel matrix must be square and 2-D with N >= 1, got shape {shape}")
         stored = self.stored
+        n = stored.shape[0] if stored.ndim else 0
+        if n < 1 or stored.shape not in ((n,), (n, n)):
+            raise ValueError(f"kernel must store (N,) lags or an (N, N) matrix with N >= 1, got shape {stored.shape}")
         if not np.isfinite(stored).all():
             raise ValueError("kernel holds a non-finite entry")
         if stored.ndim == 1:
             if stored.imag.any():
                 raise ValueError("kernel lag column must be real")
-            hermitian = np.array_equal(self.matrix[0], stored)
-        else:
-            hermitian = np.array_equal(stored, stored.conj().T)
-        if not hermitian:
+        elif not np.array_equal(stored, stored.conj().T):
             raise ValueError("kernel matrix is not Hermitian; symmetrize it as 0.5 * (S + S^H)")
 
     @property
     def num_ports(self) -> int:
-        return self.matrix.shape[0]
+        return self.stored.shape[0]
 
     @property
-    def stored(self) -> np.ndarray:
-        """The first column of a Toeplitz view, else the whole matrix.
-
-        Entry (n, m) of a matrix whose strides sum to zero sits at an offset
-        that depends on m - n alone, so its first column determines it.
-        """
-        return self.matrix[:, 0] if sum(self.matrix.strides) == 0 else self.matrix
+    def matrix(self) -> np.ndarray:
+        """The N x N prior: a ``toeplitz_view`` of lags, else ``stored``."""
+        return toeplitz_view(self.stored) if self.stored.ndim == 1 else self.stored
 
     @property
     def fingerprint(self) -> str:
@@ -118,9 +112,9 @@ class Kernel:
         dense one all N^2 entries, so the same prior held both ways has two
         fingerprints.
 
-        Computed on first access and cached on the instance, so the matrix
-        must not be mutated afterwards (the constructors here store it
-        read-only).
+        Computed on first access and cached on the instance, so ``stored``
+        must not be mutated afterwards (the constructors here and
+        ``load_kernel`` store it read-only).
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
@@ -154,14 +148,14 @@ def toeplitz_view(column):
     """Read-only symmetric Toeplitz matrix of ``column``, in O(N) memory.
 
     Entry (n, m) is column[|n - m|].  The (N, N) result is a strided view
-    with strides (-s, s) into one buffer [c[N-1], ..., c[1], c[0], c[1],
-    ..., c[N-1]], the view ``scipy.linalg.toeplitz`` builds and then copies.
+    with strides (-s, s), s the item size, into one contiguous buffer
+    [c[N-1], ..., c[1], c[0], c[1], ..., c[N-1]], the view
+    ``scipy.linalg.toeplitz`` builds and then copies.
     """
     column = np.asarray(column, dtype=complex)
     n = column.size
     buf = np.concatenate((column[:0:-1], column))
-    step = buf.strides[0]
-    return as_strided(buf[n - 1 :], (n, n), (-step, step), writeable=False)
+    return as_strided(buf[n - 1 :], (n, n), (-buf.itemsize, buf.itemsize), writeable=False)
 
 
 def _analytic(profile, kind, alpha, eta, jitter, geom):
@@ -176,7 +170,8 @@ def _analytic(profile, kind, alpha, eta, jitter, geom):
     column = (alpha**2 * profile(_lags(geom) / eta)).astype(complex)
     jitter = _checked_jitter(toeplitz_view(column), jitter)
     column[0] += jitter
-    return Kernel(toeplitz_view(column), kind, float(alpha), float(eta), jitter)
+    column.flags.writeable = False
+    return Kernel(column, kind, float(alpha), float(eta), jitter)
 
 
 def kernel_exponential(geom, alpha=1.0, eta=None, jitter=None):

@@ -83,7 +83,8 @@ class SamplingPlan:
         measurements, shape (N,) real.
 
     Construction rejects an order or array shapes that disagree with N, P, M,
-    and a negative or non-finite design noise power.
+    a negative or non-finite design noise power, and a kernel fingerprint
+    that is not a string.
     """
 
     num_ports: int
@@ -107,6 +108,8 @@ class SamplingPlan:
         if np.shape(self.post_diag) != (n,):
             raise ValueError(f"post_diag must have shape ({n},), got {np.shape(self.post_diag)}")
         _check_noise_power(self.noise_power_design)
+        if not isinstance(self.kernel_fingerprint, str):
+            raise ValueError(f"kernel_fingerprint must be a string, got {self.kernel_fingerprint!r}")
 
     @property
     def num_measurements(self) -> int:

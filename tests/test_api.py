@@ -31,7 +31,6 @@ PUBLIC_NAMES = {
     "observe_pilots",
     "observe_ports",
     "ssc_channel_from_rays",
-    "steering_matrix",
     # fileio
     "load_estimate",
     "load_kernel",

@@ -35,10 +35,10 @@ from fasbar import (
     kernel_exponential,
     random_ports,
     selmmse_ports,
-    steering_matrix,
 )
 from fasbar import baselines
 from fasbar.baselines import _warn_rank_deficient
+from helpers import steering_matrix
 
 
 def lstsq_pursuit(a, y, max_atoms, residual_tol):

@@ -1,4 +1,4 @@
-"""The stage-1 layer benchmark runs end to end and writes what it promises."""
+"""The layer benchmark runs end to end and writes what it promises."""
 
 import json
 import subprocess
@@ -18,12 +18,20 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["env"]["OPENBLAS_NUM_THREADS"] == report["env"]["OMP_NUM_THREADS"] == "1"
     assert {"numpy", "scipy", "python", "git_sha"} <= set(report["env"])
-    seen = {(row["layer"], row["kernel"]) for row in report["layers"]}
-    assert seen == {
-        (layer, kind)
+    seen = {(row["layer"], row["kernel"], row["trials"]) for row in report["layers"]}
+    offline = {
+        (layer, kind, None)
         for kind in ("bessel", "exponential", "covariance")
         for layer in (f"kernels.kernel_{kind}", "kernels.fingerprint", "sbar.design_plan")
     }
+    online = {("channels.generate_ssc_channel", None, 1)} | {
+        (layer, kind, trials)
+        for layer, kind in (("sbar.reconstruct", "bessel"), ("baselines.estimate_selmmse", None),
+                            ("baselines.estimate_fas_omp", None))
+        for trials in (1, 20)
+    }
+    assert seen == offline | online
+    assert len(report["layers"]) == len(seen)
     for row in report["layers"]:
         assert row["num_ports"] == 64 and row["n"] == 1
         assert 0 < row["q1_s"] <= row["median_s"] <= row["q3_s"]

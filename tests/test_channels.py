@@ -24,8 +24,8 @@ from fasbar import (
     observe_pilots,
     observe_ports,
     ssc_channel_from_rays,
-    steering_matrix,
 )
+from helpers import steering_matrix
 
 C_LIGHT = 299_792_458.0
 

@@ -182,6 +182,16 @@ class TestToeplitzStorage:
         assert k.stored.shape == (40,)
         assert np.array_equal(k.matrix, toeplitz(k.stored))
 
+    @pytest.mark.parametrize("kind", fasbar.kernels.KINDS)
+    def test_a_kernel_built_from_lags_in_code_holds_them(self, kind):
+        # the stored form is the field: a lag column passed in is kept as
+        # given, and the matrix is derived from it
+        lags = np.exp(-0.1 * np.arange(12.0)) * np.cos(np.arange(12.0))
+        k = fasbar.kernels.Kernel(lags, kind)
+        assert k.stored is lags and k.num_ports == 12
+        assert k.matrix.shape == (12, 12) and not k.matrix.flags.writeable
+        assert np.array_equal(k.matrix, toeplitz(lags))
+
     def test_trained_covariance_stays_dense(self):
         rng = np.random.default_rng(4)
         k = kernel_covariance([rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(3)])
@@ -278,26 +288,25 @@ class TestValidateAndFingerprint:
         # then divided by as a pivot
         lags = kernel_exponential(build_port_geometry(16, 5.0, 3.5e9)).stored.copy()
         lags[3] = bad
-        matrix = fasbar.kernels.toeplitz_view(lags)
-        if form == "dense":
-            matrix = np.array(matrix)
+        stored = np.array(fasbar.kernels.toeplitz_view(lags)) if form == "dense" else lags
         with pytest.raises(ValueError, match="non-finite"):
-            fasbar.kernels.Kernel(matrix, "exponential" if form == "lags" else "covariance")
+            fasbar.kernels.Kernel(stored, "exponential" if form == "lags" else "covariance")
 
     @pytest.mark.parametrize(
         "build, message",
         [
             (lambda m: (m, "banana"), "'kind'"),
             (lambda m: (np.ones((4, 6), dtype=complex), "covariance"), "shape"),
-            (lambda m: (np.ones(5, dtype=complex), "covariance"), "shape"),
+            (lambda m: (np.ones((5, 1), dtype=complex), "covariance"), "shape"),
+            (lambda m: (np.ones(0, dtype=complex), "covariance"), "shape"),
             (lambda m: (np.ones((2, 2, 2), dtype=complex), "covariance"), "shape"),
             (lambda m: (np.ones((0, 0), dtype=complex), "covariance"), "shape"),
-            (lambda m: (fasbar.kernels.toeplitz_view(m[:, 0] + 0.5j), "exponential"), "must be real"),
+            (lambda m: (m[:, 0] + 0.5j, "exponential"), "must be real"),
             (lambda m: (np.array(m) + np.diag(np.full(15, 0.3), 1), "covariance"), "not Hermitian"),
             (lambda m: (np.array(m) + 1e-3j * np.eye(16), "covariance"), "not Hermitian"),
             (lambda m: (_lopsided_view(m[:, 0]), "exponential"), "not Hermitian"),
         ],
-        ids=["unknown-kind", "4x6", "1-d", "3-d", "0x0", "complex-lags", "asymmetric-entries",
+        ids=["unknown-kind", "4x6", "5x1", "0-lags", "3-d", "0x0", "complex-lags", "asymmetric-entries",
              "complex-diagonal", "asymmetric-view"],
     )
     def test_an_invalid_prior_is_rejected_where_the_kernel_is_made(self, build, message):

@@ -594,6 +594,8 @@ class TestPlanValidation:
             {"noise_power_design": -0.5},
             {"noise_power_design": float("nan")},
             {"noise_power_design": float("inf")},
+            {"kernel_fingerprint": 5},
+            {"kernel_fingerprint": None},
         ],
         ids=[
             "order-short",
@@ -613,6 +615,8 @@ class TestPlanValidation:
             "noise-negative",
             "noise-nan",
             "noise-inf",
+            "fingerprint-int",
+            "fingerprint-none",
         ],
     )
     def test_rejects_inconsistent_fields(self, changes):
