@@ -173,7 +173,7 @@ def load_kernel(path):
     stored = np.asarray(arrays["matrix"], dtype=complex)
     if stored.shape not in ((n,), (n, n)):
         raise ValueError(f"kernel array must have shape ({n},) or ({n}, {n}), got {stored.shape}")
-    stored.flags.writeable = False
+    stored.flags.writeable = False  # so Kernel holds it without a copy
     return Kernel(
         stored=stored,
         kind=header["kind"],

@@ -58,6 +58,12 @@ class Kernel:
     ``alpha`` and ``eta`` are meaningful for the analytic kinds only and are
     zero for trained covariances.
 
+    ``stored`` is held read-only: a writable array passed in is copied
+    first, so no later write by the caller reaches the prior after it was
+    judged and fingerprinted.  A read-only array is held as it is, which
+    spares ``kernel_covariance`` and ``load_kernel`` a copy of N^2
+    entries; its memory must then not be written through another view.
+
     Construction is the one place a prior is judged, whether it was built
     in code or loaded from a file.  It rejects, in this order, a ``kind``
     outside ``KINDS``; a ``stored`` array whose shape is not (N,) or
@@ -81,6 +87,10 @@ class Kernel:
         if self.kind not in KINDS:
             raise ValueError(f"kernel 'kind' must be one of {', '.join(KINDS)}, got {self.kind!r}")
         stored = self.stored
+        if stored.flags.writeable:
+            stored = stored.copy()
+            stored.flags.writeable = False
+            object.__setattr__(self, "stored", stored)
         n = stored.shape[0] if stored.ndim else 0
         if n < 1 or stored.shape not in ((n,), (n, n)):
             raise ValueError(f"kernel must store (N,) lags or an (N, N) matrix with N >= 1, got shape {stored.shape}")
@@ -112,9 +122,8 @@ class Kernel:
         dense one all N^2 entries, so the same prior held both ways has two
         fingerprints.
 
-        Computed on first access and cached on the instance, so ``stored``
-        must not be mutated afterwards (the constructors here and
-        ``load_kernel`` store it read-only).
+        Computed on first access and cached on the instance; ``stored`` is
+        held read-only (see ``Kernel``).
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
@@ -170,7 +179,6 @@ def _analytic(profile, kind, alpha, eta, jitter, geom):
     column = (alpha**2 * profile(_lags(geom) / eta)).astype(complex)
     jitter = _checked_jitter(toeplitz_view(column), jitter)
     column[0] += jitter
-    column.flags.writeable = False
     return Kernel(column, kind, float(alpha), float(eta), jitter)
 
 
@@ -234,5 +242,5 @@ def kernel_covariance(training_channels, jitter=None):
     mat = 0.5 * (mat + mat.conj().T)
     jitter = _checked_jitter(mat, jitter)
     mat.real[np.diag_indices_from(mat)] += jitter
-    mat.flags.writeable = False
+    mat.flags.writeable = False  # so Kernel holds it without a copy
     return Kernel(mat, COVARIANCE, 0.0, 0.0, jitter)

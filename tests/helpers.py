@@ -54,7 +54,7 @@ def steering_matrix(geom, sin_angles):
     return _expand(*_phase_table(geom, sin_angles), geom.num_ports)
 
 
-def clustered_lags(geom, params, nodes=64):
+def clustered_lags(geom, params):
     """Lags r(d) of the ensemble covariance of ``generate_ssc_channel``.
 
     Every ray is a plane wave with a zero-mean unit-power gain, so
@@ -64,13 +64,19 @@ def clustered_lags(geom, params, nodes=64):
     plus an offset uniform within +-s = ``params.angle_spread_deg``, so its
     density p is a trapezoid: flat at 1/120 per degree on |theta| <= 60 - s,
     falling linearly to 0 at 60 + s.  The integrand is smooth between the
-    four corners, so Gauss-Legendre with ``nodes`` points on each of the
-    three pieces gives the lags to rounding (64 nodes agree with 512 to
-    5e-15 at 10 wavelengths, and with a 200 001-point trapezoid rule to
-    1e-10).  Returns the N real lags of the uniform grid of ``geom``.
+    four corners, so Gauss-Legendre with 64 points on each of the three
+    pieces gives the lags to rounding (64 nodes agree with 512 to 5e-15 at
+    10 wavelengths, and with a 200 001-point trapezoid rule to 1e-10).
+    Returns the N real lags of the uniform grid of ``geom``.
+
+    The corners are ordered only for 0 < s < 60, so other spreads, which
+    ``SscModelParams`` accepts, raise a ValueError: s = 0 has no sloped
+    pieces and s >= 60 moves the inner corners past each other.
     """
     s = params.angle_spread_deg
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    if not 0.0 < s < 60.0:
+        raise ValueError(f"clustered_lags needs 0 < angle_spread_deg < 60, got {s}")
+    x, w = np.polynomial.legendre.leggauss(64)
     corners = np.deg2rad([-60.0 - s, -60.0 + s, 60.0 - s, 60.0 + s])
     half = np.diff(corners)[:, None] / 2.0
     theta = (half * x + (corners[:-1, None] + half)).ravel()

@@ -61,6 +61,15 @@ def test_the_matched_lags_are_a_unit_power_toeplitz_prior(setting):
     assert np.linalg.eigvalsh(kernel.matrix).min() > -1e-10
 
 
+@pytest.mark.parametrize("spread", [0.0, 60.0, 75.0])
+def test_the_matched_lags_reject_a_spread_the_trapezoid_does_not_fit(spread):
+    # spread 0 gave NaN lags, and from 60 on the sloped pieces overlapped
+    # the flat one and the lags came out wrong with no error
+    geom = build_port_geometry(8, 2.0, 3.5e9)
+    with pytest.raises(ValueError, match="angle_spread_deg"):
+        clustered_lags(geom, SscModelParams(angle_spread_deg=spread))
+
+
 @pytest.mark.parametrize("p", [1, 4, 10])
 @pytest.mark.parametrize("snr_db", [20.0, 30.0, 40.0])
 def test_pooled_error_and_band_are_calibrated_on_clustered_channels(setting, snr_db, p):

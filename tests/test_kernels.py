@@ -184,13 +184,29 @@ class TestToeplitzStorage:
 
     @pytest.mark.parametrize("kind", fasbar.kernels.KINDS)
     def test_a_kernel_built_from_lags_in_code_holds_them(self, kind):
-        # the stored form is the field: a lag column passed in is kept as
-        # given, and the matrix is derived from it
+        # the stored form is the field: a lag column passed in is held, and
+        # the matrix is derived from it
         lags = np.exp(-0.1 * np.arange(12.0)) * np.cos(np.arange(12.0))
         k = fasbar.kernels.Kernel(lags, kind)
-        assert k.stored is lags and k.num_ports == 12
+        assert np.array_equal(k.stored, lags) and k.num_ports == 12
         assert k.matrix.shape == (12, 12) and not k.matrix.flags.writeable
         assert np.array_equal(k.matrix, toeplitz(lags))
+
+    @pytest.mark.parametrize("form", ["lags", "dense"])
+    def test_a_later_write_to_the_callers_array_does_not_reach_the_kernel(self, form):
+        # a kernel built in code shared the caller's writable array, so an
+        # edit made afterwards changed its matrix under its cached
+        # fingerprint, past every construction rule
+        lags = np.exp(-0.1 * np.arange(8.0))
+        stored = lags if form == "lags" else toeplitz(lags).astype(complex)
+        k = fasbar.kernels.Kernel(stored, "covariance")
+        before = k.fingerprint, np.array(k.matrix)
+        stored[1] = 5.0
+        assert not k.stored.flags.writeable
+        assert np.array_equal(k.matrix, before[1])
+        # a read-only array is held as it is, with no copy
+        again = fasbar.kernels.Kernel(k.stored, "covariance")
+        assert again.stored is k.stored and again.fingerprint == before[0]
 
     def test_trained_covariance_stays_dense(self):
         rng = np.random.default_rng(4)
