@@ -184,7 +184,8 @@ def load_kernel(path):
 
 
 def save_plan(path, plan):
-    """Persist a sampling plan; the measurement order is stored 1-based."""
+    """Persist a sampling plan; the measurement order is stored 1-based and
+    the weights as f8 or c16, the field the plan holds them in."""
     header = {
         "content": "plan",
         "num_ports": plan.num_ports,
@@ -198,15 +199,15 @@ def save_plan(path, plan):
 
 
 def load_plan(path):
-    """Read a plan; ValueError if a dimension or port is not an integer, the
-    noise power is not a finite number, its weights or variances hold a
-    NaN or infinity, or its order or arrays disagree with N, P, M."""
+    """Read a plan; ValueError if a dimension or port is not an integer or
+    the noise power is not a finite number.  ``SamplingPlan`` judges the
+    plan itself: its order and arrays against N, P, M and finite weights
+    and variances.  The weights load in the field they were saved in: f8
+    for a real prior, c16 for a trained one or a file written when every
+    plan held complex weights."""
     header, arrays = read_container(path)
     if header.get("content") != "plan":
         raise ValueError(f"{path} does not hold a sampling plan")
-    for name in ("weights", "post_diag"):
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"plan array {name!r} holds a non-finite entry")
     return SamplingPlan(
         num_ports=_whole_number(header["num_ports"], "header 'num_ports'"),
         num_timeslots=_whole_number(header["num_timeslots"], "header 'num_timeslots'"),

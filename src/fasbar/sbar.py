@@ -19,16 +19,17 @@ system together.  It costs O(N*K^2) time and O(N*K) memory beyond the
 kernel.  No pick depends on P, so the first P*M picks of a longer pass
 are the plan for P, and a sweep designs all its budgets in one pass.
 The pass runs in the field of the prior: a kernel with no nonzero
-imaginary part (the analytic kinds) is designed in float64, a trained one
-in complex128, and either way the plan holds complex weights.
+imaginary part (the analytic kinds) is designed in float64 and its plan
+holds float64 weights, a trained one in complex128 with complex weights.
 The dense rank-one recursion over the full N x N posterior that this pass
 must reproduce lives with the tests, as the oracle
 ``tests/posterior_reference.py``.  A plan stores the port order and the
 weights; switch matrices are read off the order.
 
-Stage 2 (online).  Reconstruct hhat = w^H y.  One matrix-vector product,
-O(N) per measurement; no kernel, no factorization.  A block of T rounds
-is one matrix product.
+Stage 2 (online).  Reconstruct hhat = w^H y.  One matrix product, O(N)
+per measurement and round; no kernel, no factorization.  Real weights
+take it in real arithmetic, with each round's real and imaginary parts
+as two columns of the right factor.
 
 Port indices are 0-based everywhere in memory; file formats are 1-based
 (see fileio).
@@ -73,18 +74,23 @@ class SamplingPlan:
         slot s connects order[s*M : (s+1)*M], in RF-chain order, so the
         slot's switch matrix is read off the order.
     weights : np.ndarray
-        Precomputed MAP weights, shape (P*M, N) complex.
+        Precomputed MAP weights, shape (P*M, N): float64 for a real prior,
+        complex128 for a trained one.
     noise_power_design : float
         s2 the weights were solved with; observations must match it.
     kernel_fingerprint : str
         Fingerprint of the prior covariance used at design time.
     post_diag : np.ndarray
         Design-time posterior variance of every port after all P*M
-        measurements, shape (N,) real.
+        measurements, shape (N,) float64.
 
-    Construction rejects an order or array shapes that disagree with N, P, M,
-    a negative or non-finite design noise power, and a kernel fingerprint
-    that is not a string.
+    Construction is the one place a plan is judged, whether it was designed,
+    built in code or loaded from a file.  It rejects an order or array
+    shapes that disagree with N, P, M; weights that are not float64 or
+    complex128, or hold a NaN or infinity; variances that are not float64,
+    or hold a NaN or infinity; a negative or non-finite design noise power;
+    and a kernel fingerprint that is not a string.  The finiteness checks
+    are one pass over the K*N weights and one over the N variances.
     """
 
     num_ports: int
@@ -107,6 +113,13 @@ class SamplingPlan:
             raise ValueError(f"weights must have shape ({k}, {n}), got {np.shape(self.weights)}")
         if np.shape(self.post_diag) != (n,):
             raise ValueError(f"post_diag must have shape ({n},), got {np.shape(self.post_diag)}")
+        if getattr(self.weights, "dtype", None) not in (np.float64, np.complex128):
+            raise ValueError(f"weights must be a float64 or complex128 array, got {getattr(self.weights, 'dtype', None)}")
+        if getattr(self.post_diag, "dtype", None) != np.float64:
+            raise ValueError(f"post_diag must be a float64 array, got {getattr(self.post_diag, 'dtype', None)}")
+        for name in ("weights", "post_diag"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"plan array {name!r} holds a non-finite entry")
         _check_noise_power(self.noise_power_design)
         if not isinstance(self.kernel_fingerprint, str):
             raise ValueError(f"kernel_fingerprint must be a string, got {self.kernel_fingerprint!r}")
@@ -179,11 +192,12 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     posterior covariance Sigma - B B^H is never formed.  The rows of B at
     the measured ports, below the diagonal, plus the pivots sqrt(var[j] +
     s2) on it, are the Cholesky factor L of Sigma(Omega, Omega) + s2*I, so
-    the weights take one triangular solve L^H w = B^H.  Time is O(N*K^2),
-    memory O(N*K) beyond the kernel.  The selected order (slot s takes
-    picks s*M to s*M + M - 1), the weights and the final variances are
-    packaged into a SamplingPlan; nothing about the received pilots is
-    needed, so all of this runs offline.
+    the weights are w = L^-H B^H, with L^-1 from one K x K triangular
+    solve.  Time is O(N*K^2), memory O(N*K) beyond the kernel.  The
+    selected order (slot s takes picks s*M to s*M + M - 1), the weights,
+    in the prior's field, and the final variances are packaged into a
+    SamplingPlan; nothing about the received pilots is needed, so all of
+    this runs offline.
 
     Parameters
     ----------
@@ -236,7 +250,8 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
     sigma = kernel.matrix
     # a real prior has real B, L and W, so design it in float64; the scan
     # stops at the first row of a dense kernel that holds an imaginary part
-    if not any(row.any() for row in np.atleast_2d(kernel.stored.imag)):
+    real = not any(row.any() for row in np.atleast_2d(kernel.stored.imag))
+    if real:
         sigma = sigma.real
     var = sigma.diagonal().real.copy()
     prior_max = float(var.max())
@@ -259,7 +274,7 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         # conj of the posterior covariance column Sigma(:, j) - B B(j, :)^H
         row = sigma[:, j].conj() - bh[:i, j].conj() @ bh[:i]
         bh[i] = row / pivots[i]
-        var -= bh[i].real ** 2 + bh[i].imag ** 2
+        var -= bh[i] ** 2 if real else bh[i].real ** 2 + bh[i].imag ** 2
         measured[j] = True
         order.append(j)
         if i + 1 in post_diags:
@@ -282,11 +297,14 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         # L = tril(B(Omega, :), -1) + diag(pivots), and B(Omega, :) = bh[:K, Omega]^H
         factor = np.tril(bh[:k, idx].conj().T, -1)
         factor[np.diag_indices(k)] = pivots[:k]
-        # L^H w = B^H through LAPACK, with what scipy's solve_triangular(factor,
-        # bh[:k], lower=True, trans="C") passes, so the weights keep its bits
-        weights, info = trtrs(factor, bh[:k], lower=1, trans=2)
+        # w = L^-H B^H: L^-1 through LAPACK, equal bit for bit to scipy's
+        # solve_triangular(factor, eye(k), lower=True), then one C-ordered
+        # product of the C-ordered block B^H; at N = 1024 a K x K solve and a
+        # product outrun trtrs on the K x N block four to seven times
+        inverse, info = trtrs(factor, np.eye(k), lower=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+        weights = inverse.conj().T @ bh[:k]
         gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
         diff = gram @ weights
         diff -= sigma[idx, :]
@@ -296,9 +314,6 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
             raise np.linalg.LinAlgError(
                 f"weight solve residual {residual:.3e} exceeds {bound:.3e}; system too ill-conditioned"
             )
-        # complex and C-ordered whatever the prior's field, so the online
-        # product sums identically after a save/load cycle
-        weights = np.ascontiguousarray(weights, dtype=complex)
         var.flags.writeable = False
         weights.flags.writeable = False
         plans.append(
@@ -323,7 +338,10 @@ def reconstruct(plan, observation):
     stored weights are all it reads.  The observation must be bound to this
     plan and carry the noise power the plan was designed for.  Its values
     are one round, shape (P*M,), or a block of T rounds, shape (T, P*M),
-    which gives T estimates in one (T, N) array.
+    which gives T estimates in one (T, N) array.  Float64 weights take
+    w^T y as one real product whose right factor holds each round's real
+    and imaginary parts as two columns, so every row of a block equals its
+    lone call bit for bit; complex weights take one complex product.
 
     Returns
     -------
@@ -342,5 +360,11 @@ def reconstruct(plan, observation):
             f"observation noise power {observation.noise_power!r} differs from "
             f"design value {plan.noise_power_design!r}"
         )
-    # w^H y computed as (y^H w)^H so the weight matrix is streamed, not copied
-    return Reconstruction(np.conj(y.conj() @ plan.weights), plan.post_diag)
+    w = plan.weights
+    if np.iscomplexobj(w):
+        # w^H y computed as (y^H w)^H so the weight matrix is streamed, not copied
+        return Reconstruction(np.conj(y.conj() @ w), plan.post_diag)
+    # w^T y on (re, im) columns: (K, 2T) in, (N, 2T) out, read back as (T, N) complex
+    pairs = np.ascontiguousarray(np.atleast_2d(y).T, dtype=complex).view(float)
+    estimate = (w.T @ pairs).view(complex).T.reshape(y.shape[:-1] + (plan.num_ports,))
+    return Reconstruction(estimate, plan.post_diag)

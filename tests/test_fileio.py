@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,8 +245,9 @@ def _infinite_variance(doc):
 def _drop_weight_column(doc):
     spec = next(s for s in doc["arrays"] if s["name"] == "weights")
     rows, cols = spec["shape"]
-    pairs = np.asarray(doc["array_data"]["weights"]).reshape(rows, cols, 2)
-    doc["array_data"]["weights"] = pairs[:, :-1].ravel().tolist()
+    # f8 weights are one number per entry, c16 weights an interleaved pair
+    entries = np.asarray(doc["array_data"]["weights"]).reshape(rows, cols, -1)
+    doc["array_data"]["weights"] = entries[:, :-1].ravel().tolist()
     spec["shape"] = [rows, cols - 1]
 
 
@@ -296,6 +298,55 @@ class TestPlanFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_plan(path)
+
+
+@pytest.fixture(scope="module")
+def trained_plan():
+    rng = np.random.default_rng(9)
+    kernel = kernel_covariance([rng.standard_normal(24) + 1j * rng.standard_normal(24) for _ in range(30)])
+    return design_plan(kernel, 3, 2, 0.8)
+
+
+class TestPlanWeightField:
+    """A plan file holds the weights in the field the prior was designed in."""
+
+    @pytest.mark.parametrize("name", ["plan.bin", "plan.json"])
+    @pytest.mark.parametrize("flavor", ["real", "trained"])
+    def test_weights_round_trip_bit_for_bit_in_their_field(self, tmp_path, plan, trained_plan, flavor, name):
+        designed = plan if flavor == "real" else trained_plan
+        path = tmp_path / name
+        save_plan(path, designed)
+        header, _ = read_container(path)
+        tags = {spec["name"]: spec["dtype"] for spec in header["arrays"]}
+        assert tags == {"weights": "f8" if flavor == "real" else "c16", "post_diag": "f8"}
+        loaded = load_plan(path)
+        assert loaded.weights.dtype == designed.weights.dtype
+        assert loaded.weights.tobytes() == designed.weights.tobytes()
+        assert loaded.post_diag.tobytes() == designed.post_diag.tobytes()
+
+    def test_float64_weights_take_half_the_bytes(self, tmp_path, plan):
+        assert plan.weights.dtype == np.float64
+        save_plan(tmp_path / "real.bin", plan)
+        save_plan(tmp_path / "complex.bin", replace(plan, weights=plan.weights.astype(complex)))
+        k, n = plan.weights.shape
+        saved = (tmp_path / "complex.bin").stat().st_size - (tmp_path / "real.bin").stat().st_size
+        # 8 of a weight's 16 bytes, and one byte of the header's longer "c16" tag
+        assert saved == k * n * 8 + 1
+
+    @pytest.mark.parametrize("name", ["plan.bin", "plan.json"])
+    def test_a_plan_saved_with_complex_weights_still_loads(self, tmp_path, plan, name):
+        # as files were written when every plan held complex weights, the
+        # imaginary parts of a real prior's all zero
+        save_plan(tmp_path / name, replace(plan, weights=plan.weights.astype(complex)))
+        loaded = load_plan(tmp_path / name)
+        assert loaded.weights.dtype == np.complex128 and not loaded.weights.imag.any()
+        assert loaded.plan_id == plan.plan_id
+        rng = np.random.default_rng(12)
+        block = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+        for values in (block[0], block):
+            obs = PilotObservation(values, 0.8, plan.plan_id)
+            old, new = reconstruct(loaded, obs).estimate, reconstruct(plan, obs).estimate
+            assert np.abs(old - new).max() <= 1e-12 * np.abs(new).max()
 
 
 # an estimate file as written when estimate files stored the band: N=5

@@ -119,7 +119,7 @@ def solve_triangular_design(kernel, pilot_counts, m, noise_power):
     them, with the weights solved by ``scipy.linalg.solve_triangular``.
 
     The pass runs in the prior's field: float64 for a kernel whose entries
-    are all real, complex128 otherwise; the weights come back complex."""
+    are all real, complex128 otherwise; the weights come back in that field."""
     sigma = kernel.matrix
     if not sigma.imag.any():
         sigma = sigma.real
@@ -143,7 +143,7 @@ def solve_triangular_design(kernel, pilot_counts, m, noise_power):
         k = p * m
         factor = np.tril(bh[:k, order[:k]].conj().T, -1)
         factor[np.diag_indices(k)] = pivots[:k]
-        weights = np.ascontiguousarray(solve_triangular(factor, bh[:k], lower=True, trans="C"), dtype=complex)
+        weights = solve_triangular(factor, np.eye(k), lower=True).conj().T @ bh[:k]
         designs.append((tuple(order[:k]), weights, post_diags[k]))
     return designs
 
@@ -481,13 +481,10 @@ class TestDirectSolve:
         for plan, (order, weights, post_diag) in zip(plans, solve_triangular_design(kernel, counts, 4, n / 100.0)):
             assert plan.order == order
             assert plan.weights.flags.c_contiguous
-            assert plan.weights.dtype == np.complex128
+            # designed and stored in the prior's field
+            assert plan.weights.dtype == (np.complex128 if kind == "covariance" else np.float64)
             assert plan.weights.tobytes() == weights.tobytes()
             assert plan.post_diag.tobytes() == post_diag.tobytes()
-            if kind != "covariance":
-                # designed in float64: every imaginary part is +0.0, sign bit clear
-                assert not np.signbit(plan.weights.imag).any()
-                assert not plan.weights.imag.any()
 
     def test_one_imaginary_pair_keeps_the_complex_design(self):
         sigma = np.array(kernel_exponential(build_port_geometry(64, 10.0, 3.5e9)).matrix)
@@ -624,6 +621,36 @@ class TestPlanValidation:
             hand_plan(**changes)
 
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"weights": np.where(np.eye(4, 6), np.nan, 0.0)}, "non-finite"),
+            ({"weights": np.full((4, 6), 1j * np.inf)}, "non-finite"),
+            ({"weights": np.zeros((4, 6), dtype=int)}, "float64 or complex128"),
+            ({"weights": np.zeros((4, 6), dtype=np.float32)}, "float64 or complex128"),
+            ({"weights": [[0.0] * 6] * 4}, "float64 or complex128"),
+            ({"post_diag": np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0])}, "non-finite"),
+            ({"post_diag": np.full(6, np.nan)}, "non-finite"),
+            ({"post_diag": np.ones(6, dtype=complex)}, "float64"),
+            ({"post_diag": np.ones(6, dtype=int)}, "float64"),
+        ],
+        ids=["weights-nan", "weights-inf", "weights-int", "weights-float32", "weights-list", "post-diag-inf",
+             "post-diag-nan", "post-diag-complex", "post-diag-int"],
+    )
+    def test_rejects_arrays_a_plan_file_could_not_hold(self, changes, message):
+        # each built in code, where load_plan refused the non-finite ones; a
+        # NaN weight gave a NaN estimate
+        with pytest.raises(ValueError, match=message):
+            hand_plan(**changes)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_accepts_weights_in_either_field(self, dtype):
+        weights = np.arange(24.0).reshape(4, 6).astype(dtype)
+        plan = hand_plan(weights=weights)
+        rec = reconstruct(plan, PilotObservation(np.array([1.0, 2j, -1.0, 0.5]), 0.1, plan.plan_id))
+        assert np.array_equal(rec.estimate, np.array([1.0, 2j, -1.0, 0.5]) @ weights)
+
+
 class TestReconstruct:
     def _setup(self, n=16, p=2, m=2, noise=0.01, seed=8):
         geom = build_port_geometry(n, 5.0, 3.5e9)
@@ -746,6 +773,37 @@ class TestReconstruct:
             single = reconstruct(plan, PilotObservation(y, noise, plan.plan_id)).estimate
             assert np.abs(row - single).max() <= 1e-12 * np.abs(single).max()
         assert rec.confidence_lo.shape == rec.confidence_hi.shape == (25, 256)
+
+    @pytest.mark.parametrize("build", [kernel_bessel, kernel_exponential])
+    @pytest.mark.parametrize("n, p, trials", [(16, 1, 2), (256, 5, 25), (1024, 10, 7)])
+    def test_a_real_prior_block_row_equals_its_lone_call(self, build, n, p, trials):
+        # float64 weights take w^T y as one real product in both calls
+        noise = n / 100.0
+        plan = design_plan(build(build_port_geometry(n, 10.0, 3.5e9)), p, 4, noise)
+        assert plan.weights.dtype == np.float64
+        rng = np.random.default_rng(n + p)
+        block = rng.standard_normal((trials, 4 * p)) + 1j * rng.standard_normal((trials, 4 * p))
+        rec = reconstruct(plan, PilotObservation(block, noise, plan.plan_id))
+        assert rec.estimate.shape == (trials, n) and rec.estimate.dtype == np.complex128
+        expected = block @ plan.weights.astype(complex)
+        assert np.abs(rec.estimate - expected).max() <= 1e-12 * np.abs(expected).max()
+        for row, y in zip(rec.estimate, block):
+            single = reconstruct(plan, PilotObservation(y, noise, plan.plan_id)).estimate
+            assert single.shape == (n,)
+            assert single.tobytes() == row.tobytes()
+
+    def test_a_trained_prior_block_row_matches_its_lone_call(self):
+        geom = build_port_geometry(256, 10.0, 3.5e9)
+        kernel = kernel_covariance([generate_ssc_channel(geom, SscModelParams(rng_seed=s)) for s in range(40)])
+        noise = 0.05
+        plan = design_plan(kernel, 5, 4, noise)
+        assert plan.weights.dtype == np.complex128
+        rng = np.random.default_rng(32)
+        block = rng.standard_normal((25, 20)) + 1j * rng.standard_normal((25, 20))
+        rec = reconstruct(plan, PilotObservation(block, noise, plan.plan_id))
+        for row, y in zip(rec.estimate, block):
+            single = reconstruct(plan, PilotObservation(y, noise, plan.plan_id)).estimate
+            assert np.abs(row - single).max() <= 1e-12 * np.abs(single).max()
 
     def test_block_checks_match_the_single_round(self):
         _, plan, _, obs = self._setup()
