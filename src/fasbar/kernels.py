@@ -44,6 +44,9 @@ KINDS = (EXPONENTIAL, BESSEL, COVARIANCE)
 #: relative diagonal loading applied when no explicit jitter is given
 DEFAULT_JITTER_SCALE = 1e-9
 
+#: columns per panel of the dense Hermitian check
+_HERMITIAN_PANEL = 256
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -72,9 +75,9 @@ class Kernel:
     part; and a dense matrix that is not exactly Hermitian, which the
     pivoted Cholesky design assumes.  The kind and shape checks are O(1)
     and the lag checks O(N).  A dense matrix costs O(N^2): one pass for
-    finiteness and one comparison with its conjugate transpose, which
-    holds one N x N temporary and adds about half to the time
-    ``kernel_covariance`` takes at N >= 1024.
+    finiteness and one comparison with its conjugate transpose, panel by
+    panel of 256 columns, so it holds one N x 256 temporary, not an N x N
+    one.
     """
 
     stored: np.ndarray
@@ -99,8 +102,12 @@ class Kernel:
         if stored.ndim == 1:
             if stored.imag.any():
                 raise ValueError("kernel lag column must be real")
-        elif not np.array_equal(stored, stored.conj().T):
-            raise ValueError("kernel matrix is not Hermitian; symmetrize it as 0.5 * (S + S^H)")
+        else:
+            # row panels against conjugated column panels, so no N x N copy
+            for i in range(0, n, _HERMITIAN_PANEL):
+                rows = slice(i, i + _HERMITIAN_PANEL)
+                if not np.array_equal(stored[rows], stored[:, rows].conj().T):
+                    raise ValueError("kernel matrix is not Hermitian; symmetrize it as 0.5 * (S + S^H)")
 
     @property
     def num_ports(self) -> int:

@@ -332,6 +332,34 @@ class TestValidateAndFingerprint:
         with pytest.raises(ValueError, match=message):
             fasbar.kernels.Kernel(*build(matrix))
 
+    @pytest.mark.parametrize("n", [600, 768])
+    @pytest.mark.parametrize("entry", ["below-diagonal", "diagonal"])
+    def test_an_asymmetry_in_the_last_panel_is_rejected(self, n, entry):
+        # the dense check compares 256 columns at a time; the nudged entry and
+        # its mirror both lie in the last panel, so no earlier panel sees them
+        m = np.array(kernel_exponential(build_port_geometry(n, 10.0, 3.5e9)).matrix)
+        if entry == "diagonal":
+            m[n - 1, n - 1] += 1e-12j
+        else:
+            m[n - 1, n - 2] += 1e-12
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fasbar.kernels.Kernel(m, "covariance")
+
+    def test_the_dense_check_holds_under_two_panels(self):
+        # comparing with the whole conjugate transpose held an N x N copy,
+        # 16 MiB here; a 256-column panel of it is 4 MiB
+        n = 1024
+        m = np.array(kernel_exponential(build_port_geometry(n, 10.0, 3.5e9)).matrix)
+        m.flags.writeable = False  # so the kernel holds it without a copy
+        tracemalloc.start()
+        try:
+            kernel = fasbar.kernels.Kernel(m, "covariance")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.stored is m
+        assert peak < 2 * n * 256 * m.itemsize
+
     def test_psd_after_jitter(self):
         geom = build_port_geometry(96, 10.0, 3.5e9)
         for k in (kernel_exponential(geom), kernel_bessel(geom)):
