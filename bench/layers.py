@@ -9,11 +9,15 @@ For each N in ``--ports`` it builds the Bessel and exponential kernels
 and, up to N = 2048, the trained covariance of T = 100 clustered channels
 (at N = 4096 that kernel alone is a 268 MB matrix).  It hashes each fresh
 kernel, then designs a plan with P*M = 40 (P = 10, M = 4) at 20 dB, i.e.
-noise power N/100.  Online, it synthesizes one clustered channel, and
-runs each estimator at P*M = 40 on one round and on a block of 20 rounds:
-``reconstruct`` with the Bessel plan, ``estimate_selmmse`` and
-``estimate_fas_omp``.  A row's ``trials`` is the rounds one call
-estimates, and null for the offline layers.  Every layer is timed
+noise power N/100.  The Bessel plan and the trained one are saved with
+``save_plan`` and read back with ``load_plan`` as binary files, and those
+rows record the file's ``bytes``.  Online, it synthesizes one clustered
+channel, takes one round of its pilots through the Bessel plan with
+``observe_pilots``, and runs each estimator at P*M = 40 on one round and
+on a block of 20 rounds: ``reconstruct`` with the Bessel plan,
+``estimate_selmmse`` and ``estimate_fas_omp``.  A row's ``trials`` is the
+rounds one call observes or estimates, and null for the offline layers;
+its ``bytes`` is null but for the plan files.  Every layer is timed
 ``--repeats`` times, and so is ``import fasbar, fasbar.cli`` in as many
 fresh interpreters (``import_s``, most of what perfbench's ``setup_s``
 measures).  The JSON file records the median and quartiles in seconds,
@@ -35,6 +39,7 @@ for _var in THREAD_VARS:
 import argparse  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -50,6 +55,8 @@ TRAIN_TIMESLOTS = 100
 #: the largest N whose trained covariance is built; one more doubling is 268 MB
 TRAINED_MAX_PORTS = 2048
 PILOTS, ANTENNAS = 10, 4
+#: the kernels whose plans are saved and loaded: one real prior, one trained
+PLAN_FILE_KINDS = ("bessel", "covariance")
 #: rounds in one block call of each estimator
 BLOCK_TRIALS = 20
 SNR_DB = 20.0
@@ -62,8 +69,9 @@ def _spread(seconds):
     return {"n": len(seconds), "median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}
 
 
-def _summary(layer, kernel, num_ports, seconds, trials=None):
-    return {"layer": layer, "kernel": kernel, "num_ports": num_ports, "trials": trials, **_spread(seconds)}
+def _summary(layer, kernel, num_ports, seconds, trials=None, size=None):
+    return {"layer": layer, "kernel": kernel, "num_ports": num_ports, "trials": trials, "bytes": size,
+            **_spread(seconds)}
 
 
 def _timed(call):
@@ -91,16 +99,32 @@ def measure(num_ports, repeats):
             # a fresh kernel hashes once; later designs read the cached digest
             hash_s.append(_timed(lambda: kernel.fingerprint)[0])
         for _ in range(repeats):
-            design_s.append(_timed(lambda: fasbar.design_plan(kernel, PILOTS, ANTENNAS, noise_power))[0])
+            seconds, plan = _timed(lambda: fasbar.design_plan(kernel, PILOTS, ANTENNAS, noise_power))
+            design_s.append(seconds)
         rows += [_summary(f"kernels.kernel_{kind}", kind, num_ports, build_s),
                  _summary("kernels.fingerprint", kind, num_ports, hash_s),
                  _summary("sbar.design_plan", kind, num_ports, design_s)]
+        if kind in PLAN_FILE_KINDS:
+            rows += measure_plan_file(plan, kind, repeats)
     return rows
 
 
+def measure_plan_file(plan, kind, repeats):
+    """Summaries of ``save_plan`` and ``load_plan`` on one binary plan file,
+    each with the file's size in bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.bin"
+        save_s = [_timed(lambda: fasbar.save_plan(path, plan))[0] for _ in range(repeats)]
+        load_s = [_timed(lambda: fasbar.load_plan(path))[0] for _ in range(repeats)]
+        size = path.stat().st_size
+    return [_summary(f"fileio.{layer}", kind, plan.num_ports, seconds, size=size)
+            for layer, seconds in (("save_plan", save_s), ("load_plan", load_s))]
+
+
 def measure_online(num_ports, repeats):
-    """Summaries of channel synthesis and of every estimator at one N, each
-    estimator on one round and on a block of ``BLOCK_TRIALS`` rounds."""
+    """Summaries of channel synthesis, of pilot observation and of every
+    estimator at one N, each estimator on one round and on a block of
+    ``BLOCK_TRIALS`` rounds."""
     geom = fasbar.build_port_geometry(num_ports, APERTURE_WAVELENGTHS, CARRIER_HZ)
     noise_power = fasbar.noise_power_for_snr(num_ports, SNR_DB)
     measured = PILOTS * ANTENNAS
@@ -113,13 +137,16 @@ def measure_online(num_ports, repeats):
         for t in range(BLOCK_TRIALS)
     ])
     plan = fasbar.design_plan(fasbar.kernel_bessel(geom), PILOTS, ANTENNAS, noise_power)
+    channel = fasbar.generate_ssc_channel(geom, fasbar.SscModelParams(rng_seed=0))
+    observe_s = [_timed(lambda: fasbar.observe_pilots(channel, plan, noise_power, s))[0] for s in range(repeats)]
     sbar_y = received[:, list(plan.order)]
     sel_ports = fasbar.selmmse_ports(num_ports, measured)
     sel_y = received[:, sel_ports]
     omp_ports = np.array([fasbar.random_ports(num_ports, measured, t) for t in range(BLOCK_TRIALS)])
     omp_y = np.take_along_axis(received, omp_ports, axis=1)
     dictionary = fasbar.build_steering_dictionary(geom)
-    rows = [_summary("channels.generate_ssc_channel", None, num_ports, synth_s, 1)]
+    rows = [_summary("channels.generate_ssc_channel", None, num_ports, synth_s, 1),
+            _summary("channels.observe_pilots", None, num_ports, observe_s, 1)]
     # index 0 gives one round of shape (P*M,), the full slice the block
     for trials, pick in ((1, 0), (BLOCK_TRIALS, slice(None))):
         obs = fasbar.PilotObservation(sbar_y[pick], noise_power, plan.plan_id)
@@ -169,8 +196,9 @@ def main(argv=None):
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for row in layers:
-        print("{:<30} {:<12} {:<4} N={num_ports:<5} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(
-            row["layer"], row["kernel"] or "-", row["trials"] or "-", **row))
+        size = f"  {row['bytes']} B" if row["bytes"] else ""
+        print("{:<30} {:<12} {:<4} N={num_ports:<5} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}{}".format(
+            row["layer"], row["kernel"] or "-", row["trials"] or "-", size, **row))
     print("{:<65} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(
         "import fasbar, fasbar.cli", **imports))
     return 0

@@ -24,17 +24,28 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
         for kind in ("bessel", "exponential", "covariance")
         for layer in (f"kernels.kernel_{kind}", "kernels.fingerprint", "sbar.design_plan")
     }
-    online = {("channels.generate_ssc_channel", None, 1)} | {
+    files = {(layer, kind, None) for kind in ("bessel", "covariance")
+             for layer in ("fileio.save_plan", "fileio.load_plan")}
+    online = {("channels.generate_ssc_channel", None, 1), ("channels.observe_pilots", None, 1)} | {
         (layer, kind, trials)
         for layer, kind in (("sbar.reconstruct", "bessel"), ("baselines.estimate_selmmse", None),
                             ("baselines.estimate_fas_omp", None))
         for trials in (1, 20)
     }
-    assert seen == offline | online
+    assert seen == offline | files | online
     assert len(report["layers"]) == len(seen)
+    sizes = {}
     for row in report["layers"]:
         assert row["num_ports"] == 64 and row["n"] == 1
         assert 0 < row["q1_s"] <= row["median_s"] <= row["q3_s"]
+        if row["layer"].startswith("fileio."):
+            sizes.setdefault(row["kernel"], set()).add(row["bytes"])
+        else:
+            assert row["bytes"] is None
+    # each plan file is saved and loaded at one size; the real prior's
+    # float64 weights make its file smaller than the trained prior's
+    (real,), (trained,) = sizes["bessel"], sizes["covariance"]
+    assert 0 < real < trained
     # one fresh-interpreter import of fasbar and its CLI, beside the layers
     imports = report["import_s"]
     assert imports["n"] == 1
