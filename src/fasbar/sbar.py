@@ -113,10 +113,11 @@ class SamplingPlan:
             raise ValueError(f"weights must have shape ({k}, {n}), got {np.shape(self.weights)}")
         if np.shape(self.post_diag) != (n,):
             raise ValueError(f"post_diag must have shape ({n},), got {np.shape(self.post_diag)}")
-        if getattr(self.weights, "dtype", None) not in (np.float64, np.complex128):
-            raise ValueError(f"weights must be a float64 or complex128 array, got {getattr(self.weights, 'dtype', None)}")
-        if getattr(self.post_diag, "dtype", None) != np.float64:
-            raise ValueError(f"post_diag must be a float64 array, got {getattr(self.post_diag, 'dtype', None)}")
+        weights_dtype, post_diag_dtype = (getattr(a, "dtype", None) for a in (self.weights, self.post_diag))
+        if weights_dtype not in (np.float64, np.complex128):
+            raise ValueError(f"weights must be a float64 or complex128 array, got {weights_dtype}")
+        if post_diag_dtype != np.float64:
+            raise ValueError(f"post_diag must be a float64 array, got {post_diag_dtype}")
         for name in ("weights", "post_diag"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"plan array {name!r} holds a non-finite entry")

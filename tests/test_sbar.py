@@ -620,7 +620,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             hand_plan(**changes)
 
-
     @pytest.mark.parametrize(
         "changes, message",
         [
