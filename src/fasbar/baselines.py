@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .channels import ChannelRealization, _expand, _finite, _measured_ports, _phase_table, _whole_number
 
@@ -247,6 +246,9 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
     # a column of a measured block reaches BLAS at a stride, where a dot
     # product is summed in another order than at unit stride: lay atoms out so
     atom_rows = np.empty((trials, m, 2), dtype=complex)
+    # scipy loads here, at the first fas-omp fit, not with the package
+    from scipy.linalg.lapack import get_lapack_funcs
+
     (trtrs,) = get_lapack_funcs(("trtrs",), (r,))
 
     def finish(rows, k):

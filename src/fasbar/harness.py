@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 
 import numpy as np
-import yaml
 
 from .baselines import (
     build_steering_dictionary,
@@ -490,6 +489,8 @@ def config_from_dict(doc, seed_override=None):
 
 def load_config(path, seed_override=None):
     """Parse a YAML experiment config file (see README for the schema)."""
+    import yaml  # loaded by the first config read, not with the package
+
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):

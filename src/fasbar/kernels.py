@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import jv
 
 from .channels import _finite
 
@@ -217,6 +216,9 @@ def kernel_bessel(geom, alpha=1.0, eta=None, jitter=None):
     shared with the exponential kernel and stretches that correlation
     2.5 times over distance.
     """
+    # scipy loads here, at the first Bessel kernel, not with the package
+    from scipy.special import jv
+
     # jv(0, x), not scipy.special.j0: the two differ by up to ~6e-16, which
     # would change every Bessel kernel's fingerprint
     return _analytic(lambda x: jv(0, x), BESSEL, alpha, eta, jitter, geom)

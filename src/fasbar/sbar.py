@@ -41,7 +41,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .channels import _check_noise_power, _measured_ports, _whole_number
 
@@ -280,6 +279,9 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         order.append(j)
         if i + 1 in post_diags:
             post_diags[i + 1] = var.copy()
+    # scipy loads here, at the first design, so an online-only process never does
+    from scipy.linalg.lapack import get_lapack_funcs
+
     (trtrs,) = get_lapack_funcs(("trtrs",), (bh,))
     plans = []
     for p in counts:

@@ -1,0 +1,118 @@
+"""Which modules a fasbar process loads, checked in fresh interpreters.
+
+scipy and PyYAML are imported inside the calls that use them: scipy by the
+Bessel kernel, plan design and fas-omp, PyYAML by ``load_config``.  A
+process that only loads a plan, observes, reconstructs, runs selmmse or
+plots loads neither.  The test process itself may hold both, so each case
+runs in a subprocess and reports the ``sys.modules`` it ends with.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import yaml
+
+from fasbar import (
+    PilotObservation,
+    build_port_geometry,
+    config_from_dict,
+    design_plan,
+    emit_csv,
+    kernel_bessel,
+    observe_ports,
+    run_sweep,
+    save_observation,
+    save_plan,
+)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: prints the loaded modules that are scipy, scipy.* or yaml, as JSON
+REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m in ("scipy", "yaml") or m.startswith("scipy."))))
+"""
+
+
+def loaded_after(code, *args):
+    """The scipy and yaml modules loaded once ``code`` has run in a fresh
+    interpreter with ``args`` as sys.argv[1:]."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    done = subprocess.run(
+        [sys.executable, "-c", code + REPORT, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+ONLINE = """
+import sys
+import numpy as np
+import fasbar, fasbar.cli
+
+plan_file, obs_file, csv_file, out_dir = sys.argv[1:]
+plan = fasbar.load_plan(plan_file)
+geom = fasbar.build_port_geometry(plan.num_ports, 10.0, 3.5e9)
+channel = fasbar.generate_ssc_channel(geom, fasbar.SscModelParams(rng_seed=3))
+obs = fasbar.observe_pilots(channel, plan, 0.64, 5)
+fasbar.reconstruct(plan, obs)
+ports = fasbar.selmmse_ports(plan.num_ports, plan.num_measurements)
+fasbar.estimate_selmmse(channel.values[ports], ports, plan.num_ports)
+fasbar.cli.main(["estimate", "--plan", plan_file, "--observation", obs_file, "--out", out_dir + "/est.json"])
+fasbar.cli.main(["plot", "--csv", csv_file, "--out", out_dir + "/nmse.svg"])
+"""
+
+
+def test_an_online_process_loads_neither_scipy_nor_yaml(tmp_path):
+    # every fasbar process paid ~0.2 s for scipy at import, 0.17 s of it in
+    # scipy's array-API shim, even to apply one precomputed linear map
+    geom = build_port_geometry(64, 10.0, 3.5e9)
+    plan = design_plan(kernel_bessel(geom), 4, 4, 0.64)
+    save_plan(tmp_path / "plan.bin", plan)
+    y = observe_ports(np.ones(64, dtype=complex), plan.order, 0.64, 7)
+    save_observation(tmp_path / "obs.json", PilotObservation(y, 0.64, plan.plan_id))
+    config = config_from_dict({
+        "config_version": 1, "num_ports": 16, "antennas_per_slot": 2, "pilot_counts": [1, 2],
+        "snr_db": [20.0], "trials": 2, "schemes": [{"method": "selmmse"}],
+    })
+    emit_csv(run_sweep(config), tmp_path / "nmse.csv")
+    loaded = loaded_after(ONLINE, tmp_path / "plan.bin", tmp_path / "obs.json", tmp_path / "nmse.csv", tmp_path)
+    assert loaded == []
+    assert (tmp_path / "est.json").exists() and (tmp_path / "nmse.svg").exists()
+
+
+def test_the_offline_calls_load_scipy_at_first_use():
+    # the import is deferred, not removed: the Bessel kernel loads
+    # scipy.special and its design scipy.linalg's LAPACK wrappers
+    code = """
+import sys
+import fasbar
+before = "scipy" in sys.modules
+kernel = fasbar.kernel_bessel(fasbar.build_port_geometry(32, 10.0, 3.5e9))
+special = "scipy.special" in sys.modules
+fasbar.design_plan(kernel, 2, 2, 0.32)
+assert not before and special, (before, special)
+"""
+    assert {"scipy", "scipy.special", "scipy.linalg", "scipy.linalg.lapack"} <= set(loaded_after(code))
+
+
+def test_fas_omp_loads_scipy_and_a_config_file_yaml(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"config_version": 1, "schemes": [{"method": "selmmse"}]}))
+    code = """
+import sys
+import numpy as np
+import fasbar
+geom = fasbar.build_port_geometry(32, 10.0, 3.5e9)
+ports = fasbar.random_ports(32, 8, 1)
+fasbar.estimate_fas_omp(np.ones(8, dtype=complex), ports, fasbar.build_steering_dictionary(geom))
+assert "yaml" not in sys.modules and "scipy.linalg.lapack" in sys.modules
+fasbar.load_config(sys.argv[1])
+"""
+    loaded = loaded_after(code, path)
+    assert "yaml" in loaded and "scipy.linalg.lapack" in loaded
