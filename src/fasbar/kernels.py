@@ -46,6 +46,9 @@ DEFAULT_JITTER_SCALE = 1e-9
 #: columns per panel of the dense Hermitian check
 _HERMITIAN_PANEL = 256
 
+#: the dtypes a kernel's ``stored`` array may have
+_STORED_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -68,12 +71,13 @@ class Kernel:
 
     Construction is the one place a prior is judged, whether it was built
     in code or loaded from a file.  It rejects, in this order, a ``kind``
-    outside ``KINDS``; a ``stored`` array whose shape is not (N,) or
+    outside ``KINDS``; a ``stored`` value that is not a float64 or
+    complex128 ndarray; a ``stored`` array whose shape is not (N,) or
     (N, N) with N >= 1; a NaN or infinite stored entry, so no design
     divides by a non-finite pivot; a lag column with a nonzero imaginary
     part; and a dense matrix that is not exactly Hermitian, which the
-    pivoted Cholesky design assumes.  The kind and shape checks are O(1)
-    and the lag checks O(N).  A dense matrix costs O(N^2): one pass for
+    pivoted Cholesky design assumes.  The kind, dtype and shape checks are
+    O(1) and the lag checks O(N).  A dense matrix costs O(N^2): one pass for
     finiteness and one comparison with its conjugate transpose, panel by
     panel of 256 columns, so it holds one N x 256 temporary, not an N x N
     one.
@@ -89,6 +93,9 @@ class Kernel:
         if self.kind not in KINDS:
             raise ValueError(f"kernel 'kind' must be one of {', '.join(KINDS)}, got {self.kind!r}")
         stored = self.stored
+        if not isinstance(stored, np.ndarray) or stored.dtype not in _STORED_DTYPES:
+            got = f"dtype {stored.dtype}" if isinstance(stored, np.ndarray) else type(stored).__name__
+            raise ValueError(f"kernel 'stored' must be a float64 or complex128 ndarray, got {got}")
         if stored.flags.writeable:
             stored = stored.copy()
             stored.flags.writeable = False

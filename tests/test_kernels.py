@@ -332,6 +332,26 @@ class TestValidateAndFingerprint:
         with pytest.raises(ValueError, match=message):
             fasbar.kernels.Kernel(*build(matrix))
 
+    @pytest.mark.parametrize(
+        "stored, got",
+        [
+            ([1.0, 0.5, 0.1], "list"),
+            (np.array(["1.0", "0.5"]), "dtype <U3"),
+            (np.array([True, False]), "dtype bool"),
+            (np.array([3, 1], dtype=np.int64), "dtype int64"),
+            (np.eye(3, dtype=np.int64), "dtype int64"),
+            (np.array([1.0, 0.5], dtype=np.float32), "dtype float32"),
+            (np.ones(2, dtype=np.complex64), "dtype complex64"),
+        ],
+        ids=["list", "strings", "bools", "int-lags", "int-matrix", "float32", "complex64"],
+    )
+    def test_a_stored_value_of_another_type_is_rejected_naming_the_field(self, stored, got):
+        # a list raised AttributeError from .flags and a string array numpy's
+        # TypeError from isfinite; bool and integer arrays built priors with
+        # fingerprints
+        with pytest.raises(ValueError, match=f"kernel 'stored' must be a float64 or complex128 ndarray, got {got}$"):
+            fasbar.kernels.Kernel(stored, "covariance")
+
     @pytest.mark.parametrize("n", [600, 768])
     @pytest.mark.parametrize("entry", ["below-diagonal", "diagonal"])
     def test_an_asymmetry_in_the_last_panel_is_rejected(self, n, entry):
