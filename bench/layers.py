@@ -18,11 +18,17 @@ on a block of 20 rounds: ``reconstruct`` with the Bessel plan,
 ``estimate_selmmse`` and ``estimate_fas_omp``.  A row's ``trials`` is the
 rounds one call observes or estimates, and null for the offline layers;
 its ``bytes`` is null but for the plan files.  Every layer is timed
-``--repeats`` times, and so is ``import fasbar, fasbar.cli`` in as many
-fresh interpreters (``import_s``, most of what perfbench's ``setup_s``
-measures).  The JSON file records the median and quartiles in seconds,
-next to the BLAS thread pinning, the core count, the library versions and
-the git SHA.
+``--repeats`` times.  A sample is one call, except for the layers that
+take microseconds on one round (``observe_pilots``, ``reconstruct`` and
+``estimate_selmmse``): their sample is a batch of back-to-back calls,
+divided by the row's ``batch``, since a lone call reads timer and cache
+noise.  Also timed ``--repeats`` times, each in a fresh interpreter, are
+``import fasbar, fasbar.cli`` (``import_s``, most of what perfbench's
+``setup_s`` measures) and a whole ``fasbar estimate`` process on an
+N = 1024 Bessel plan (``estimate_process_s``, the wall time a user
+waits).  The JSON file records the median and quartiles in seconds, next
+to the BLAS thread pinning, the core count, the library versions and the
+git SHA.
 
 Like perfbench/run.py, the script pins OpenBLAS and OpenMP to one thread
 before numpy is imported: OpenBLAS threading on a small machine can make
@@ -47,6 +53,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
+# fasbar imports these at its first Bessel kernel, design and fas-omp fit;
+# loaded here, the import is not timed as part of the first such layer
+import scipy.linalg.lapack  # noqa: E402, F401
+import scipy.special  # noqa: E402, F401
 
 import fasbar  # noqa: E402
 from perfbench.workloads import environment  # noqa: E402
@@ -59,6 +69,11 @@ PILOTS, ANTENNAS = 10, 4
 PLAN_FILE_KINDS = ("bessel", "covariance")
 #: rounds in one block call of each estimator
 BLOCK_TRIALS = 20
+#: the layers timed on one round as a batch of calls, and the batch's size
+BATCHED = ("channels.observe_pilots", "sbar.reconstruct", "baselines.estimate_selmmse")
+BATCH_CALLS = 100
+#: ports of the plan a timed ``fasbar estimate`` process reads
+ESTIMATE_PORTS = 1024
 SNR_DB = 20.0
 APERTURE_WAVELENGTHS = 10.0
 CARRIER_HZ = 3.5e9
@@ -69,15 +84,23 @@ def _spread(seconds):
     return {"n": len(seconds), "median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}
 
 
-def _summary(layer, kernel, num_ports, seconds, trials=None, size=None):
+def _summary(layer, kernel, num_ports, seconds, trials=None, size=None, batch=1):
     return {"layer": layer, "kernel": kernel, "num_ports": num_ports, "trials": trials, "bytes": size,
-            **_spread(seconds)}
+            "batch": batch, **_spread(seconds)}
 
 
 def _timed(call):
     start = time.perf_counter()
     result = call()
     return time.perf_counter() - start, result
+
+
+def _per_call(call, batch):
+    """Seconds per call of ``batch`` back-to-back calls."""
+    start = time.perf_counter()
+    for _ in range(batch):
+        call()
+    return (time.perf_counter() - start) / batch
 
 
 def measure(num_ports, repeats):
@@ -138,7 +161,8 @@ def measure_online(num_ports, repeats):
     ])
     plan = fasbar.design_plan(fasbar.kernel_bessel(geom), PILOTS, ANTENNAS, noise_power)
     channel = fasbar.generate_ssc_channel(geom, fasbar.SscModelParams(rng_seed=0))
-    observe_s = [_timed(lambda: fasbar.observe_pilots(channel, plan, noise_power, s))[0] for s in range(repeats)]
+    observe_s = [_per_call(lambda: fasbar.observe_pilots(channel, plan, noise_power, s), BATCH_CALLS)
+                 for s in range(repeats)]
     sbar_y = received[:, list(plan.order)]
     sel_ports = fasbar.selmmse_ports(num_ports, measured)
     sel_y = received[:, sel_ports]
@@ -146,7 +170,7 @@ def measure_online(num_ports, repeats):
     omp_y = np.take_along_axis(received, omp_ports, axis=1)
     dictionary = fasbar.build_steering_dictionary(geom)
     rows = [_summary("channels.generate_ssc_channel", None, num_ports, synth_s, 1),
-            _summary("channels.observe_pilots", None, num_ports, observe_s, 1)]
+            _summary("channels.observe_pilots", None, num_ports, observe_s, 1, batch=BATCH_CALLS)]
     # index 0 gives one round of shape (P*M,), the full slice the block
     for trials, pick in ((1, 0), (BLOCK_TRIALS, slice(None))):
         obs = fasbar.PilotObservation(sbar_y[pick], noise_power, plan.plan_id)
@@ -157,22 +181,45 @@ def measure_online(num_ports, repeats):
                 omp_y[pick], omp_ports[pick], dictionary),
         }
         for (layer, kernel), call in calls.items():
-            rows.append(_summary(layer, kernel, num_ports, [_timed(call)[0] for _ in range(repeats)], trials))
+            batch = BATCH_CALLS if trials == 1 and layer in BATCHED else 1
+            seconds = [_per_call(call, batch) for _ in range(repeats)]
+            rows.append(_summary(layer, kernel, num_ports, seconds, trials, batch=batch))
     return rows
+
+
+def _python(*args):
+    """Run a fresh interpreter that finds fasbar in ``src`` and inherits the
+    BLAS pins set above; its stdout."""
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True, text=True).stdout
 
 
 def import_seconds(repeats):
     """Spread of ``import fasbar, fasbar.cli`` timed inside ``repeats`` fresh
-    interpreters, which inherit the BLAS pins set above."""
+    interpreters."""
     code = ("import time; start = time.perf_counter(); import fasbar, fasbar.cli; "
             "print(time.perf_counter() - start)")
-    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return _spread([
-        float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout)
-        for _ in range(repeats)
-    ])
+    return _spread([float(_python("-c", code)) for _ in range(repeats)])
+
+
+def estimate_process_seconds(repeats):
+    """Spread of the wall time of ``repeats`` whole ``fasbar estimate``
+    processes, each started as the installed ``fasbar`` script starts, on
+    one round of pilots through an ``ESTIMATE_PORTS`` Bessel plan."""
+    geom = fasbar.build_port_geometry(ESTIMATE_PORTS, APERTURE_WAVELENGTHS, CARRIER_HZ)
+    noise_power = fasbar.noise_power_for_snr(ESTIMATE_PORTS, SNR_DB)
+    plan = fasbar.design_plan(fasbar.kernel_bessel(geom), PILOTS, ANTENNAS, noise_power)
+    channel = fasbar.generate_ssc_channel(geom, fasbar.SscModelParams(rng_seed=0))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fasbar.save_plan(tmp / "plan.bin", plan)
+        fasbar.save_observation(tmp / "obs.json", fasbar.observe_pilots(channel, plan, noise_power, 0))
+        command = ("-c", "import sys; from fasbar.cli import main; sys.exit(main())", "estimate",
+                   "--plan", str(tmp / "plan.bin"), "--observation", str(tmp / "obs.json"),
+                   "--out", str(tmp / "estimate.json"))
+        seconds = [_timed(lambda: _python(*command))[0] for _ in range(repeats)]
+    return {"num_ports": ESTIMATE_PORTS, **_spread(seconds)}
 
 
 def main(argv=None):
@@ -185,22 +232,27 @@ def main(argv=None):
         parser.error("--repeats must be at least 1")
     layers = [row for n in args.ports for row in measure(n, args.repeats) + measure_online(n, args.repeats)]
     imports = import_seconds(args.repeats)
+    estimates = estimate_process_seconds(args.repeats)
     report = {
         "script": "bench/layers.py",
         "design": {"num_timeslots": PILOTS, "antennas_per_slot": ANTENNAS, "snr_db": SNR_DB,
                    "aperture_wavelengths": APERTURE_WAVELENGTHS, "carrier_hz": CARRIER_HZ,
-                   "train_timeslots": TRAIN_TIMESLOTS, "block_trials": BLOCK_TRIALS},
+                   "train_timeslots": TRAIN_TIMESLOTS, "block_trials": BLOCK_TRIALS,
+                   "batch_calls": BATCH_CALLS},
         "env": environment(ROOT),
         "import_s": imports,
+        "estimate_process_s": estimates,
         "layers": layers,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for row in layers:
         size = f"  {row['bytes']} B" if row["bytes"] else ""
-        print("{:<30} {:<12} {:<4} N={num_ports:<5} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}{}".format(
-            row["layer"], row["kernel"] or "-", row["trials"] or "-", size, **row))
-    print("{:<65} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(
-        "import fasbar, fasbar.cli", **imports))
+        batch = f"  x{row['batch']}" if row["batch"] > 1 else ""
+        print("{:<30} {:<12} {:<4} N={num_ports:<5} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}{}{}".format(
+            row["layer"], row["kernel"] or "-", row["trials"] or "-", size, batch, **row))
+    for label, spread in (("import fasbar, fasbar.cli", imports),
+                          (f"fasbar estimate process, N={ESTIMATE_PORTS}", estimates)):
+        print("{:<65} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(label, **spread))
     return 0
 
 

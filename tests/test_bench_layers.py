@@ -34,9 +34,15 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
     }
     assert seen == offline | files | online
     assert len(report["layers"]) == len(seen)
+    # the layers that take microseconds on one round are timed in batches
+    batch = report["design"]["batch_calls"]
+    assert batch > 1
+    batched = {("channels.observe_pilots", None, 1), ("sbar.reconstruct", "bessel", 1),
+               ("baselines.estimate_selmmse", None, 1)}
     sizes = {}
     for row in report["layers"]:
         assert row["num_ports"] == 64 and row["n"] == 1
+        assert row["batch"] == (batch if (row["layer"], row["kernel"], row["trials"]) in batched else 1)
         assert 0 < row["q1_s"] <= row["median_s"] <= row["q3_s"]
         if row["layer"].startswith("fileio."):
             sizes.setdefault(row["kernel"], set()).add(row["bytes"])
@@ -50,3 +56,7 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
     imports = report["import_s"]
     assert imports["n"] == 1
     assert 0 < imports["q1_s"] <= imports["median_s"] <= imports["q3_s"]
+    # and one whole `fasbar estimate` process on an N = 1024 plan
+    process = report["estimate_process_s"]
+    assert process["num_ports"] == 1024 and process["n"] == 1
+    assert 0 < process["q1_s"] <= process["median_s"] <= process["q3_s"]
