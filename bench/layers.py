@@ -69,9 +69,10 @@ PILOTS, ANTENNAS = 10, 4
 PLAN_FILE_KINDS = ("bessel", "covariance")
 #: rounds in one block call of each estimator
 BLOCK_TRIALS = 20
-#: the layers timed on one round as a batch of calls, and the batch's size
-BATCHED = ("channels.observe_pilots", "sbar.reconstruct", "baselines.estimate_selmmse")
+#: calls per timed sample of ``observe_pilots`` and of the estimators in
+#: ``BATCHED``, on one round each: such a call takes microseconds
 BATCH_CALLS = 100
+BATCHED = ("sbar.reconstruct", "baselines.estimate_selmmse")
 #: ports of the plan a timed ``fasbar estimate`` process reads
 ESTIMATE_PORTS = 1024
 SNR_DB = 20.0
