@@ -15,18 +15,23 @@ rows record the file's ``bytes``.  Online, it synthesizes one clustered
 channel, takes one round of its pilots through the Bessel plan with
 ``observe_pilots``, and runs each estimator at P*M = 40 on one round and
 on a block of 20 rounds: ``reconstruct`` with the Bessel plan,
-``estimate_selmmse`` and ``estimate_fas_omp``.  A row's ``trials`` is the
-rounds one call observes or estimates, and null for the offline layers;
-its ``bytes`` is null but for the plan files.  Every layer is timed
+``estimate_selmmse`` and ``estimate_fas_omp``.  Once, not per N, it runs
+the 500-trial acceptance sweep (N = 256, M = 4, P = 1..10, 20 dB, the
+four schemes of ``tests/test_acceptance.py``) and times ``emit_csv``
+writing its records.  A row's ``trials`` is the rounds one call observes
+or estimates, or the sweep trials whose records it writes, and null for
+the offline layers; its ``bytes`` is null but for the plan files and the
+CSV.  Every layer is timed
 ``--repeats`` times.  A sample is one call, except for the layers that
 take microseconds on one round (``observe_pilots``, ``reconstruct`` and
 ``estimate_selmmse``): their sample is a batch of back-to-back calls,
 divided by the row's ``batch``, since a lone call reads timer and cache
 noise.  Also timed ``--repeats`` times, each in a fresh interpreter, are
 ``import fasbar, fasbar.cli`` (``import_s``, most of what perfbench's
-``setup_s`` measures) and a whole ``fasbar estimate`` process on an
-N = 1024 Bessel plan (``estimate_process_s``, the wall time a user
-waits).  The JSON file records the median and quartiles in seconds, next
+``setup_s`` measures), a whole ``fasbar design`` process that builds an
+N = 1024 Bessel kernel and designs and saves its P*M = 40 plan
+(``design_process_s``) and a whole ``fasbar estimate`` process on such a
+plan (``estimate_process_s``), the wall times a user waits.  The JSON file records the median and quartiles in seconds, next
 to the BLAS thread pinning, the core count, the library versions and the
 git SHA.
 
@@ -53,10 +58,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
-# fasbar imports these at its first Bessel kernel, design and fas-omp fit;
-# loaded here, the import is not timed as part of the first such layer
+# fasbar imports this at its first design and fas-omp fit; loaded here,
+# the import is not timed as part of the first such layer
 import scipy.linalg.lapack  # noqa: E402, F401
-import scipy.special  # noqa: E402, F401
 
 import fasbar  # noqa: E402
 from perfbench.workloads import environment  # noqa: E402
@@ -73,11 +77,30 @@ BLOCK_TRIALS = 20
 #: ``BATCHED``, on one round each: such a call takes microseconds
 BATCH_CALLS = 100
 BATCHED = ("sbar.reconstruct", "baselines.estimate_selmmse")
-#: ports of the plan a timed ``fasbar estimate`` process reads
-ESTIMATE_PORTS = 1024
+#: ports of the plan a timed ``fasbar design`` process designs and a timed
+#: ``fasbar estimate`` process reads
+PROCESS_PORTS = 1024
 SNR_DB = 20.0
 APERTURE_WAVELENGTHS = 10.0
 CARRIER_HZ = 3.5e9
+#: the acceptance sweep of tests/test_acceptance.py, whose records the
+#: ``harness.emit_csv`` row writes
+ACCEPTANCE = fasbar.ExperimentConfig(
+    num_ports=256,
+    antennas_per_slot=4,
+    pilot_counts=tuple(range(1, 11)),
+    snr_db=(20.0,),
+    trials=500,
+    channel=fasbar.SscModelParams(9, 100, 5.0),
+    schemes=(
+        fasbar.SchemeSpec("sbar", kernel="bessel"),
+        fasbar.SchemeSpec("sbar", kernel="covariance", train_timeslots=100),
+        fasbar.SchemeSpec("selmmse"),
+        fasbar.SchemeSpec("fas-omp"),
+    ),
+    base_seed=20240514,
+    record_timing=False,
+)
 
 
 def _spread(seconds):
@@ -188,6 +211,17 @@ def measure_online(num_ports, repeats):
     return rows
 
 
+def measure_emit(repeats):
+    """Summary of ``emit_csv`` writing the records of one ``ACCEPTANCE``
+    sweep, with the CSV's size in bytes."""
+    records = fasbar.run_sweep(ACCEPTANCE)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "nmse.csv"
+        seconds = [_timed(lambda: fasbar.emit_csv(records, path))[0] for _ in range(repeats)]
+        size = path.stat().st_size
+    return _summary("harness.emit_csv", None, ACCEPTANCE.num_ports, seconds, ACCEPTANCE.trials, size)
+
+
 def _python(*args):
     """Run a fresh interpreter that finds fasbar in ``src`` and inherits the
     BLAS pins set above; its stdout."""
@@ -204,23 +238,41 @@ def import_seconds(repeats):
     return _spread([float(_python("-c", code)) for _ in range(repeats)])
 
 
+#: runs ``fasbar.cli.main`` on the arguments that follow it, as the
+#: installed ``fasbar`` script does
+CLI = ("-c", "import sys; from fasbar.cli import main; sys.exit(main())")
+
+
+def design_process_seconds(repeats):
+    """Spread of the wall time of ``repeats`` whole ``fasbar design``
+    processes, each building a ``PROCESS_PORTS`` Bessel kernel, designing
+    its P*M = 40 plan and saving it as a binary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        command = CLI + ("design", "--kernel-kind", "bessel", "--ports", str(PROCESS_PORTS),
+                         "--aperture", repr(APERTURE_WAVELENGTHS), "--carrier-hz", repr(CARRIER_HZ),
+                         "--pilots", str(PILOTS), "--antennas", str(ANTENNAS),
+                         "--noise-power", repr(fasbar.noise_power_for_snr(PROCESS_PORTS, SNR_DB)),
+                         "--out", str(Path(tmp) / "plan.bin"))
+        seconds = [_timed(lambda: _python(*command))[0] for _ in range(repeats)]
+    return {"num_ports": PROCESS_PORTS, **_spread(seconds)}
+
+
 def estimate_process_seconds(repeats):
     """Spread of the wall time of ``repeats`` whole ``fasbar estimate``
-    processes, each started as the installed ``fasbar`` script starts, on
-    one round of pilots through an ``ESTIMATE_PORTS`` Bessel plan."""
-    geom = fasbar.build_port_geometry(ESTIMATE_PORTS, APERTURE_WAVELENGTHS, CARRIER_HZ)
-    noise_power = fasbar.noise_power_for_snr(ESTIMATE_PORTS, SNR_DB)
+    processes, started as ``design_process_seconds`` starts them, on one
+    round of pilots through a ``PROCESS_PORTS`` Bessel plan."""
+    geom = fasbar.build_port_geometry(PROCESS_PORTS, APERTURE_WAVELENGTHS, CARRIER_HZ)
+    noise_power = fasbar.noise_power_for_snr(PROCESS_PORTS, SNR_DB)
     plan = fasbar.design_plan(fasbar.kernel_bessel(geom), PILOTS, ANTENNAS, noise_power)
     channel = fasbar.generate_ssc_channel(geom, fasbar.SscModelParams(rng_seed=0))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         fasbar.save_plan(tmp / "plan.bin", plan)
         fasbar.save_observation(tmp / "obs.json", fasbar.observe_pilots(channel, plan, noise_power, 0))
-        command = ("-c", "import sys; from fasbar.cli import main; sys.exit(main())", "estimate",
-                   "--plan", str(tmp / "plan.bin"), "--observation", str(tmp / "obs.json"),
-                   "--out", str(tmp / "estimate.json"))
+        command = CLI + ("estimate", "--plan", str(tmp / "plan.bin"), "--observation", str(tmp / "obs.json"),
+                         "--out", str(tmp / "estimate.json"))
         seconds = [_timed(lambda: _python(*command))[0] for _ in range(repeats)]
-    return {"num_ports": ESTIMATE_PORTS, **_spread(seconds)}
+    return {"num_ports": PROCESS_PORTS, **_spread(seconds)}
 
 
 def main(argv=None):
@@ -232,7 +284,9 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     layers = [row for n in args.ports for row in measure(n, args.repeats) + measure_online(n, args.repeats)]
+    layers.append(measure_emit(args.repeats))
     imports = import_seconds(args.repeats)
+    designs = design_process_seconds(args.repeats)
     estimates = estimate_process_seconds(args.repeats)
     report = {
         "script": "bench/layers.py",
@@ -242,6 +296,7 @@ def main(argv=None):
                    "batch_calls": BATCH_CALLS},
         "env": environment(ROOT),
         "import_s": imports,
+        "design_process_s": designs,
         "estimate_process_s": estimates,
         "layers": layers,
     }
@@ -252,7 +307,8 @@ def main(argv=None):
         print("{:<30} {:<12} {:<4} N={num_ports:<5} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}{}{}".format(
             row["layer"], row["kernel"] or "-", row["trials"] or "-", size, batch, **row))
     for label, spread in (("import fasbar, fasbar.cli", imports),
-                          (f"fasbar estimate process, N={ESTIMATE_PORTS}", estimates)):
+                          (f"fasbar design process, N={PROCESS_PORTS}", designs),
+                          (f"fasbar estimate process, N={PROCESS_PORTS}", estimates)):
         print("{:<65} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(label, **spread))
     return 0
 

@@ -93,7 +93,8 @@ def write_container(path, header, arrays):
         fh.write(struct.pack("<I", len(head_bytes)))
         fh.write(head_bytes)
         for arr, _ in blobs:
-            fh.write(arr.tobytes(order="C"))
+            # the C-ordered little-endian buffer itself, not a tobytes() copy
+            fh.write(arr.data)
 
 
 def read_container(path):
@@ -143,7 +144,8 @@ def save_kernel(path, kernel):
 
     The "matrix" array holds ``kernel.stored`` in the form the kernel holds
     it: the (N,) lags of an analytic kernel, or the (N, N) matrix of a
-    trained covariance.
+    trained covariance.  The file is written in place, as ``save_plan``
+    writes a plan, so it can be torn (see there).
     """
     header = {
         "content": "kernel",
@@ -185,7 +187,14 @@ def load_kernel(path):
 
 def save_plan(path, plan):
     """Persist a sampling plan; the measurement order is stored 1-based and
-    the weights as f8 or c16, the field the plan holds them in."""
+    the weights as f8 or c16, the field the plan holds them in.
+
+    An existing file is truncated and rewritten in place, so a reader that
+    opens it during the rewrite, or a crash or full disk that interrupts
+    the write, can leave it torn: part of the new bytes, or old and new
+    ones mixed.  For atomic replacement, save to a new path in the same
+    directory and ``os.replace`` it over the old one.
+    """
     header = {
         "content": "plan",
         "num_ports": plan.num_ports,

@@ -148,6 +148,93 @@ class Kernel:
         return cached
 
 
+#: J_0(x) = 1 - (x^2 / 4) * sum_k c_k T_k(x^2 / 32 - 1) on [0, 8], c_k below;
+#: fitted by tools/fit_j0.py, as is ``_J0_FAR``
+_J0_NEAR = np.array([
+    0.3110648377189683,
+    -0.4115616683066592,
+    0.2031745217635948,
+    -0.06108202852136458,
+    0.011513283747296814,
+    -0.0014613145562533615,
+    0.00013278771806213058,
+    -9.055897237800749e-06,
+    4.806179650396843e-07,
+    -2.0420897529889553e-08,
+    7.105569606325004e-10,
+    -2.062537242240318e-11,
+    5.071668517241088e-13,
+    -1.070206724369773e-14,
+    1.9595444754076717e-16,
+    -3.143140469738431e-18,
+])
+
+#: row k holds the k-th Chebyshev coefficients of P and q in s = 128 / x^2 - 1,
+#: Q = (8 / x) * q, of the Hankel form of J_0 beyond x = 8 (see ``_j0``)
+_J0_FAR = np.array([
+    [0.9994603493475187, -0.015555854605337009],
+    [-0.0005365220468132117, 6.838519942611649e-05],
+    [3.0751847875194745e-06, -7.414498411060647e-07],
+    [-5.1705945376060975e-08, 1.7972457247968992e-08],
+    [1.6306464635151382e-09, -7.27191593686632e-10],
+    [-7.86409137723707e-11, 4.2201219046687385e-11],
+    [5.168262387349193e-12, -3.206747420996635e-12],
+    [-4.3045788699253914e-13, 3.006145125351706e-13],
+    [4.3265957431549404e-14, -3.336328185322427e-14],
+    [-5.069034095935236e-15, 4.255225040245461e-15],
+    [6.748072215733873e-16, -6.09993013164005e-16],
+    [-1.0011513723467786e-16, 9.662128970303257e-17],
+    [1.6305919233744186e-17, -1.6686065214378146e-17],
+    [-2.880866169482871e-18, 3.1082440486738143e-18],
+])
+
+
+def _chebyshev(coeffs, z):
+    """sum_k coeffs[k] T_k(z) by Clenshaw's recurrence; each coeffs[k]
+    broadcasts against z, so an (n, 2, 1) table sums two series at once."""
+    z2 = 2.0 * z
+    b1 = np.zeros(np.broadcast_shapes(np.shape(coeffs[0]), z.shape))
+    b2 = np.zeros_like(b1)
+    b0 = np.empty_like(b1)
+    for c in coeffs[:0:-1]:
+        np.multiply(z2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    np.multiply(z, b1, out=b0)
+    b0 -= b2
+    b0 += coeffs[0]
+    return b0
+
+
+def _j0(x):
+    """The Bessel function J_0 of a float array, in numpy alone.
+
+    Cephes' construction (Moshier, 1989).  On [0, 8] a Chebyshev series in
+    t = x^2/32 - 1 gives J_0 = 1 - (x^2/4) * g(t), so J_0(0) is exactly 1.
+    Beyond 8 it takes the Hankel form
+
+        J_0 = sqrt(2 / (pi x)) * (P cos chi - Q sin chi),  chi = x - pi/4,
+
+    with P and Q/(8/x) Chebyshev series in (8/x)^2.  cos chi and sin chi
+    are taken as (cos x +- sin x) / sqrt(2), which spares the rounding of
+    x - pi/4, so J_0 = ((P + Q) cos x + (P - Q) sin x) / sqrt(pi x).  Against
+    scipy's ``jv(0, x)`` it agrees within 2e-15 on [0, 64] and 1e-14 beyond.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    near = x <= 8.0
+    xn = x[near]
+    u = xn * xn
+    out[near] = 1.0 - 0.25 * u * _chebyshev(_J0_NEAR, u / 32.0 - 1.0)
+    far = ~near
+    xf = x[far]
+    p, q = _chebyshev(_J0_FAR[:, :, None], 128.0 / (xf * xf) - 1.0)
+    q *= 8.0 / xf
+    out[far] = ((p + q) * np.cos(xf) + (p - q) * np.sin(xf)) / np.sqrt(np.pi * xf)
+    return out
+
+
 def default_eta():
     """Default correlation length sqrt(1 / (2*pi)), in carrier wavelengths."""
     return float(np.sqrt(1.0 / (2.0 * np.pi)))
@@ -223,12 +310,7 @@ def kernel_bessel(geom, alpha=1.0, eta=None, jitter=None):
     shared with the exponential kernel and stretches that correlation
     2.5 times over distance.
     """
-    # scipy loads here, at the first Bessel kernel, not with the package
-    from scipy.special import jv
-
-    # jv(0, x), not scipy.special.j0: the two differ by up to ~6e-16, which
-    # would change every Bessel kernel's fingerprint
-    return _analytic(lambda x: jv(0, x), BESSEL, alpha, eta, jitter, geom)
+    return _analytic(_j0, BESSEL, alpha, eta, jitter, geom)
 
 
 def kernel_covariance(training_channels, jitter=None):

@@ -52,6 +52,9 @@ _DENOM_FLOOR_SCALE = 1e-14
 #: prior variance (max|Sigma| for a positive semidefinite prior)
 _WEIGHT_RESIDUAL_TOL = 1e-8
 
+#: rows per panel of the magnitudes of a complex weight residual
+_RESIDUAL_PANEL = 8
+
 #: relative tolerance between an observation's noise power and the design value
 _NOISE_POWER_RTOL = 1e-12
 
@@ -255,15 +258,20 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         sigma = sigma.real
     var = sigma.diagonal().real.copy()
     prior_max = float(var.max())
-    measured = np.zeros(n, dtype=bool)
+    # the variances with every measured port at -inf, the argmax of each pick
+    score = var.copy()
     # row i of bh is column i of B, conjugated: bh = B^H, shape (max K, N)
     bh = np.empty((k_max, n), dtype=sigma.dtype)
+    # B B(j, :)^H, conjugated, and |bh[i]|^2, in buffers kept over the pass
+    product = np.empty(n, dtype=sigma.dtype)
+    magnitude = np.empty(n)
+    square = np.empty(n)
     order = []
     pivots = np.empty(k_max)
     # the variances after pick K, for every requested K = P*M
     post_diags = dict.fromkeys(p * m for p in counts)
     for i in range(k_max):
-        j = int(np.argmax(np.where(measured, -np.inf, var)))
+        j = int(np.argmax(score))
         pivot = var[j] + noise_power
         floor = _DENOM_FLOOR_SCALE * float(var.sum()) / n
         if pivot <= max(floor, 0.0):
@@ -271,11 +279,20 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
                 "posterior variance plus noise is numerically zero; increase the kernel jitter"
             )
         pivots[i] = np.sqrt(pivot)
-        # conj of the posterior covariance column Sigma(:, j) - B B(j, :)^H
-        row = sigma[:, j].conj() - bh[:i, j].conj() @ bh[:i]
-        bh[i] = row / pivots[i]
-        var -= bh[i] ** 2 if real else bh[i].real ** 2 + bh[i].imag ** 2
-        measured[j] = True
+        # conj of the posterior covariance column Sigma(:, j) - B B(j, :)^H; a
+        # Kernel is exactly Hermitian, so row j of Sigma is conj(Sigma(:, j))
+        np.matmul(bh[:i, j].conj(), bh[:i], out=product)
+        np.subtract(sigma[j], product, out=bh[i])
+        bh[i] /= pivots[i]
+        if real:
+            np.multiply(bh[i], bh[i], out=magnitude)
+        else:
+            np.multiply(bh[i].real, bh[i].real, out=magnitude)
+            np.multiply(bh[i].imag, bh[i].imag, out=square)
+            magnitude += square
+        var -= magnitude
+        score -= magnitude
+        score[j] = -np.inf
         order.append(j)
         if i + 1 in post_diags:
             post_diags[i + 1] = var.copy()
@@ -309,9 +326,15 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
             raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
         weights = inverse.conj().T @ bh[:k]
         gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
+        # gram @ weights - Sigma(Omega, :), row by row, so no K x N gather of
+        # Sigma and no K x N array of magnitudes is made
         diff = gram @ weights
-        diff -= sigma[idx, :]
-        residual = np.abs(diff).max()
+        for row, port in zip(diff, order[:k]):
+            row -= sigma[port]
+        if real:
+            residual = np.abs(diff, out=diff).max()
+        else:
+            residual = max(np.abs(diff[r : r + _RESIDUAL_PANEL]).max() for r in range(0, k, _RESIDUAL_PANEL))
         bound = _WEIGHT_RESIDUAL_TOL * prior_max
         if not residual < bound:
             raise np.linalg.LinAlgError(

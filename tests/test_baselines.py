@@ -697,6 +697,64 @@ class TestFasOmpBitsPinned:
         assert abs(residual - ref_residual) <= 1e-3 * ref_residual
 
 
+def fas_omp_picks(monkeypatch, y, ports, dictionary, max_atoms, residual_tol):
+    """The atoms ``estimate_fas_omp`` picks on one trial, in pick order."""
+    runs = []
+
+    def recorded(*args):
+        coeffs, picked, counts = pursue(*args)
+        runs.append(picked[0, : counts[0]].tolist())
+        return coeffs, picked, counts
+
+    pursue = baselines._pursue
+    monkeypatch.setattr(baselines, "_pursue", recorded)
+    estimate_fas_omp(y, ports, dictionary, max_atoms, residual_tol)
+    monkeypatch.undo()
+    (picks,) = runs
+    return picks
+
+
+class TestPicksAgainstResidualPursuit:
+    """Where the Gram-space pursuit picks the atoms that ``qr_pursuit``,
+    which correlates the residual itself, picks, and where it does not."""
+
+    def test_same_picks_at_the_acceptance_geometry(self, monkeypatch):
+        geom = build_port_geometry(256, 10.0, 3.5e9)
+        dictionary = build_steering_dictionary(geom)
+        matrix = steering_matrix(geom, dictionary.grid)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            pm = 4 * (seed % 10 + 1)
+            ports = random_ports(256, pm, rng_seed=5000 + seed)
+            h = generate_ssc_channel(geom, SscModelParams(9, 100, 5.0, rng_seed=seed)).values
+            y = h[ports] + np.sqrt(1.28) * (rng.standard_normal(pm) + 1j * rng.standard_normal(pm))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficientFitWarning)
+                picks = fas_omp_picks(monkeypatch, y, ports, dictionary, 9, 1e-3)
+                _, support, _ = qr_pursuit(matrix[ports, :], y, 9, 1e-3)
+            assert picks == support, seed
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="among nearly collinear atoms the correlations differ by less than the rounding "
+        "of A^H y - sum_j x_j A^H a_j, so the Gram-space pursuit picks other atoms",
+    )
+    def test_near_collinear_atoms_part_the_picks(self, monkeypatch):
+        geom = build_port_geometry(64, 1e-6, 3.5e9)
+        dictionary = build_steering_dictionary(geom)
+        matrix = steering_matrix(geom, dictionary.grid)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            ports = random_ports(64, 8, rng_seed=100 + seed)
+            y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficientFitWarning)
+                picks = fas_omp_picks(monkeypatch, y, ports, dictionary, 5, 0.0)
+                _, support, _ = qr_pursuit(matrix[ports, :], y, 5, 0.0)
+            assert picks == support, seed
+
+
 def mixed_block(dictionary, atoms, trials, pm, seed):
     """(y, ports) of ``trials`` fits at ``pm`` < max_atoms = 9 ports that stop
     at different picks: a noiseless on-grid atom (after one pick), noise

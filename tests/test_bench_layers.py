@@ -32,7 +32,9 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
                             ("baselines.estimate_fas_omp", None))
         for trials in (1, 20)
     }
-    assert seen == offline | files | online
+    # once, not per N: emit_csv on the records of the 500-trial acceptance sweep
+    emit = {("harness.emit_csv", None, 500)}
+    assert seen == offline | files | online | emit
     assert len(report["layers"]) == len(seen)
     # the layers that take microseconds on one round are timed in batches
     batch = report["design"]["batch_calls"]
@@ -41,10 +43,10 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
                ("baselines.estimate_selmmse", None, 1)}
     sizes = {}
     for row in report["layers"]:
-        assert row["num_ports"] == 64 and row["n"] == 1
+        assert row["num_ports"] == (256 if row["layer"] == "harness.emit_csv" else 64) and row["n"] == 1
         assert row["batch"] == (batch if (row["layer"], row["kernel"], row["trials"]) in batched else 1)
         assert 0 < row["q1_s"] <= row["median_s"] <= row["q3_s"]
-        if row["layer"].startswith("fileio."):
+        if row["layer"].startswith("fileio.") or row["layer"] == "harness.emit_csv":
             sizes.setdefault(row["kernel"], set()).add(row["bytes"])
         else:
             assert row["bytes"] is None
@@ -52,11 +54,15 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
     # float64 weights make its file smaller than the trained prior's
     (real,), (trained,) = sizes["bessel"], sizes["covariance"]
     assert 0 < real < trained
+    # the CSV holds a header and one line per record: 4 schemes x 10 P x 500 trials
+    (csv,) = sizes[None]
+    assert csv > 20_000 * len("sbar,bessel,")
     # one fresh-interpreter import of fasbar and its CLI, beside the layers
     imports = report["import_s"]
     assert imports["n"] == 1
     assert 0 < imports["q1_s"] <= imports["median_s"] <= imports["q3_s"]
-    # and one whole `fasbar estimate` process on an N = 1024 plan
-    process = report["estimate_process_s"]
-    assert process["num_ports"] == 1024 and process["n"] == 1
-    assert 0 < process["q1_s"] <= process["median_s"] <= process["q3_s"]
+    # and one whole `fasbar design` and one `fasbar estimate` process at N = 1024
+    for key in ("design_process_s", "estimate_process_s"):
+        process = report[key]
+        assert process["num_ports"] == 1024 and process["n"] == 1
+        assert 0 < process["q1_s"] <= process["median_s"] <= process["q3_s"]

@@ -2,8 +2,8 @@
 
 The Bessel entries are checked against an independent power-series
 evaluation of J_nu, and the exponential entries against hand-computed
-closed forms, so the scipy routines the package uses are never their own
-oracle.
+closed forms.  The package evaluates J_0 in numpy; scipy's ``jv`` stays
+here as an oracle, beside the series.
 """
 
 import hashlib
@@ -137,6 +137,22 @@ class TestBesselKernel:
         dist = (geom.positions - geom.positions[0]) / geom.wavelength
         expected = np.array([bessel_series(0, d / k.eta) for d in dist])
         assert np.max(np.abs(k.matrix[0].real - expected)) < 1e-12
+
+    def test_j0_matches_scipy_jv(self):
+        # scipy's jv(0, x) is the oracle only: the package evaluates J_0 itself
+        near = np.linspace(0.0, 64.0, 100_001)
+        far = np.linspace(64.0, 1000.0, 100_001)[1:]
+        assert np.max(np.abs(fasbar.kernels._j0(near) - jv(0, near))) <= 2e-15
+        assert np.max(np.abs(fasbar.kernels._j0(far) - jv(0, far))) <= 1e-14
+        # both sides of the switch to the Hankel form at 8, and J_0 is even
+        edge = np.nextafter(8.0, [0.0, 8.0, 16.0])
+        assert np.max(np.abs(fasbar.kernels._j0(edge) - jv(0, edge))) <= 2e-15
+        assert np.array_equal(fasbar.kernels._j0(-far), fasbar.kernels._j0(far))
+
+    def test_j0_of_zero_is_exactly_one(self):
+        assert fasbar.kernels._j0(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+        geom = build_port_geometry(8, 2.0, 1e9)
+        assert kernel_bessel(geom, alpha=1.5, jitter=0.0).stored[0] == 2.25
 
     def test_oscillates_sign_with_distance(self):
         geom = build_port_geometry(64, 10.0, 3.5e9)
@@ -419,16 +435,23 @@ class TestValidateAndFingerprint:
         geom = build_port_geometry(16, 5.0, 3.5e9)
         assert kernel_exponential(geom).fingerprint == kernel_exponential(geom).fingerprint
 
-    def test_analytic_fingerprints_frozen(self):
-        # SHA-256 over the newline-joined fingerprints of these 32 kernels, as
-        # built when each constructor checked alpha and eta itself; any change
-        # to the lags, the jitter or the hashed header moves it
+    @pytest.mark.parametrize(
+        "build,expected",
+        [
+            # as built when each constructor checked alpha and eta itself
+            (kernel_exponential, "197b937db61f724a09f8773d088375bfe712470529bed3156aa5989f7ce79a6c"),
+            # as built since J_0 is evaluated in numpy, not by scipy's jv
+            (kernel_bessel, "903f1ec663f4b911a0825e5a2fc145e32fca10d45c654fca1a14cb1e4af2a60f"),
+        ],
+        ids=["exponential", "bessel"],
+    )
+    def test_analytic_fingerprints_frozen(self, build, expected):
+        # SHA-256 over the newline-joined fingerprints of these 16 kernels;
+        # any change to the lags, the jitter or the hashed header moves it
         prints = [
             build(build_port_geometry(n, aperture, 3.5e9), alpha=alpha, eta=eta).fingerprint
-            for build in (kernel_exponential, kernel_bessel)
             for n in (2, 17, 256, 1024)
             for aperture in (4.0, 10.0)
             for alpha, eta in ((1.0, None), (1.3, 0.3))
         ]
-        digest = hashlib.sha256("\n".join(prints).encode()).hexdigest()
-        assert digest == "3cf1c1f82779b294b0faaf65ccc2854cec45c8b50f47e8e181fe742ce4fc8798"
+        assert hashlib.sha256("\n".join(prints).encode()).hexdigest() == expected
