@@ -17,12 +17,12 @@ channel, takes one round of its pilots through the Bessel plan with
 on a block of 20 rounds: ``reconstruct`` with the Bessel plan,
 ``estimate_selmmse`` and ``estimate_fas_omp``.  Once, not per N, it runs
 the 500-trial acceptance sweep (N = 256, M = 4, P = 1..10, 20 dB, the
-four schemes of ``tests/test_acceptance.py``) and times ``emit_csv``
-writing its records.  A row's ``trials`` is the rounds one call observes
-or estimates, or the sweep trials whose records it writes, and null for
-the offline layers; its ``bytes`` is null but for the plan files and the
-CSV.  Every layer is timed
-``--repeats`` times.  A sample is one call, except for the layers that
+four schemes of ``tests/test_acceptance.py``), records its wall time
+(``acceptance_sweep_s``, one sample) and times ``emit_csv`` writing its
+records.  A row's ``trials`` is the rounds one call observes or
+estimates, or the sweep trials whose records it writes, and null for the
+offline layers; its ``bytes`` is null but for the plan files and the
+CSV.  Every layer is timed ``--repeats`` times.  A sample is one call, except for the layers that
 take microseconds on one round (``observe_pilots``, ``reconstruct`` and
 ``estimate_selmmse``): their sample is a batch of back-to-back calls,
 divided by the row's ``batch``, since a lone call reads timer and cache
@@ -31,9 +31,13 @@ noise.  Also timed ``--repeats`` times, each in a fresh interpreter, are
 ``setup_s`` measures), a whole ``fasbar design`` process that builds an
 N = 1024 Bessel kernel and designs and saves its P*M = 40 plan
 (``design_process_s``) and a whole ``fasbar estimate`` process on such a
-plan (``estimate_process_s``), the wall times a user waits.  The JSON file records the median and quartiles in seconds, next
-to the BLAS thread pinning, the core count, the library versions and the
-git SHA.
+plan (``estimate_process_s``), the wall times a user waits.  Before the
+layers, a fixed numpy loop that runs no fasbar code is timed ``--repeats``
+times (``calibration_s``): it moves only with the machine, so a BENCH
+file whose calibration reads slower than another's was measured on a
+slower machine, and its layers are slower with it.  The JSON file
+records the median and quartiles in seconds, next to the BLAS thread
+pinning, the core count, the library versions and the git SHA.
 
 Like perfbench/run.py, the script pins OpenBLAS and OpenMP to one thread
 before numpy is imported: OpenBLAS threading on a small machine can make
@@ -81,6 +85,9 @@ BATCHED = ("sbar.reconstruct", "baselines.estimate_selmmse")
 #: ``fasbar estimate`` process reads
 PROCESS_PORTS = 1024
 SNR_DB = 20.0
+#: passes of one calibration sample over a 128 x 128 matrix product and a
+#: sort and an exp of 65 536 doubles, about 8 ms on a 2-vCPU machine
+CALIBRATION_LOOPS = 20
 APERTURE_WAVELENGTHS = 10.0
 CARRIER_HZ = 3.5e9
 #: the acceptance sweep of tests/test_acceptance.py, whose records the
@@ -125,6 +132,23 @@ def _per_call(call, batch):
     for _ in range(batch):
         call()
     return (time.perf_counter() - start) / batch
+
+
+def calibration_seconds(repeats):
+    """Spread of ``repeats`` samples of a fixed numpy loop that runs no
+    fasbar code: ``CALIBRATION_LOOPS`` passes over a 128 x 128 matrix
+    product and a sort and an exp of 65 536 doubles."""
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((128, 128))
+    values = rng.standard_normal(1 << 16)
+
+    def loop():
+        for _ in range(CALIBRATION_LOOPS):
+            matrix @ matrix
+            np.sort(values)
+            np.exp(values)
+
+    return _spread([_timed(loop)[0] for _ in range(repeats)])
 
 
 def measure(num_ports, repeats):
@@ -211,15 +235,16 @@ def measure_online(num_ports, repeats):
     return rows
 
 
-def measure_emit(repeats):
-    """Summary of ``emit_csv`` writing the records of one ``ACCEPTANCE``
-    sweep, with the CSV's size in bytes."""
-    records = fasbar.run_sweep(ACCEPTANCE)
+def measure_sweep(repeats):
+    """The wall time of one ``ACCEPTANCE`` sweep, and the summary of
+    ``emit_csv`` writing its records, with the CSV's size in bytes."""
+    sweep_s, records = _timed(lambda: fasbar.run_sweep(ACCEPTANCE))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "nmse.csv"
         seconds = [_timed(lambda: fasbar.emit_csv(records, path))[0] for _ in range(repeats)]
         size = path.stat().st_size
-    return _summary("harness.emit_csv", None, ACCEPTANCE.num_ports, seconds, ACCEPTANCE.trials, size)
+    sweep = {"num_ports": ACCEPTANCE.num_ports, "trials": ACCEPTANCE.trials, **_spread([sweep_s])}
+    return sweep, _summary("harness.emit_csv", None, ACCEPTANCE.num_ports, seconds, ACCEPTANCE.trials, size)
 
 
 def _python(*args):
@@ -283,8 +308,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    calibration = calibration_seconds(args.repeats)
     layers = [row for n in args.ports for row in measure(n, args.repeats) + measure_online(n, args.repeats)]
-    layers.append(measure_emit(args.repeats))
+    sweep, emit = measure_sweep(args.repeats)
+    layers.append(emit)
     imports = import_seconds(args.repeats)
     designs = design_process_seconds(args.repeats)
     estimates = estimate_process_seconds(args.repeats)
@@ -295,6 +322,8 @@ def main(argv=None):
                    "train_timeslots": TRAIN_TIMESLOTS, "block_trials": BLOCK_TRIALS,
                    "batch_calls": BATCH_CALLS},
         "env": environment(ROOT),
+        "calibration_s": {"loops": CALIBRATION_LOOPS, **calibration},
+        "acceptance_sweep_s": sweep,
         "import_s": imports,
         "design_process_s": designs,
         "estimate_process_s": estimates,
@@ -306,7 +335,9 @@ def main(argv=None):
         batch = f"  x{row['batch']}" if row["batch"] > 1 else ""
         print("{:<30} {:<12} {:<4} N={num_ports:<5} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}{}{}".format(
             row["layer"], row["kernel"] or "-", row["trials"] or "-", size, batch, **row))
-    for label, spread in (("import fasbar, fasbar.cli", imports),
+    for label, spread in ((f"calibration, {CALIBRATION_LOOPS} numpy loops", calibration),
+                          (f"acceptance sweep, {ACCEPTANCE.trials} trials", sweep),
+                          ("import fasbar, fasbar.cli", imports),
                           (f"fasbar design process, N={PROCESS_PORTS}", designs),
                           (f"fasbar estimate process, N={PROCESS_PORTS}", estimates)):
         print("{:<65} median {median_s:.6f} s  [{q1_s:.6f}, {q3_s:.6f}]  n={n}".format(label, **spread))

@@ -162,19 +162,22 @@ def load_kernel(path):
     """Read a kernel; ValueError unless the file holds a kernel with no
     Bessel order, finite-number hyperparameters and an (N,) lag column or
     (N, N) matrix for the N its header records.  The array becomes the
-    kernel's read-only ``stored`` field as it is, in either form, and
-    ``Kernel`` judges the prior itself: its kind, finiteness, real lags or
-    exact Hermitian symmetry.  The carrier that older headers record is
-    ignored."""
+    kernel's read-only ``stored`` field in the form and dtype the file
+    records, but a ``c16`` lag column with no imaginary part, as older
+    analytic files hold, becomes float64 with the same fingerprint.
+    ``Kernel`` judges the prior itself.  The carrier that older headers
+    record is ignored."""
     header, arrays = read_container(path)
     if header.get("content") != "kernel":
         raise ValueError(f"{path} does not hold a kernel")
     if header.get("order", 0) != 0:
         raise ValueError(f"{path} holds a Bessel kernel of order {header['order']}; only order 0 is supported")
     n = _whole_number(header["num_ports"], "header 'num_ports'")
-    stored = np.asarray(arrays["matrix"], dtype=complex)
+    stored = arrays["matrix"]
     if stored.shape not in ((n,), (n, n)):
         raise ValueError(f"kernel array must have shape ({n},) or ({n}, {n}), got {stored.shape}")
+    if stored.ndim == 1 and np.iscomplexobj(stored) and not stored.imag.any():
+        stored = stored.real.copy()
     stored.flags.writeable = False  # so Kernel holds it without a copy
     return Kernel(
         stored=stored,

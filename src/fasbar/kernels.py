@@ -54,14 +54,14 @@ _STORED_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 class Kernel:
     """An N x N prior covariance with the hyperparameters that built it.
 
-    ``stored`` is what the kernel holds, in one of two forms: an (N,) real
-    lag column of a symmetric Toeplitz matrix, as the analytic kinds store
-    it, or a dense (N, N) matrix, as a trained covariance does.  ``matrix``
+    ``stored`` is what the kernel holds, and its dtype is the field the
+    prior is designed in: an (N,) float64 lag column of a symmetric
+    Toeplitz matrix, as the analytic kinds store it, or a dense (N, N)
+    float64 or complex128 matrix, as a trained covariance does.  ``matrix``
     is the N x N prior derived from it and Hermitian exactly: a read-only
-    complex128 ``toeplitz_view`` of the lags, indexed like a dense matrix
-    but never expanded to N^2 entries, or the dense matrix itself.
-    ``alpha`` and ``eta`` are meaningful for the analytic kinds only and are
-    zero for trained covariances.
+    ``toeplitz_view`` of the lags, indexed like a dense matrix but never
+    expanded to N^2 entries, or the dense matrix itself.  ``alpha`` and
+    ``eta`` are meaningful for the analytic kinds only, zero otherwise.
 
     ``stored`` is held read-only: a writable array passed in is copied
     first, so no later write by the caller reaches the prior after it was
@@ -73,14 +73,14 @@ class Kernel:
     in code or loaded from a file.  It rejects, in this order, a ``kind``
     outside ``KINDS``; a ``stored`` value that is not a float64 or
     complex128 ndarray; a ``stored`` array whose shape is not (N,) or
-    (N, N) with N >= 1; a NaN or infinite stored entry, so no design
-    divides by a non-finite pivot; a lag column with a nonzero imaginary
-    part; and a dense matrix that is not exactly Hermitian, which the
-    pivoted Cholesky design assumes.  The kind, dtype and shape checks are
-    O(1) and the lag checks O(N).  A dense matrix costs O(N^2): one pass for
-    finiteness and one comparison with its conjugate transpose, panel by
-    panel of 256 columns, so it holds one N x 256 temporary, not an N x N
-    one.
+    (N, N) with N >= 1; a complex128 lag column, even one whose imaginary
+    parts are all zero; a NaN or infinite stored entry, so no design
+    divides by a non-finite pivot; and a dense matrix that is not exactly
+    Hermitian, which the pivoted Cholesky design assumes.  The kind, dtype
+    and shape checks are O(1) and the finiteness of lags O(N).  A dense
+    matrix costs O(N^2): one pass for finiteness and one comparison with
+    its conjugate transpose, panel by panel of 256 columns, so it holds
+    one N x 256 temporary, not an N x N one.
     """
 
     stored: np.ndarray
@@ -103,12 +103,11 @@ class Kernel:
         n = stored.shape[0] if stored.ndim else 0
         if n < 1 or stored.shape not in ((n,), (n, n)):
             raise ValueError(f"kernel must store (N,) lags or an (N, N) matrix with N >= 1, got shape {stored.shape}")
+        if stored.ndim == 1 and stored.dtype != np.float64:
+            raise ValueError(f"kernel lag column must be real (float64), got {stored.dtype}")
         if not np.isfinite(stored).all():
             raise ValueError("kernel holds a non-finite entry")
-        if stored.ndim == 1:
-            if stored.imag.any():
-                raise ValueError("kernel lag column must be real")
-        else:
+        if stored.ndim == 2:
             # row panels against conjugated column panels, so no N x N copy
             for i in range(0, n, _HERMITIAN_PANEL):
                 rows = slice(i, i + _HERMITIAN_PANEL)
@@ -256,12 +255,12 @@ def _lags(geom):
 def toeplitz_view(column):
     """Read-only symmetric Toeplitz matrix of ``column``, in O(N) memory.
 
-    Entry (n, m) is column[|n - m|].  The (N, N) result is a strided view
-    with strides (-s, s), s the item size, into one contiguous buffer
-    [c[N-1], ..., c[1], c[0], c[1], ..., c[N-1]], the view
-    ``scipy.linalg.toeplitz`` builds and then copies.
+    Entry (n, m) is column[|n - m|], in the column's dtype.  The (N, N)
+    result is a strided view with strides (-s, s), s the item size, so each
+    row is contiguous, into one buffer [c[N-1], ..., c[0], ..., c[N-1]],
+    the view ``scipy.linalg.toeplitz`` builds and then copies.
     """
-    column = np.asarray(column, dtype=complex)
+    column = np.asarray(column)
     n = column.size
     buf = np.concatenate((column[:0:-1], column))
     return as_strided(buf[n - 1 :], (n, n), (-buf.itemsize, buf.itemsize), writeable=False)
@@ -276,7 +275,7 @@ def _analytic(profile, kind, alpha, eta, jitter, geom):
         eta = default_eta()
     if _finite(eta, "eta") <= 0.0:
         raise ValueError("eta must be positive")
-    column = (alpha**2 * profile(_lags(geom) / eta)).astype(complex)
+    column = alpha**2 * profile(_lags(geom) / eta)
     jitter = _checked_jitter(toeplitz_view(column), jitter)
     column[0] += jitter
     return Kernel(column, kind, float(alpha), float(eta), jitter)

@@ -18,9 +18,9 @@ the posterior variances and the Cholesky factor of the measured-port
 system together.  It costs O(N*K^2) time and O(N*K) memory beyond the
 kernel.  No pick depends on P, so the first P*M picks of a longer pass
 are the plan for P, and a sweep designs all its budgets in one pass.
-The pass runs in the field of the prior: a kernel with no nonzero
-imaginary part (the analytic kinds) is designed in float64 and its plan
-holds float64 weights, a trained one in complex128 with complex weights.
+The pass runs in the field of the prior, the dtype of ``Kernel.stored``:
+a float64 prior (the analytic kinds) is designed in float64 with float64
+weights, a complex128 one (a trained covariance) with complex weights.
 The dense rank-one recursion over the full N x N posterior that this pass
 must reproduce lives with the tests, as the oracle
 ``tests/posterior_reference.py``.  A plan stores the port order and the
@@ -52,7 +52,7 @@ _DENOM_FLOOR_SCALE = 1e-14
 #: prior variance (max|Sigma| for a positive semidefinite prior)
 _WEIGHT_RESIDUAL_TOL = 1e-8
 
-#: rows per panel of the magnitudes of a complex weight residual
+#: measured rows per panel of the weight-residual check
 _RESIDUAL_PANEL = 8
 
 #: relative tolerance between an observation's noise power and the design value
@@ -76,8 +76,8 @@ class SamplingPlan:
         slot s connects order[s*M : (s+1)*M], in RF-chain order, so the
         slot's switch matrix is read off the order.
     weights : np.ndarray
-        Precomputed MAP weights, shape (P*M, N): float64 for a real prior,
-        complex128 for a trained one.
+        Precomputed MAP weights, shape (P*M, N), in the prior's field:
+        float64 for a float64 prior, complex128 for a complex128 one.
     noise_power_design : float
         s2 the weights were solved with; observations must match it.
     kernel_fingerprint : str
@@ -198,9 +198,9 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     the weights are w = L^-H B^H, with L^-1 from one K x K triangular
     solve.  Time is O(N*K^2), memory O(N*K) beyond the kernel.  The
     selected order (slot s takes picks s*M to s*M + M - 1), the weights,
-    in the prior's field, and the final variances are packaged into a
-    SamplingPlan; nothing about the received pilots is needed, so all of
-    this runs offline.
+    in the dtype of ``kernel.stored``, and the final variances are
+    packaged into a SamplingPlan; nothing about the received pilots is
+    needed, so all of this runs offline.
 
     Parameters
     ----------
@@ -251,11 +251,8 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         raise ValueError(f"plan asks for {k_max} measurements but only {n} ports exist")
     _check_noise_power(noise_power)
     sigma = kernel.matrix
-    # a real prior has real B, L and W, so design it in float64; the scan
-    # stops at the first row of a dense kernel that holds an imaginary part
-    real = not any(row.any() for row in np.atleast_2d(kernel.stored.imag))
-    if real:
-        sigma = sigma.real
+    # the prior's dtype is the field: a float64 prior has real B, L and W
+    real = sigma.dtype == np.float64
     var = sigma.diagonal().real.copy()
     prior_max = float(var.max())
     # the variances with every measured port at -inf, the argmax of each pick
@@ -284,10 +281,8 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         np.matmul(bh[:i, j].conj(), bh[:i], out=product)
         np.subtract(sigma[j], product, out=bh[i])
         bh[i] /= pivots[i]
-        if real:
-            np.multiply(bh[i], bh[i], out=magnitude)
-        else:
-            np.multiply(bh[i].real, bh[i].real, out=magnitude)
+        np.multiply(bh[i].real, bh[i].real, out=magnitude)
+        if not real:
             np.multiply(bh[i].imag, bh[i].imag, out=square)
             magnitude += square
         var -= magnitude
@@ -326,15 +321,14 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
             raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
         weights = inverse.conj().T @ bh[:k]
         gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
-        # gram @ weights - Sigma(Omega, :), row by row, so no K x N gather of
-        # Sigma and no K x N array of magnitudes is made
+        # max |gram @ weights - Sigma(Omega, :)|, one gather of Sigma's rows
+        # per panel; np.maximum keeps a NaN that an overflowed solve leaves
         diff = gram @ weights
-        for row, port in zip(diff, order[:k]):
-            row -= sigma[port]
-        if real:
-            residual = np.abs(diff, out=diff).max()
-        else:
-            residual = max(np.abs(diff[r : r + _RESIDUAL_PANEL]).max() for r in range(0, k, _RESIDUAL_PANEL))
+        residual = 0.0
+        for r in range(0, k, _RESIDUAL_PANEL):
+            panel = diff[r : r + _RESIDUAL_PANEL]
+            panel -= sigma[idx[r : r + _RESIDUAL_PANEL]]
+            residual = np.maximum(residual, np.abs(panel).max())
         bound = _WEIGHT_RESIDUAL_TOL * prior_max
         if not residual < bound:
             raise np.linalg.LinAlgError(

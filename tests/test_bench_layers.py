@@ -57,6 +57,14 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
     # the CSV holds a header and one line per record: 4 schemes x 10 P x 500 trials
     (csv,) = sizes[None]
     assert csv > 20_000 * len("sbar,bessel,")
+    # one sample of the fixed numpy loop per repeat, so a slowed machine shows
+    calibration = report["calibration_s"]
+    assert calibration["loops"] > 0 and calibration["n"] == 1
+    assert 0 < calibration["q1_s"] <= calibration["median_s"] <= calibration["q3_s"]
+    # the wall time of the acceptance sweep whose records emit_csv writes
+    sweep = report["acceptance_sweep_s"]
+    assert (sweep["num_ports"], sweep["trials"], sweep["n"]) == (256, 500, 1)
+    assert 0 < sweep["q1_s"] == sweep["median_s"] == sweep["q3_s"]
     # one fresh-interpreter import of fasbar and its CLI, beside the layers
     imports = report["import_s"]
     assert imports["n"] == 1

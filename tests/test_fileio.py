@@ -26,6 +26,7 @@ from fasbar import (
     save_plan,
 )
 from fasbar.fileio import MAGIC, read_container, write_container
+from fasbar.kernels import Kernel
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,64 @@ class TestKernelFiles:
         assert (loaded.alpha, loaded.eta) == (kernel.alpha, kernel.eta)
         assert loaded.jitter == kernel.jitter
         assert np.array_equal(loaded.matrix, kernel.matrix)
+
+    @pytest.mark.parametrize("name", ["kernel.bin", "kernel.json"])
+    @pytest.mark.parametrize("form", ["f8-lags", "f8-dense", "c16-dense"])
+    def test_each_stored_form_round_trips_in_its_dtype(self, tmp_path, form, name):
+        # the stored dtype is the field a prior is designed in, so a file
+        # keeps it, and with it the fingerprint and the plan bits
+        lags = kernel_bessel(build_port_geometry(24, 6.0, 3.5e9))
+        rng = np.random.default_rng(12)
+        k = {
+            "f8-lags": lambda: lags,
+            "f8-dense": lambda: Kernel(np.array(lags.matrix), "covariance"),
+            "c16-dense": lambda: kernel_covariance(
+                [rng.standard_normal(24) + 1j * rng.standard_normal(24) for _ in range(30)]),
+        }[form]()
+        save_kernel(tmp_path / name, k)
+        loaded = load_kernel(tmp_path / name)
+        assert loaded.stored.dtype == k.stored.dtype == (np.complex128 if form == "c16-dense" else np.float64)
+        assert loaded.stored.shape == k.stored.shape
+        assert loaded.fingerprint == k.fingerprint
+        a, b = design_plan(loaded, 3, 2, 0.8), design_plan(k, 3, 2, 0.8)
+        assert a.plan_id == b.plan_id
+        assert a.weights.dtype == k.stored.dtype
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.post_diag.tobytes() == b.post_diag.tobytes()
+
+    @pytest.mark.parametrize("name", ["old.bin", "old.json"])
+    def test_an_old_complex_lag_file_loads_as_float64(self, tmp_path, kernel, name):
+        # analytic kernel files once held their real lags as c16, with
+        # imaginary parts of zero
+        header = {"content": "kernel", "kind": kernel.kind, "num_ports": kernel.num_ports,
+                  "alpha": kernel.alpha, "eta": kernel.eta, "jitter": kernel.jitter}
+        write_container(tmp_path / name, header, {"matrix": kernel.stored.astype(complex)})
+        assert read_container(tmp_path / name)[0]["arrays"][0]["dtype"] == "c16"
+        loaded = load_kernel(tmp_path / name)
+        assert loaded.stored.dtype == np.float64 and loaded.stored.flags.c_contiguous
+        assert not loaded.stored.flags.writeable
+        assert loaded.fingerprint == kernel.fingerprint
+        a, b = design_plan(loaded, 3, 2, 0.8), design_plan(kernel, 3, 2, 0.8)
+        assert a.plan_id == b.plan_id
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.post_diag.tobytes() == b.post_diag.tobytes()
+
+    @pytest.mark.parametrize("build", [kernel_exponential, kernel_bessel])
+    def test_an_analytic_kernel_file_is_f8_at_half_the_c16_array_bytes(self, tmp_path, build):
+        k = build(build_port_geometry(1024, 10.0, 3.5e9))
+        save_kernel(tmp_path / "k.bin", k)
+        header = {"content": "kernel", "kind": k.kind, "num_ports": k.num_ports,
+                  "alpha": k.alpha, "eta": k.eta, "jitter": k.jitter}
+        write_container(tmp_path / "old.bin", header, {"matrix": k.stored.astype(complex)})
+
+        def array_bytes(path):
+            raw = path.read_bytes()
+            (head_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+            return len(raw) - len(MAGIC) - 4 - head_len
+
+        assert read_container(tmp_path / "k.bin")[0]["arrays"][0]["dtype"] == "f8"
+        assert array_bytes(tmp_path / "k.bin") == 1024 * 8
+        assert 2 * array_bytes(tmp_path / "k.bin") == array_bytes(tmp_path / "old.bin")
 
     def test_trained_kernel_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -193,8 +193,10 @@ class TestToeplitzStorage:
     @pytest.mark.parametrize("build", [kernel_exponential, kernel_bessel])
     def test_matrix_is_a_read_only_toeplitz_view_of_the_lags(self, build):
         k = build(build_port_geometry(40, 10.0, 3.5e9))
-        assert k.matrix.shape == (40, 40) and k.matrix.dtype == complex
+        # the view keeps the float64 dtype of the lags, so its rows are contiguous
+        assert k.matrix.shape == (40, 40) and k.matrix.dtype == np.float64
         assert not k.matrix.flags.writeable
+        assert k.matrix[7].flags.c_contiguous
         assert k.stored.shape == (40,)
         assert np.array_equal(k.matrix, toeplitz(k.stored))
 
@@ -334,11 +336,13 @@ class TestValidateAndFingerprint:
             (lambda m: (np.ones((2, 2, 2), dtype=complex), "covariance"), "shape"),
             (lambda m: (np.ones((0, 0), dtype=complex), "covariance"), "shape"),
             (lambda m: (m[:, 0] + 0.5j, "exponential"), "must be real"),
+            (lambda m: (m[:, 0].astype(complex), "exponential"), r"must be real \(float64\), got complex128$"),
             (lambda m: (np.array(m) + np.diag(np.full(15, 0.3), 1), "covariance"), "not Hermitian"),
             (lambda m: (np.array(m) + 1e-3j * np.eye(16), "covariance"), "not Hermitian"),
             (lambda m: (_lopsided_view(m[:, 0]), "exponential"), "not Hermitian"),
         ],
-        ids=["unknown-kind", "4x6", "5x1", "0-lags", "3-d", "0x0", "complex-lags", "asymmetric-entries",
+        ids=["unknown-kind", "4x6", "5x1", "0-lags", "3-d", "0x0", "complex-lags", "zero-imaginary-lags",
+             "asymmetric-entries",
              "complex-diagonal", "asymmetric-view"],
     )
     def test_an_invalid_prior_is_rejected_where_the_kernel_is_made(self, build, message):
@@ -373,7 +377,7 @@ class TestValidateAndFingerprint:
     def test_an_asymmetry_in_the_last_panel_is_rejected(self, n, entry):
         # the dense check compares 256 columns at a time; the nudged entry and
         # its mirror both lie in the last panel, so no earlier panel sees them
-        m = np.array(kernel_exponential(build_port_geometry(n, 10.0, 3.5e9)).matrix)
+        m = np.array(kernel_exponential(build_port_geometry(n, 10.0, 3.5e9)).matrix, dtype=complex)
         if entry == "diagonal":
             m[n - 1, n - 1] += 1e-12j
         else:

@@ -118,11 +118,9 @@ def solve_triangular_design(kernel, pilot_counts, m, noise_power):
     """(order, weights, post_diag) per count, as ``sbar._design_plans`` computes
     them, with the weights solved by ``scipy.linalg.solve_triangular``.
 
-    The pass runs in the prior's field: float64 for a kernel whose entries
-    are all real, complex128 otherwise; the weights come back in that field."""
+    The pass runs in the prior's field, the dtype of its matrix: float64 or
+    complex128; the weights come back in that field."""
     sigma = kernel.matrix
-    if not sigma.imag.any():
-        sigma = sigma.real
     n = kernel.num_ports
     k_max = max(pilot_counts) * m
     var = sigma.diagonal().real.copy()
@@ -487,7 +485,7 @@ class TestDirectSolve:
             assert plan.post_diag.tobytes() == post_diag.tobytes()
 
     def test_one_imaginary_pair_keeps_the_complex_design(self):
-        sigma = np.array(kernel_exponential(build_port_geometry(64, 10.0, 3.5e9)).matrix)
+        sigma = np.array(kernel_exponential(build_port_geometry(64, 10.0, 3.5e9)).matrix, dtype=complex)
         # port 0 is the first pick, so every plan's weights see the pair
         sigma[0, 5] += 1e-3j
         sigma[5, 0] -= 1e-3j
@@ -499,6 +497,25 @@ class TestDirectSolve:
             assert plan.weights.imag.any()
             assert plan.weights.tobytes() == weights.tobytes()
             assert plan.post_diag.tobytes() == post_diag.tobytes()
+
+    @pytest.mark.parametrize("build", [kernel_exponential, kernel_bessel])
+    def test_a_complex_prior_with_zero_imaginary_parts_keeps_the_complex_design(self, build):
+        # the stored dtype is the field, whatever the values: a complex128
+        # copy of a real prior is designed in complex128, within rounding of
+        # the float64 design; here no two candidates tie, so the picks agree
+        real = Kernel(np.array(build(build_port_geometry(64, 10.0, 3.5e9)).matrix), "covariance")
+        kernel = Kernel(real.stored.astype(complex), "covariance")
+        counts = (10, 1, 4)
+        plans = fasbar.sbar._design_plans(kernel, counts, 4, 0.64)
+        real_plans = fasbar.sbar._design_plans(real, counts, 4, 0.64)
+        oracle = solve_triangular_design(kernel, counts, 4, 0.64)
+        for plan, real_plan, (order, weights, post_diag) in zip(plans, real_plans, oracle):
+            assert plan.weights.dtype == np.complex128 and real_plan.weights.dtype == np.float64
+            assert plan.order == order == real_plan.order
+            assert plan.weights.tobytes() == weights.tobytes()
+            assert plan.post_diag.tobytes() == post_diag.tobytes()
+            scale = np.abs(real_plan.weights).max()
+            assert np.abs(plan.weights - real_plan.weights).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_entry_in_a_measured_column_is_rejected(self, bad):
