@@ -22,22 +22,23 @@ four schemes of ``tests/test_acceptance.py``), records its wall time
 records.  A row's ``trials`` is the rounds one call observes or
 estimates, or the sweep trials whose records it writes, and null for the
 offline layers; its ``bytes`` is null but for the plan files and the
-CSV.  Every layer is timed ``--repeats`` times.  A sample is one call, except for the layers that
-take microseconds on one round (``observe_pilots``, ``reconstruct`` and
-``estimate_selmmse``): their sample is a batch of back-to-back calls,
-divided by the row's ``batch``, since a lone call reads timer and cache
-noise.  Also timed ``--repeats`` times, each in a fresh interpreter, are
-``import fasbar, fasbar.cli`` (``import_s``, most of what perfbench's
-``setup_s`` measures), a whole ``fasbar design`` process that builds an
-N = 1024 Bessel kernel and designs and saves its P*M = 40 plan
-(``design_process_s``) and a whole ``fasbar estimate`` process on such a
-plan (``estimate_process_s``), the wall times a user waits.  Before the
-layers, a fixed numpy loop that runs no fasbar code is timed ``--repeats``
-times (``calibration_s``): it moves only with the machine, so a BENCH
-file whose calibration reads slower than another's was measured on a
-slower machine, and its layers are slower with it.  The JSON file
-records the median and quartiles in seconds, next to the BLAS thread
-pinning, the core count, the library versions and the git SHA.
+CSV.  Every layer is timed ``--repeats`` times.  A sample is one call,
+except for the layers that take microseconds on one round
+(``observe_pilots``, ``reconstruct`` and ``estimate_selmmse``): their
+sample is a batch of back-to-back calls, divided by the row's ``batch``,
+since a lone call reads timer and cache noise.  Also timed ``--repeats``
+times, each in a fresh interpreter, are ``import fasbar, fasbar.cli``
+(``import_s``, most of what perfbench's ``setup_s`` measures), a whole
+``fasbar design`` process that builds an N = 1024 Bessel kernel and
+designs and saves its P*M = 40 plan (``design_process_s``) and a whole
+``fasbar estimate`` process on such a plan (``estimate_process_s``), the
+wall times a user waits.  Before the layers, a fixed numpy loop that
+runs no fasbar code is timed ``--repeats`` times (``calibration_s``): it
+moves only with the machine, so a BENCH file whose calibration reads
+slower than another's was measured on a slower machine, and its layers
+are slower with it.  The JSON file records the median and quartiles in
+seconds, next to the BLAS thread pinning, the core count, the library
+versions and the git SHA.
 
 Like perfbench/run.py, the script pins OpenBLAS and OpenMP to one thread
 before numpy is imported: OpenBLAS threading on a small machine can make
@@ -85,11 +86,11 @@ BATCHED = ("sbar.reconstruct", "baselines.estimate_selmmse")
 #: ``fasbar estimate`` process reads
 PROCESS_PORTS = 1024
 SNR_DB = 20.0
+APERTURE_WAVELENGTHS = 10.0
+CARRIER_HZ = 3.5e9
 #: passes of one calibration sample over a 128 x 128 matrix product and a
 #: sort and an exp of 65 536 doubles, about 8 ms on a 2-vCPU machine
 CALIBRATION_LOOPS = 20
-APERTURE_WAVELENGTHS = 10.0
-CARRIER_HZ = 3.5e9
 #: the acceptance sweep of tests/test_acceptance.py, whose records the
 #: ``harness.emit_csv`` row writes
 ACCEPTANCE = fasbar.ExperimentConfig(
