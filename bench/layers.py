@@ -38,7 +38,8 @@ moves only with the machine, so a BENCH file whose calibration reads
 slower than another's was measured on a slower machine, and its layers
 are slower with it.  The JSON file records the median and quartiles in
 seconds, next to the BLAS thread pinning, the core count, the library
-versions and the git SHA.
+versions, the git SHA and ``git_dirty``, whether the tracked files
+differed from that commit when the script ran.
 
 Like perfbench/run.py, the script pins OpenBLAS and OpenMP to one thread
 before numpy is imported: OpenBLAS threading on a small machine can make
@@ -63,9 +64,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
-# fasbar imports this at its first design and fas-omp fit; loaded here,
-# the import is not timed as part of the first such layer
-import scipy.linalg.lapack  # noqa: E402, F401
 
 import fasbar  # noqa: E402
 from perfbench.workloads import environment  # noqa: E402
@@ -301,6 +299,20 @@ def estimate_process_seconds(repeats):
     return {"num_ports": PROCESS_PORTS, **_spread(seconds)}
 
 
+def git_dirty(root):
+    """Whether the tracked files of ``root`` differ from its HEAD commit, so
+    that ``git_sha`` does not name the code measured; None outside a git
+    checkout or without git."""
+    if not (root / ".git").exists():
+        return None
+    try:
+        proc = subprocess.run(["git", "-C", str(root), "diff", "--quiet", "HEAD", "--"],
+                              capture_output=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return {0: False, 1: True}.get(proc.returncode)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--ports", type=int, nargs="+", default=[256, 1024, 2048, 4096])
@@ -322,7 +334,7 @@ def main(argv=None):
                    "aperture_wavelengths": APERTURE_WAVELENGTHS, "carrier_hz": CARRIER_HZ,
                    "train_timeslots": TRAIN_TIMESLOTS, "block_trials": BLOCK_TRIALS,
                    "batch_calls": BATCH_CALLS},
-        "env": environment(ROOT),
+        "env": {**environment(ROOT), "git_dirty": git_dirty(ROOT)},
         "calibration_s": {"loops": CALIBRATION_LOOPS, **calibration},
         "acceptance_sweep_s": sweep,
         "import_s": imports,

@@ -176,8 +176,8 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
     dictionary's phase tables at ``ports[t]``, against Q by classical
     Gram-Schmidt applied twice, appending one column to Q and to the
     upper-triangular R, and the residual loses its projection on the new
-    column.  The least-squares coefficients come at the end from one
-    triangular solve R x = Q^H y.
+    column.  The least-squares coefficients come at the end as
+    x = R^-1 Q^H y, from the R^-1 the rank certificate below keeps.
 
     The correlations are not formed from the residual.  With x the fit of
     the picks so far, A^H r = A^H y - sum_j x_j A^H a_j, so a pick costs one
@@ -246,13 +246,9 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
     # a column of a measured block reaches BLAS at a stride, where a dot
     # product is summed in another order than at unit stride: lay atoms out so
     atom_rows = np.empty((trials, m, 2), dtype=complex)
-    # scipy loads here, at the first fas-omp fit, not with the package
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    (trtrs,) = get_lapack_funcs(("trtrs",), (r,))
 
     def finish(rows, k):
-        """Solve and keep the fits of ``rows`` after their k picks."""
+        """Keep the fits of ``rows`` after their k picks: x = R^-1 Q^H y."""
         done = live[rows]
         counts[done] = k
         picked_out[done] = picked[rows]
@@ -262,13 +258,7 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
         # y is finite, so a non-finite Q^H y comes from a picked atom
         if not np.isfinite(rhs).all():
             raise ValueError("measured atoms hold a non-finite entry")
-        for row, trial, b in zip(rows.tolist(), done.tolist(), rhs):
-            # R x = Q^H y through LAPACK, as scipy's solve_triangular does for a
-            # C-ordered R: its transpose is F-ordered, and lower, so solve with trans
-            coeffs, info = trtrs(r[row, :k, :k].T, b, lower=1, trans=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
-            coeffs_out[trial, :k] = coeffs * scale[row]
+        coeffs_out[done, :k] = np.matvec(r_inv[rows, :k, :k], rhs) * scale[rows, None]
 
     # a row whose r_kk is 0 divides by it before it stops, and leaves at the next step
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -195,8 +195,8 @@ def design_plan(kernel, num_timeslots, antennas_per_slot, noise_power):
     posterior covariance Sigma - B B^H is never formed.  The rows of B at
     the measured ports, below the diagonal, plus the pivots sqrt(var[j] +
     s2) on it, are the Cholesky factor L of Sigma(Omega, Omega) + s2*I, so
-    the weights are w = L^-H B^H, with L^-1 from one K x K triangular
-    solve.  Time is O(N*K^2), memory O(N*K) beyond the kernel.  The
+    the weights are w = L^-H B^H, with L^-1 the inverse of that K x K
+    factor.  Time is O(N*K^2), memory O(N*K) beyond the kernel.  The
     selected order (slot s takes picks s*M to s*M + M - 1), the weights,
     in the dtype of ``kernel.stored``, and the final variances are
     packaged into a SamplingPlan; nothing about the received pilots is
@@ -291,10 +291,6 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         order.append(j)
         if i + 1 in post_diags:
             post_diags[i + 1] = var.copy()
-    # scipy loads here, at the first design, so an online-only process never does
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    (trtrs,) = get_lapack_funcs(("trtrs",), (bh,))
     plans = []
     for p in counts:
         k = p * m
@@ -312,14 +308,9 @@ def _design_plans(kernel, pilot_counts, antennas_per_slot, noise_power):
         # L = tril(B(Omega, :), -1) + diag(pivots), and B(Omega, :) = bh[:K, Omega]^H
         factor = np.tril(bh[:k, idx].conj().T, -1)
         factor[np.diag_indices(k)] = pivots[:k]
-        # w = L^-H B^H: L^-1 through LAPACK, equal bit for bit to scipy's
-        # solve_triangular(factor, eye(k), lower=True), then one C-ordered
-        # product of the C-ordered block B^H; at N = 1024 a K x K solve and a
-        # product outrun trtrs on the K x N block four to seven times
-        inverse, info = trtrs(factor, np.eye(k), lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
-        weights = inverse.conj().T @ bh[:k]
+        # w = L^-H B^H: the K x K inverse of L, then one C-ordered product of
+        # the C-ordered block B^H; the residual check below bounds its rounding
+        weights = np.linalg.inv(factor).conj().T @ bh[:k]
         gram = sigma[np.ix_(idx, idx)] + noise_power * np.eye(k)
         # max |gram @ weights - Sigma(Omega, :)|, one gather of Sigma's rows
         # per panel; np.maximum keeps a NaN that an overflowed solve leaves

@@ -6,8 +6,9 @@ it must recover exactly in the noiseless case, against the expansion of a
 reference pursuit that refits every pick with ``np.linalg.lstsq``, and bit
 for bit against ``matrix_fas_omp``: the fit as it stood when the
 dictionary held the full (N, G) matrix, run by ``qr_pursuit``, the
-grown-QR pursuit as it stood before its buffers were preallocated and its
-triangular solve went to LAPACK directly.  Nearly collinear atoms are the
+grown-QR pursuit as it stood before its buffers were preallocated, with
+x = R^-1 Q^H y as the package takes it; ``qr_pursuit`` itself checks that x
+against ``scipy.linalg.solve_triangular``.  Nearly collinear atoms are the
 exception, checked by fit quality instead.  The steering dictionary's
 atoms, formed from its two phase tables, are pinned bit for bit against
 ``steering_matrix``.  A (T, P*M) block of fits is pinned bit for bit
@@ -65,6 +66,12 @@ def lstsq_pursuit(a, y, max_atoms, residual_tol):
     return coeffs, support, norms
 
 
+#: max|x - x_solved| / max|x_solved| allowed between the coefficients taken
+#: from R^-1 and those of ``scipy.linalg.solve_triangular``: 4 eps, where
+#: the fits of this file reach 1.6 eps
+SOLVE_AGREEMENT = 4 * np.finfo(float).eps
+
+
 def qr_pursuit(measured_atoms, y, max_atoms, residual_tol):
     """Orthogonal matching pursuit on an explicit measurement matrix.
 
@@ -74,8 +81,8 @@ def qr_pursuit(measured_atoms, y, max_atoms, residual_tol):
     factor A_S = Q R: each pick orthogonalizes its atom against Q by
     classical Gram-Schmidt applied twice, appending one column to Q and
     to the upper-triangular R, and the residual loses its projection on
-    the new column.  The least-squares coefficients come at the end from
-    one triangular solve R x = Q^H y.
+    the new column.  The least-squares coefficients come at the end as
+    x = R^-1 Q^H y, from the R^-1 kept for the rank certificate.
 
     A pick is rank deficient, by the rule of ``np.linalg.lstsq`` with
     ``rcond=None`` applied to R (which has the singular values of A_S),
@@ -170,7 +177,11 @@ def qr_pursuit(measured_atoms, y, max_atoms, residual_tol):
     norms = [v * scale for v in norms]
     if k == 0:
         return np.zeros(0, dtype=complex), support, norms
-    coeffs = solve_triangular(r[:k, :k], qh_rows[:k] @ y)
+    rhs = qh_rows[:k] @ y
+    coeffs = r_inv[:k, :k] @ rhs
+    # the R^-1 product agrees with a triangular solve of R x = Q^H y
+    solved = solve_triangular(r[:k, :k], rhs)
+    assert np.abs(coeffs - solved).max() <= SOLVE_AGREEMENT * np.abs(solved).max()
     return coeffs * scale, support, norms
 
 

@@ -17,7 +17,14 @@ def test_layers_script_writes_every_layer_at_64_ports(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["env"]["OPENBLAS_NUM_THREADS"] == report["env"]["OMP_NUM_THREADS"] == "1"
-    assert {"numpy", "scipy", "python", "git_sha"} <= set(report["env"])
+    env = report["env"]
+    assert {"numpy", "scipy", "python", "git_sha"} <= set(env)
+    # whether the tracked files differ from the commit git_sha names; null
+    # only outside a git checkout
+    if (SCRIPT.parents[1] / ".git").exists():
+        assert isinstance(env["git_dirty"], bool)
+    else:
+        assert env["git_dirty"] is None
     seen = {(row["layer"], row["kernel"], row["trials"]) for row in report["layers"]}
     offline = {
         (layer, kind, None)
