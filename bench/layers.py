@@ -10,9 +10,10 @@ and, up to N = 2048, the trained covariance of T = 100 clustered channels
 (at N = 4096 that kernel alone is a 268 MB matrix).  It hashes each fresh
 kernel, then designs a plan with P*M = 40 (P = 10, M = 4) at 20 dB, i.e.
 noise power N/100.  The Bessel plan and the trained one are saved with
-``save_plan`` and read back with ``load_plan`` as binary files, and those
-rows record the file's ``bytes``.  Online, it synthesizes one clustered
-channel, takes one round of its pilots through the Bessel plan with
+``save_plan`` over an existing binary file, which one untimed save writes
+first, and read back with ``load_plan``; those rows record the file's
+``bytes``.  Online, it synthesizes one clustered channel, takes one round
+of its pilots through the Bessel plan with
 ``observe_pilots``, and runs each estimator at P*M = 40 on one round and
 on a block of 20 rounds: ``reconstruct`` with the Bessel plan,
 ``estimate_selmmse`` and ``estimate_fas_omp``.  Once, not per N, it runs
@@ -181,9 +182,12 @@ def measure(num_ports, repeats):
 
 def measure_plan_file(plan, kind, repeats):
     """Summaries of ``save_plan`` and ``load_plan`` on one binary plan file,
-    each with the file's size in bytes."""
+    each with the file's size in bytes.  One untimed save writes the file
+    first, so every timed save is a rewrite, as a design saved over the
+    last one is."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plan.bin"
+        fasbar.save_plan(path, plan)
         save_s = [_timed(lambda: fasbar.save_plan(path, plan))[0] for _ in range(repeats)]
         load_s = [_timed(lambda: fasbar.load_plan(path))[0] for _ in range(repeats)]
         size = path.stat().st_size

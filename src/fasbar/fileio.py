@@ -14,14 +14,20 @@ and the arrays as flat interleaved lists; JSON floats round-trip exactly.
 Port indices inside files are 1-based; in-memory objects are 0-based.
 
 Observations and estimates are small and always JSON.
+
+Every writer here, and ``harness.emit_csv`` and ``svgplot.emit_svg``,
+goes through ``_write_new``, which writes a rewrite as a new file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import stat
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +40,51 @@ MAGIC = b"FASBAR1\x00"
 CONTAINER_VERSION = 1
 
 _DTYPES = {"f8": "<f8", "c16": "<c16"}
+
+
+def _write_new(path, chunks):
+    """Write the bytes-like ``chunks`` to ``path`` as a new file.
+
+    The bytes go to a temporary file in the target's directory, named
+    ``.<name>.<pid>.<thread>.tmp`` so that no two writers share it.  Then
+    the old file is unlinked and the temporary renamed into its place.
+    ext4 flushes a file's data before it commits a truncate-and-rewrite or
+    a rename over an existing file (its ``auto_da_alloc`` heuristic); an
+    unlink followed by a rename onto the freed name is neither pattern.
+    If anything raises, the temporary is removed and the old file, unless
+    the failure came between the unlink and the rename, is untouched.
+
+    A symlink is resolved first, so the link survives and its target
+    gets the new bytes.  An existing path that is not a regular file, such
+    as a FIFO or ``/dev/stdout``, is written in place and never unlinked.
+    No fsync is made.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    temp = os.path.join(folder, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    # a stray of this name was left by a dead writer; "x" then refuses a
+    # file or link that appears in its place
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(temp)
+    try:
+        with open(temp, "xb") as fh:
+            fh.writelines(chunks)
+        if mode is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(target)
+        os.rename(temp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def _array_to_flat(arr, dtype):
@@ -85,16 +136,11 @@ def write_container(path, header, arrays):
         doc["array_data"] = {
             spec["name"]: _array_to_flat(arr, tag) for spec, (arr, tag) in zip(specs, blobs)
         }
-        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        _write_new(path, [(json.dumps(doc, indent=1) + "\n").encode("utf-8")])
         return
     head_bytes = json.dumps(full_header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(head_bytes)))
-        fh.write(head_bytes)
-        for arr, _ in blobs:
-            # the C-ordered little-endian buffer itself, not a tobytes() copy
-            fh.write(arr.data)
+    # the C-ordered little-endian buffers themselves, not tobytes() copies
+    _write_new(path, [MAGIC, struct.pack("<I", len(head_bytes)), head_bytes, *(arr.data for arr, _ in blobs)])
 
 
 def read_container(path):
@@ -144,8 +190,8 @@ def save_kernel(path, kernel):
 
     The "matrix" array holds ``kernel.stored`` in the form the kernel holds
     it: the (N,) lags of an analytic kernel, or the (N, N) matrix of a
-    trained covariance.  The file is written in place, as ``save_plan``
-    writes a plan, so it can be torn (see there).
+    trained covariance.  The file is written as a new file, as
+    ``save_plan`` writes a plan (see there).
     """
     header = {
         "content": "kernel",
@@ -192,11 +238,13 @@ def save_plan(path, plan):
     """Persist a sampling plan; the measurement order is stored 1-based and
     the weights as f8 or c16, the field the plan holds them in.
 
-    An existing file is truncated and rewritten in place, so a reader that
-    opens it during the rewrite, or a crash or full disk that interrupts
-    the write, can leave it torn: part of the new bytes, or old and new
-    ones mixed.  For atomic replacement, save to a new path in the same
-    directory and ``os.replace`` it over the old one.
+    The file is written as a new file (README, "File formats"), so it is
+    never torn.  A reader sees the whole old file, no file for the moment
+    between the unlink of the old one and the rename of the new one, or
+    the whole new file.  A failed write leaves the old file; a crash
+    leaves the old file or no file, plus a stray ``.<name>.*.tmp``
+    temporary.  No fsync is made, and a rewrite is a new inode with
+    default permissions.
     """
     header = {
         "content": "plan",
@@ -243,7 +291,7 @@ def save_observation(path, observation):
         "noise_power": observation.noise_power,
         "values": [[float(v.real), float(v.imag)] for v in values],
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    _write_new(path, [(json.dumps(doc, indent=1) + "\n").encode("utf-8")])
 
 
 def load_observation(path):
@@ -266,7 +314,7 @@ def save_estimate(path, reconstruction):
         "estimate": [[float(v.real), float(v.imag)] for v in np.asarray(reconstruction.estimate)],
         "post_variance": [float(v) for v in reconstruction.post_variance],
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    _write_new(path, [(json.dumps(doc, indent=1) + "\n").encode("utf-8")])
 
 
 def load_estimate(path):

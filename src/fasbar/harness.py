@@ -41,6 +41,7 @@ from .channels import (
     generate_ssc_channel,
     noise_power_for_snr,
 )
+from .fileio import _write_new
 from .kernels import BESSEL, COVARIANCE, EXPONENTIAL, kernel_bessel, kernel_covariance, kernel_exponential
 from .sbar import _design_plans, reconstruct
 
@@ -442,8 +443,7 @@ def emit_csv(records, path):
     row = attrgetter(*(f.name for f in fields(ResultRecord)))
     lines = [CSV_HEADER]
     lines.extend(",".join(map(_format_value, row(r))) for r in records)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_new(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def read_csv(path):

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .fileio import _write_new
+
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 180, 40, 55
 
@@ -142,5 +144,4 @@ def emit_svg(records, path, title="mean NMSE vs pilot slots"):
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" font-size="11">{_text(label)}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_new(path, [("\n".join(parts) + "\n").encode("utf-8")])

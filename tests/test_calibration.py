@@ -24,6 +24,23 @@ The fixed seed is run 0, chosen before any tolerance was set: its |z| reach
 misses this model, fails the error check at all nine points and the
 coverage floor at eight: at 40 dB and P = 10 it predicts 0.0069, against a
 pooled error of 0.533 and a coverage of 0.318.
+
+The pilots alone can show such a miss.  Under the prior, y is CN(0, G)
+with G = Sigma(Omega, Omega) + s^2 I, so the normalized innovation
+nu = y^H G^-1 y / K has mean 1 whenever the prior's covariance is the
+channels' own, Gaussian or not.  The estimate gives it with no solve:
+hhat(Omega) = y - s^2 G^-1 y, so nu = Re y^H (y - hhat(Omega)) / (s^2 K).
+The same 300 runs set its bounds:
+
+* z = (mean nu over a run's rounds - 1) / its standard error had mean
+  -0.10-0.00 and standard deviation 0.97-1.09 at every point; the largest
+  |z| of a run had median 1.51 and 99th percentile 3.06, and the largest
+  of all was 4.07, so K_SE bounds it too.  Run 0's reach 1.16.
+* With the default Bessel prior at 40 dB and P = 10 the mean nu of a run
+  had median 15.4, 1st percentile 14.05 and lowest 13.69 (15.6 in run 0),
+  where the matched prior's highest at any point was 1.12.
+  MISMATCH_NU_FLOOR = 13 lies below the lowest by about twice the distance
+  from it to that percentile.
 """
 
 import numpy as np
@@ -35,6 +52,7 @@ from fasbar import (
     build_port_geometry,
     design_plan,
     generate_ssc_channel,
+    kernel_bessel,
     noise_power_for_snr,
     observe_pilots,
     reconstruct,
@@ -45,6 +63,14 @@ N, M, TRIALS = 256, 4, 200
 NOISE_SEED0 = 10**6
 K_SE = 4.5
 COVERAGE_FLOOR = 0.985
+MISMATCH_NU_FLOOR = 13.0
+
+
+def innovation(plan, observation, estimate):
+    """nu = Re y^H (y - hhat(Omega)) / (s^2 K) of one round: y^H G^-1 y / K."""
+    y = observation.values
+    residual = y - estimate[list(plan.order)]
+    return np.vdot(y, residual).real / (observation.noise_power * plan.num_measurements)
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +102,12 @@ def test_pooled_error_and_band_are_calibrated_on_clustered_channels(setting, snr
     kernel, channels = setting
     noise_power = noise_power_for_snr(N, snr_db)
     plan = design_plan(kernel, p, M, noise_power)
-    errors, powers, inside = np.empty(TRIALS), np.empty(TRIALS), 0
+    errors, powers, nus, inside = np.empty(TRIALS), np.empty(TRIALS), np.empty(TRIALS), 0
     for t, channel in enumerate(channels):
         h = channel.values
-        rec = reconstruct(plan, observe_pilots(channel, plan, noise_power, NOISE_SEED0 + t))
+        obs = observe_pilots(channel, plan, noise_power, NOISE_SEED0 + t)
+        rec = reconstruct(plan, obs)
+        nus[t] = innovation(plan, obs, rec.estimate)
         errors[t] = np.sum(np.abs(h - rec.estimate) ** 2)
         powers[t] = np.sum(np.abs(h) ** 2)
         lo, hi = rec.confidence_lo, rec.confidence_hi
@@ -91,3 +119,15 @@ def test_pooled_error_and_band_are_calibrated_on_clustered_channels(setting, snr
     stderr = np.std(errors - pooled * powers, ddof=1) / np.sqrt(TRIALS) / powers.mean()
     assert abs(pooled - predicted) <= K_SE * stderr, (pooled, predicted, stderr)
     assert inside / (2 * N * TRIALS) >= COVERAGE_FLOOR
+    assert abs(nus.mean() - 1.0) <= K_SE * np.std(nus, ddof=1) / np.sqrt(TRIALS), nus.mean()
+
+
+def test_the_innovation_flags_the_default_bessel_prior_where_the_signal_dominates(setting):
+    # at 40 dB and P = 10 this prior predicts an error of 0.0069 and
+    # delivers 0.533; no truth is needed to see that it misses
+    _, channels = setting
+    noise_power = noise_power_for_snr(N, 40.0)
+    plan = design_plan(kernel_bessel(build_port_geometry(N, 10.0, 3.5e9)), 10, M, noise_power)
+    nus = [innovation(plan, obs, reconstruct(plan, obs).estimate)
+           for obs in (observe_pilots(c, plan, noise_power, NOISE_SEED0 + t) for t, c in enumerate(channels))]
+    assert np.mean(nus) >= MISMATCH_NU_FLOOR

@@ -1,7 +1,14 @@
-"""File format round-trip tests for both container flavors."""
+"""File format round-trip tests for both container flavors, and the rule
+by which every output file is written."""
 
+import errno
+import io
 import json
+import os
+import stat
 import struct
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -10,8 +17,11 @@ import pytest
 
 from fasbar import (
     PilotObservation,
+    ResultRecord,
     build_port_geometry,
     design_plan,
+    emit_csv,
+    emit_svg,
     kernel_bessel,
     kernel_covariance,
     kernel_exponential,
@@ -25,6 +35,7 @@ from fasbar import (
     save_observation,
     save_plan,
 )
+from fasbar import fileio
 from fasbar.fileio import MAGIC, read_container, write_container
 from fasbar.kernels import Kernel
 
@@ -126,6 +137,20 @@ class TestContainer:
             tracemalloc.stop()
         assert np.array_equal(loaded["m"], big)
         assert peak < 1.5 * size
+
+
+    def test_binary_write_makes_no_copy_of_an_array(self, tmp_path):
+        rng = np.random.default_rng(4)
+        big = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        path = tmp_path / "big.bin"
+        tracemalloc.start()
+        try:
+            write_container(path, {"content": "test"}, {"m": big})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > big.nbytes
+        assert peak < 0.25 * big.nbytes
 
 
 class TestKernelFiles:
@@ -678,3 +703,183 @@ class TestObservationAndEstimateFiles:
         save_observation(tmp_path / "obs.json", obs)
         with pytest.raises(ValueError):
             load_estimate(tmp_path / "obs.json")
+
+
+RECORDS = [ResultRecord("sbar", "bessel", 24, 2, p, 20.0, t, 7, 0.1 * p + 0.01 * t, 0) for p in (1, 2, 3) for t in (0, 1)]
+
+
+@pytest.fixture(scope="module")
+def writers(kernel, plan):
+    """File name -> a call that writes that file, one per writer and flavor."""
+    rec = reconstruct(plan, PilotObservation(np.full(6, 1 - 0.5j), 0.8, plan.plan_id))
+    obs = PilotObservation(np.array([1 + 2j, -0.25j]), 0.01, "abc123")
+    return {
+        "plan.bin": lambda path: save_plan(path, plan),
+        "plan.json": lambda path: save_plan(path, plan),
+        "kernel.bin": lambda path: save_kernel(path, kernel),
+        "kernel.json": lambda path: save_kernel(path, kernel),
+        "obs.json": lambda path: save_observation(path, obs),
+        "est.json": lambda path: save_estimate(path, rec),
+        "nmse.csv": lambda path: emit_csv(RECORDS, path),
+        "nmse.svg": lambda path: emit_svg(RECORDS, path),
+    }
+
+
+class FullDisk(io.FileIO):
+    """A file whose writes fail with ENOSPC once ``budget`` bytes are in."""
+
+    budget = 0
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if len(data) > self.budget:
+            super().write(data[: self.budget])
+            self.budget = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.budget -= len(data)
+        return super().write(data)
+
+
+class TestWriteRule:
+    """A rewrite is a new file: the bytes go to a temporary in the same
+    directory, the old file is unlinked and the temporary renamed."""
+
+    @pytest.mark.parametrize("name", ["plan.bin", "plan.json"])
+    @pytest.mark.parametrize("rewrite", [True, False], ids=["rewrite", "fresh"])
+    def test_a_write_that_fails_half_way_leaves_the_old_file_and_no_temporary(
+            self, tmp_path, monkeypatch, kernel, plan, name, rewrite):
+        path = tmp_path / name
+        new = design_plan(kernel, 3, 2, 0.5)
+        save_plan(tmp_path / "new", new)
+        half = (tmp_path / "new").stat().st_size // 2
+        (tmp_path / "new").unlink()
+        if rewrite:
+            save_plan(path, plan)
+        old = path.read_bytes() if rewrite else None
+
+        def full_disk(file, mode):
+            fh = FullDisk(file, mode.replace("b", ""))
+            fh.budget = half
+            return fh
+
+        monkeypatch.setattr(fileio, "open", full_disk, raising=False)
+        with pytest.raises(OSError) as caught:
+            save_plan(path, new)
+        monkeypatch.undo()
+        assert caught.value.errno == errno.ENOSPC
+        assert os.listdir(tmp_path) == ([name] if rewrite else [])
+        if rewrite:
+            assert path.read_bytes() == old
+            loaded = load_plan(path)
+            assert loaded.plan_id == plan.plan_id
+            assert loaded.weights.tobytes() == plan.weights.tobytes()
+
+    def test_a_reader_of_the_old_file_reads_it_whole(self, tmp_path, kernel, plan):
+        path = tmp_path / "plan.bin"
+        save_plan(path, plan)
+        old = path.read_bytes()
+        new = design_plan(kernel, 3, 2, 0.5)
+        with open(path, "rb", buffering=0) as reader:
+            head = reader.read(16)
+            save_plan(path, new)
+            rest = reader.read()
+        assert head + rest == old
+        assert load_plan(path).plan_id == new.plan_id
+
+    def test_a_symlinked_path_keeps_its_link_and_its_target_takes_the_bytes(self, tmp_path, plan):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "plan.bin"
+        link = tmp_path / "plan.bin"
+        link.symlink_to(target)
+        save_plan(tmp_path / "direct.bin", plan)
+        for _ in range(2):  # through a dangling link, then over the file
+            save_plan(link, plan)
+            assert link.is_symlink() and os.readlink(link) == str(target)
+            assert target.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["direct.bin", "plan.bin", "real"]
+        assert os.listdir(tmp_path / "real") == ["plan.bin"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_fifo_is_written_through_and_kept(self, tmp_path, plan):
+        rec = reconstruct(plan, PilotObservation(np.ones(6, dtype=complex), 0.8, plan.plan_id))
+        save_estimate(tmp_path / "est.json", rec)
+        fifo = tmp_path / "est.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        save_estimate(fifo, rec)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [(tmp_path / "est.json").read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["est.fifo", "est.json"]
+
+    def test_a_directory_in_the_way_is_not_removed(self, tmp_path, plan):
+        (tmp_path / "plan.bin").mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_plan(tmp_path / "plan.bin", plan)
+        assert (tmp_path / "plan.bin").is_dir() and os.listdir(tmp_path) == ["plan.bin"]
+
+    @pytest.mark.parametrize("name", ["plan.bin", "plan.json", "kernel.bin", "kernel.json", "obs.json", "est.json",
+                                      "nmse.csv", "nmse.svg"])
+    def test_each_writer_writes_the_same_bytes_fresh_and_on_a_rewrite(self, tmp_path, writers, name):
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "again").mkdir()
+        fresh, path = tmp_path / "fresh" / name, tmp_path / "again" / name
+        writers[name](fresh)
+        # an old file longer than the new one, with its own mode and a second name
+        path.write_bytes(b"old " * 100_000)
+        path.chmod(0o600)
+        os.link(path, tmp_path / "old-name")
+        before = path.stat()
+        writers[name](path)
+        assert path.read_bytes() == fresh.read_bytes()
+        after = path.stat()
+        # a new inode with the mode a fresh file gets; the other name keeps the old bytes
+        assert after.st_ino != before.st_ino
+        assert stat.S_IMODE(after.st_mode) == stat.S_IMODE(fresh.stat().st_mode)
+        assert (tmp_path / "old-name").read_bytes() == b"old " * 100_000
+        assert os.listdir(tmp_path / "again") == os.listdir(tmp_path / "fresh") == [name]
+
+    def test_a_stray_temporary_or_link_in_the_writers_name_is_replaced(self, tmp_path, plan):
+        # a dead writer of the same pid and thread left its temporary, or a
+        # link was planted there: neither is written through
+        path = tmp_path / "plan.bin"
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"keep")
+        temp = tmp_path / f".plan.bin.{os.getpid()}.{threading.get_ident()}.tmp"
+        temp.symlink_to(victim)
+        save_plan(path, plan)
+        assert victim.read_bytes() == b"keep"
+        assert load_plan(path).plan_id == plan.plan_id
+        assert sorted(os.listdir(tmp_path)) == ["plan.bin", "victim"]
+
+    def test_threads_rewriting_one_path_leave_one_whole_plan(self, tmp_path, kernel):
+        plans = [design_plan(kernel, 3, 2, s) for s in (0.2, 0.4, 0.8, 1.6)]
+        path = tmp_path / "plan.bin"
+        failures = []
+
+        def rewrite(plan):
+            try:
+                for _ in range(200):
+                    save_plan(path, plan)
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rewrite, args=(p,), daemon=True) for p in plans]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        loaded = load_plan(path)
+        (match,) = [p for p in plans if p.plan_id == loaded.plan_id]
+        assert loaded.weights.tobytes() == match.weights.tobytes()
+        assert os.listdir(tmp_path) == ["plan.bin"]
