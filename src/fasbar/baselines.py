@@ -126,9 +126,9 @@ def estimate_selmmse(y, ports, num_ports):
     ties going to the lower port index; measured ports keep their own
     measurement exactly.  ``ports`` must be distinct ports in
     [0, num_ports), as ``observe_ports`` takes them, and ``num_ports`` a
-    whole number.  ``y``
-    is one measurement per port, shape (K,), or a block of T rounds,
-    shape (T, K), which holds T rounds in one (T, num_ports) estimate.
+    whole number.  ``y`` is one measurement per port, shape (K,), or a
+    block of T rounds, shape (T, K), which gives the T estimates in one
+    (T, num_ports) array.
     """
     y = np.asarray(getattr(y, "values", y))
     num_ports = _whole_number(num_ports, "num_ports")
@@ -201,9 +201,12 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
     keeping the last full-rank fit.
 
     ``y`` holds the T observations as rows, scaled as ``_scaled`` leaves
-    them, and ``scale`` the factors that undo it.  A trial whose pursuit
-    stops leaves the arrays, and the others go on.  Each product of a
-    trial's QR arithmetic is its own BLAS call, the one a lone trial makes:
+    them, and ``scale`` the factors that undo it.  Every trial keeps its
+    row for the whole call.  A trial is finished once, at the step where it
+    stops: its count and coefficients go into the returned arrays.  From
+    then on its reciprocal pivot is 0, so its row stays finite and adds
+    nothing to its Q, R^-1 or residual.  Each product of a trial's QR
+    arithmetic is its own BLAS call, the one a lone trial makes:
     ``np.matvec`` and ``np.vecdot`` call BLAS as ``@`` and ``np.vdot`` do on
     one trial's vectors.  So a trial's fit does not depend on the trials
     beside it.
@@ -216,18 +219,17 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
     g = grams.shape[2]
     size = min(max_atoms, m)
     eps = np.finfo(float).eps
-    coeffs_out = np.zeros((trials, size), dtype=complex)
-    picked_out = np.zeros((trials, size), dtype=np.intp)
+    coeffs = np.zeros((trials, size), dtype=complex)
+    picked = np.zeros((trials, size), dtype=np.intp)
     counts = np.zeros(trials, dtype=np.intp)
-    live = np.arange(trials)
-    offsets = live[:, None] * g  # flat index of each row of the correlations
+    active = np.ones(trials, dtype=bool)
+    offsets = np.arange(trials)[:, None] * g  # flat index of each row of the correlations
     q = np.zeros((trials, size, m), dtype=complex)  # q_k as rows
     qh = np.zeros_like(q)  # their conjugates, so Q^H v = qh @ v
     r = np.zeros((trials, size, size), dtype=complex)
     r_inv = np.zeros_like(r)
     fro2 = np.zeros(trials)  # squared Frobenius norms of R and R^-1
     inv_fro2 = np.zeros(trials)
-    picked = np.zeros((trials, size), dtype=np.intp)
     alpha, alpha_rows = grams[:, 0], np.empty((trials, g), dtype=complex)
     magnitudes = np.empty((trials, g))
     weights = np.empty((trials, size + 1), dtype=complex)  # [1, -conj(x)], conj(x) = conj(R^-1) t
@@ -237,7 +239,6 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
     # ||y|| as np.linalg.norm forms it
     norm = np.sqrt(np.vecdot(y.real, y.real) + np.vecdot(y.imag, y.imag))
     stop = residual_tol * norm
-    stopped = np.zeros(trials, dtype=bool)
     # flat positions of each measured port's row in the phase tables
     hi, lo = dictionary.hi.reshape(-1), dictionary.lo.reshape(-1)
     hi_at, lo_at = np.divmod(ports, dictionary.lo.shape[0])
@@ -245,47 +246,37 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
     lo_at *= g
     # a column of a measured block reaches BLAS at a stride, where a dot
     # product is summed in another order than at unit stride: lay atoms out so
-    atom_rows = np.empty((trials, m, 2), dtype=complex)
+    atom = np.empty((trials, m, 2), dtype=complex)[:, :, 0]
 
-    def finish(rows, k):
-        """Keep the fits of ``rows`` after their k picks: x = R^-1 Q^H y."""
-        done = live[rows]
-        counts[done] = k
-        picked_out[done] = picked[rows]
-        if not k:
+    def finish(rows, k, rank_deficient=False):
+        """End the pursuits of ``rows`` after k picks, keeping their fits x = R^-1 Q^H y."""
+        if not rows.size:
             return
-        rhs = np.matvec(qh[rows, :k], y[rows])
-        # y is finite, so a non-finite Q^H y comes from a picked atom
-        if not np.isfinite(rhs).all():
-            raise ValueError("measured atoms hold a non-finite entry")
-        coeffs_out[done, :k] = np.matvec(r_inv[rows, :k, :k], rhs) * scale[rows, None]
+        if rank_deficient:
+            for _ in rows:
+                _warn_rank_deficient()
+        counts[rows] = k
+        active[rows] = False
+        if k:
+            rhs = np.matvec(qh[rows, :k], y[rows])
+            # y is finite, so a non-finite Q^H y comes from a picked atom
+            if not np.isfinite(rhs).all():
+                raise ValueError("measured atoms hold a non-finite entry")
+            coeffs[rows, :k] = np.matvec(r_inv[rows, :k, :k], rhs) * scale[rows, None]
 
-    # a row whose r_kk is 0 divides by it before it stops, and leaves at the next step
+    # a row whose r_kk is 0 divides by it before its reciprocal pivot is zeroed
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(max_atoms):
-            leave = stopped | (norm <= stop)
-            if leave.any():
-                finish(np.flatnonzero(leave & ~stopped), k)
-                keep = ~leave
-                live, y, scale, alpha, q, qh, r, r_inv, fro2, inv_fro2, picked, grams, weights, t = (
-                    x[keep] for x in (live, y, scale, alpha, q, qh, r, r_inv, fro2, inv_fro2, picked, grams, weights, t)
-                )
-                magnitudes = magnitudes[: live.size]
-                residual_h, norm, stop, stopped = residual_h[keep], norm[keep], stop[keep], stopped[keep]
-            n = live.size
-            if not n:
-                break
-            if k == m:
-                for _ in live:
-                    _warn_rank_deficient()
-                finish(np.arange(n), k)
+        for k in range(size + 1):
+            finish(np.flatnonzero(active & (norm <= stop)), k)
+            if k == size or not active.any():
+                # a pick past the m-th would use more atoms than rows
+                finish(np.flatnonzero(active), k, rank_deficient=k < max_atoms)
                 break
             np.abs(alpha, out=magnitudes)
-            np.put(magnitudes, picked[:, :k] + offsets[:n], -1.0)  # an atom is never picked twice
+            np.put(magnitudes, picked[:, :k] + offsets, -1.0)  # an atom is never picked twice
             pick = magnitudes.argmax(axis=1)
-            atom = atom_rows[:n, :, 0]
             column = pick[:, None]
-            np.multiply(hi[hi_at[live] + column], lo[lo_at[live] + column], out=atom)
+            np.multiply(hi[hi_at + column], lo[lo_at + column], out=atom)
             q_k, qh_k, q_new, qh_new = q[:, :k], qh[:, :k], q[:, k], qh[:, k]
             q_kt = q_k.transpose(0, 2, 1)  # np.matvec(q_kt, c) is c @ q_k
             col = np.matvec(qh_k, atom)
@@ -301,25 +292,20 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
             new_inv_fro2 = inv_fro2 + (np.vecdot(inv_col, inv_col).real + 1.0) * inv_kk * inv_kk
             rcond = eps * max(m, k + 1)
             # 1/||R^-1||_F > rcond * ||R||_F certifies full rank without an SVD
-            certified = new_fro2 * new_inv_fro2 * rcond * rcond < 1.0
-            if not certified.all():
-                for row in np.flatnonzero(~certified):
-                    if r_kk[row] == 0.0:
-                        stopped[row] = True
-                    else:
+            deficient = active & ~(new_fro2 * new_inv_fro2 * rcond * rcond < 1.0)
+            if deficient.any():
+                for row in np.flatnonzero(deficient):
+                    if r_kk[row] != 0.0:
                         sv = np.linalg.svd(r[row, : k + 1, : k + 1], compute_uv=False)
-                        stopped[row] = sv[-1] <= rcond * sv[0]
-                rows = np.flatnonzero(stopped)
-                for _ in rows:
-                    _warn_rank_deficient()
-                finish(rows, k)
-                inv_kk[rows] = 0.0  # zeros keep their rows finite until they leave
+                        deficient[row] = sv[-1] <= rcond * sv[0]
+                finish(np.flatnonzero(deficient), k, rank_deficient=True)
+            inv_kk[~active] = 0.0  # a finished trial's row stays as it stopped
             np.multiply(w, inv_kk[:, None], out=q_new)
             np.conjugate(q_new, out=qh_new)
             np.multiply(inv_col, -inv_kk[:, None], out=r_inv[:, :k, k])
             r_inv[:, k, k] = inv_kk
             fro2, inv_fro2 = new_fro2, new_inv_fro2
-            picked[:, k] = pick
+            np.copyto(picked[:, k], pick, where=active)
             # conj(q_k^H r), which the residual loses times q_k
             t_k = np.vecdot(qh_new, residual_h)
             residual_h -= t_k[:, None] * qh_new
@@ -327,20 +313,19 @@ def _pursue(y, scale, grams, lags, ports, dictionary, max_atoms, residual_tol):
             t[:, k] = t_k
             if k + 1 < size:  # the next step picks
                 # Gram row j of trial t is lags[t, G - 1 - j : 2G - 1 - j]
-                for row, trial, first in zip(grams[:, k + 1], live.tolist(), (g - 1 - pick).tolist()):
-                    row[...] = lags[trial, first : first + g]
+                for row, lag, first in zip(grams[:, k + 1], lags, (g - 1 - pick).tolist()):
+                    row[...] = lag[first : first + g]
                 np.negative(np.matvec(np.conj(r_inv[:, : k + 1, : k + 1]), t[:, : k + 1]), out=weights[:, 1 : k + 2])
-                alpha = np.matvec(grams[:, : k + 2].transpose(0, 2, 1), weights[:, : k + 2], out=alpha_rows[:n])
-        else:
-            finish(np.flatnonzero(~stopped), max_atoms)
-    return coeffs_out, picked_out, counts
+                alpha = np.matvec(grams[:, : k + 2].transpose(0, 2, 1), weights[:, : k + 2], out=alpha_rows)
+    return coeffs, picked, counts
 
 
 def _warn_rank_deficient():
+    # called from _pursue's finish, so the warning names estimate_fas_omp's caller
     warnings.warn(
         "matching pursuit hit a rank-deficient refit; stopping early",
         RankDeficientFitWarning,
-        stacklevel=4,
+        stacklevel=5,
     )
 
 

@@ -87,21 +87,14 @@ def _write_new(path, chunks):
         raise
 
 
-def _array_to_flat(arr, dtype):
-    if dtype == "c16":
-        out = np.empty(arr.size * 2, dtype=float)
-        out[0::2] = arr.real.ravel()
-        out[1::2] = arr.imag.ravel()
-        return out.tolist()
-    return np.asarray(arr).ravel().tolist()
+def _array_to_flat(arr):
+    """The C-ordered ``arr`` as a flat list, a c16 array as interleaved
+    real/imag pairs; its bytes are read as they are, so -0.0 keeps its sign."""
+    return arr.reshape(-1).view("<f8").tolist()
 
 
 def _array_from_flat(flat, dtype, shape):
-    if dtype == "c16":
-        raw = np.asarray(flat, dtype=float)
-        arr = raw[0::2] + 1j * raw[1::2]
-        return arr.reshape(shape)
-    return np.asarray(flat, dtype=_DTYPES[dtype]).reshape(shape)
+    return np.asarray(flat, dtype="<f8").view(_DTYPES[dtype]).reshape(shape)
 
 
 def _tag(spec):
@@ -127,20 +120,20 @@ def write_container(path, header, arrays):
         tag = "c16" if np.iscomplexobj(arr) else "f8"
         arr = np.ascontiguousarray(arr, dtype=_DTYPES[tag])
         specs.append({"name": name, "dtype": tag, "shape": list(arr.shape)})
-        blobs.append((arr, tag))
+        blobs.append(arr)
     full_header = dict(header)
     full_header["container_version"] = CONTAINER_VERSION
     full_header["arrays"] = specs
     if path.suffix == ".json":
         doc = dict(full_header)
         doc["array_data"] = {
-            spec["name"]: _array_to_flat(arr, tag) for spec, (arr, tag) in zip(specs, blobs)
+            spec["name"]: _array_to_flat(arr) for spec, arr in zip(specs, blobs)
         }
         _write_new(path, [(json.dumps(doc, indent=1) + "\n").encode("utf-8")])
         return
     head_bytes = json.dumps(full_header, sort_keys=True).encode("utf-8")
     # the C-ordered little-endian buffers themselves, not tobytes() copies
-    _write_new(path, [MAGIC, struct.pack("<I", len(head_bytes)), head_bytes, *(arr.data for arr, _ in blobs)])
+    _write_new(path, [MAGIC, struct.pack("<I", len(head_bytes)), head_bytes, *(arr.data for arr in blobs)])
 
 
 def read_container(path):
@@ -308,10 +301,14 @@ def load_observation(path):
 
 
 def save_estimate(path, reconstruction):
-    """Write the estimate and the variances; the band is not stored."""
+    """Write one estimate, shape (N,), and its variances; the band is not
+    stored.  ValueError for an estimate of any other shape."""
+    estimate = np.asarray(reconstruction.estimate)
+    if estimate.ndim != 1:
+        raise ValueError(f"an estimate file holds one estimate of shape (N,), got shape {estimate.shape}")
     doc = {
         "content": "estimate",
-        "estimate": [[float(v.real), float(v.imag)] for v in np.asarray(reconstruction.estimate)],
+        "estimate": [[float(v.real), float(v.imag)] for v in estimate],
         "post_variance": [float(v) for v in reconstruction.post_variance],
     }
     _write_new(path, [(json.dumps(doc, indent=1) + "\n").encode("utf-8")])

@@ -88,6 +88,12 @@ class SchemeSpec:
     alpha/eta/train_timeslots parameterize it (eta None means
     the sqrt(1/2pi)-wavelengths default).  For fas-omp, max_atoms,
     residual_tol and dict_oversampling shape the pursuit.
+
+    Every field is judged on construction, by the rules of the estimator
+    that reads it, whatever the method: the three counts are whole numbers
+    of at least 1, stored as ints; ``residual_tol`` is a finite number of
+    at least 0, ``alpha`` a positive finite number and ``eta`` None or a
+    positive finite number, stored as floats.
     """
 
     method: str
@@ -104,6 +110,19 @@ class SchemeSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == SBAR and self.kernel not in (EXPONENTIAL, BESSEL, COVARIANCE):
             raise ValueError(f"sbar needs a kernel kind, got {self.kernel!r}")
+        for name in ("train_timeslots", "max_atoms", "dict_oversampling"):
+            count = _whole_number(getattr(self, name), name)
+            if count < 1:
+                raise ValueError(f"{name} must be at least 1, got {count}")
+            object.__setattr__(self, name, count)
+        if _finite(self.residual_tol, "residual_tol") < 0.0:
+            raise ValueError(f"residual_tol must be nonnegative, got {self.residual_tol!r}")
+        object.__setattr__(self, "residual_tol", float(self.residual_tol))
+        for name in ("alpha",) if self.eta is None else ("alpha", "eta"):
+            value = _finite(getattr(self, name), name)
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def kernel_kind(self) -> str:
@@ -116,6 +135,8 @@ class ExperimentConfig:
 
     The counts and ``base_seed`` go through the whole-number rule and are
     stored as ints, so 16.0 builds the config of 16 and 2.5 or True fails.
+    ``num_ports``, ``aperture_wavelengths`` and ``carrier_hz`` must pass
+    ``build_port_geometry``'s rules.
     """
 
     num_ports: int = 256
@@ -133,6 +154,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("num_ports", "antennas_per_slot", "trials", "base_seed"):
             object.__setattr__(self, name, _whole_number(getattr(self, name), name))
+        # the geometry's own rules judge its three numbers, before any channel is drawn
+        build_port_geometry(self.num_ports, self.aperture_wavelengths, self.carrier_hz)
         counts = tuple(_whole_number(p, "pilot_counts") for p in self.pilot_counts)
         object.__setattr__(self, "pilot_counts", counts)
         # noise_power_for_snr's rule: a finite number, or +inf for the noiseless limit

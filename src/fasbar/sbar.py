@@ -87,11 +87,14 @@ class SamplingPlan:
         measurements, shape (N,) float64.
 
     Construction is the one place a plan is judged, whether it was designed,
-    built in code or loaded from a file.  It rejects an order or array
-    shapes that disagree with N, P, M; weights that are not float64 or
-    complex128, or hold a NaN or infinity; variances that are not float64,
-    or hold a NaN or infinity; a negative or non-finite design noise power;
-    and a kernel fingerprint that is not a string.  The finiteness checks
+    built in code or loaded from a file.  The three counts go through the
+    whole-number rule and are stored as ints, and the order as a tuple of
+    ints, so 16.0 builds the plan of 16, with its ``plan_id``, and 2.5 or
+    True fails.  It rejects an order or array shapes that disagree with
+    N, P, M; weights that are not float64 or complex128, or hold a NaN or
+    infinity; variances that are not float64, or hold a NaN or infinity; a
+    negative or non-finite design noise power; and a kernel fingerprint
+    that is not a string.  The finiteness checks
     are one pass over the K*N weights and one over the N variances.
     """
 
@@ -105,12 +108,14 @@ class SamplingPlan:
     post_diag: np.ndarray
 
     def __post_init__(self):
+        for name in ("num_ports", "num_timeslots", "antennas_per_slot"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         n, k = self.num_ports, self.num_measurements
         if self.num_timeslots < 1 or self.antennas_per_slot < 1:
             raise ValueError("num_timeslots and antennas_per_slot must be positive")
         if len(self.order) != k:
             raise ValueError("order length must equal num_timeslots * antennas_per_slot")
-        _measured_ports(self.order, n)
+        object.__setattr__(self, "order", tuple(_measured_ports(self.order, n).tolist()))
         if np.shape(self.weights) != (k, n):
             raise ValueError(f"weights must have shape ({k}, {n}), got {np.shape(self.weights)}")
         if np.shape(self.post_diag) != (n,):

@@ -827,6 +827,52 @@ class TestFasOmpBlock:
         early = sum(len(_fits_with_warnings(y[t], ports[t], dictionary, 0.0)[1]) for t in range(12))
         assert 0 < early < 12 and caught == [RankDeficientFitWarning] * early
 
+    @pytest.mark.parametrize("aperture, max_atoms", [(1e-6, 5), (1e-3, 8)])
+    def test_svd_stops_inside_a_block(self, monkeypatch, aperture, max_atoms):
+        # at 1e-6 wavelengths, the setting of test_near_collinear_atoms_take_the_svd_branch,
+        # each noisy trial stops rank deficient by R's SVD at its fourth pick, and a zero
+        # observation before its first.  At 1e-3 wavelengths some trials stop at their fifth
+        # pick and some at their sixth, so rows that have stopped ride along with rows that go on
+        geom = build_port_geometry(64, aperture, 3.5e9)
+        dictionary = build_steering_dictionary(geom)
+        trials = 8
+        rng = np.random.default_rng(29)
+        ports = np.array([random_ports(64, 8, rng_seed=30 + t) for t in range(trials)])
+        y = rng.standard_normal((trials, 8)) + 1j * rng.standard_normal((trials, 8))
+        y[2] = 0.0
+        pursue, svd, runs, svd_calls = baselines._pursue, np.linalg.svd, [], []
+
+        def recorded(*args):
+            runs.append(pursue(*args))
+            return runs[-1]
+
+        def counted(*args, **kwargs):
+            svd_calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "_pursue", recorded)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            block = estimate_fas_omp(y, ports, dictionary, max_atoms, 0.0).values
+        monkeypatch.undo()
+        ((coeffs, picked, counts),) = runs
+        # one chunk, in which trials stop at different picks, none at max_atoms
+        assert len(set(counts.tolist())) >= 2 and counts[2] == 0 and counts.max() < max_atoms
+        for fit, support, k in zip(coeffs, picked, counts):
+            assert not fit[k:].any() and not support[k:].any()
+        deficient = 0
+        for t in range(trials):
+            with warnings.catch_warnings(record=True) as lone_caught:
+                warnings.simplefilter("always")
+                single = estimate_fas_omp(y[t], ports[t], dictionary, max_atoms, 0.0).values
+            assert block[t].tobytes() == single.tobytes()
+            assert [w.category for w in lone_caught] in ([], [RankDeficientFitWarning])
+            deficient += len(lone_caught)
+        # every noisy trial stops by the SVD rule, and only once
+        assert deficient == trials - 1 == len(svd_calls)
+        assert [w.category for w in caught] == [RankDeficientFitWarning] * deficient
+
     @pytest.mark.parametrize("n", [64, 96, 256, 1024])
     def test_gram_rows_are_windows_of_the_lags(self, n):
         # the Gram of the measured atoms is Toeplitz: every row is a window of one (2G - 1) vector

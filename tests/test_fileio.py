@@ -74,6 +74,23 @@ class TestContainer:
         # the file is genuinely textual
         assert json.loads(path.read_text())["content"] == "test"
 
+    @pytest.mark.parametrize("name", ["blob.bin", "blob.json"])
+    def test_signed_zeros_round_trip_bit_exactly(self, tmp_path, name):
+        # the JSON flavor read a c16 pair back as re + 1j*im, which drops the sign of a -0.0 imaginary part
+        arrays = {
+            "c": np.array([0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 2.5, -0.0, -1.0, 0.25]).view(complex).reshape(5, 1),
+            "f": np.array([-0.0, 0.0, -2.0]),
+        }
+        path = tmp_path / name
+        write_container(path, {"content": "test"}, arrays)
+        _, loaded = read_container(path)
+        for key, arr in arrays.items():
+            assert loaded[key].dtype == arr.dtype and loaded[key].shape == arr.shape
+            assert loaded[key].tobytes() == arr.tobytes()
+        if name.endswith(".json"):
+            # c16 is stored as interleaved real/imag pairs
+            assert json.loads(path.read_text())["array_data"]["c"] == [0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 2.5, -0.0, -1.0, 0.25]
+
     def test_rejects_foreign_bytes(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 64)
@@ -670,6 +687,13 @@ class TestObservationAndEstimateFiles:
         with pytest.raises(ValueError, match=r"\(2, 3\)"):
             save_observation(tmp_path / "obs.json", obs)
         assert not (tmp_path / "obs.json").exists()
+
+    def test_block_estimate_is_not_saved(self, tmp_path, plan):
+        # a (T, N) estimate raised numpy's TypeError from float()
+        rec = reconstruct(plan, PilotObservation(np.ones((2, 6), dtype=complex), 0.8, plan.plan_id))
+        with pytest.raises(ValueError, match=r"\(2, 24\)"):
+            save_estimate(tmp_path / "est.json", rec)
+        assert not (tmp_path / "est.json").exists()
 
     def test_estimate_round_trip(self, tmp_path, plan):
         rng = np.random.default_rng(3)

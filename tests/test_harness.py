@@ -204,6 +204,55 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SchemeSpec("sbar", kernel="gaussian")
 
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"max_atoms": 0}, "max_atoms must be at least 1"),
+            ({"max_atoms": 2.5}, "max_atoms must be a whole number"),
+            ({"dict_oversampling": 0}, "dict_oversampling must be at least 1"),
+            ({"dict_oversampling": True}, "dict_oversampling must be a whole number"),
+            ({"train_timeslots": -3}, "train_timeslots must be at least 1"),
+            ({"residual_tol": float("nan")}, "residual_tol must be a finite number"),
+            ({"residual_tol": -1e-3}, "residual_tol must be nonnegative"),
+            ({"alpha": 0.0}, "alpha must be positive"),
+            ({"alpha": float("inf")}, "alpha must be a finite number"),
+            ({"eta": -1}, "eta must be positive"),
+            ({"eta": float("nan")}, "eta must be a finite number"),
+            ({"eta": True}, "eta must be a finite number"),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["fas-omp", "selmmse"])
+    def test_scheme_numbers_are_judged_when_built(self, method, changes, match):
+        # max_atoms=0 built and failed only after channel synthesis; eta=-1 and a NaN
+        # tolerance built too.  A field is judged whatever the method reads
+        with pytest.raises(ValueError, match=match):
+            SchemeSpec(method, **changes)
+
+    def test_scheme_numbers_are_stored_normalized(self):
+        spec = SchemeSpec(
+            "sbar", "bessel", alpha=2, eta=np.float64(0.25), train_timeslots=5.0, max_atoms=np.int64(4),
+            residual_tol=0, dict_oversampling=2.0,
+        )
+        numbers = ("alpha", "eta", "train_timeslots", "max_atoms", "residual_tol", "dict_oversampling")
+        assert [getattr(spec, name) for name in numbers] == [2.0, 0.25, 5, 4, 0.0, 2]
+        assert [type(getattr(spec, name)) for name in numbers] == [float, float, int, int, float, int]
+        assert SchemeSpec("fas-omp").eta is None
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"num_ports": 1, "antennas_per_slot": 1, "pilot_counts": (1,)}, "num_ports"),
+            ({"aperture_wavelengths": 0.0}, "aperture_in_wavelengths"),
+            ({"aperture_wavelengths": True}, "aperture_in_wavelengths"),
+            ({"carrier_hz": -3.5e9}, "carrier_hz"),
+            ({"carrier_hz": float("inf")}, "carrier_hz"),
+        ],
+    )
+    def test_geometry_numbers_are_judged_when_built(self, overrides, name):
+        # each built a config that failed only inside run_sweep
+        with pytest.raises(ValueError, match=name):
+            small_config(**overrides)
+
 
 class TestRunSweep:
     def test_noiseless_full_sampling_recovers(self):
@@ -385,17 +434,18 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "overrides, name",
         [
-            ({"aperture_wavelengths": float("nan")}, "aperture_in_wavelengths"),
-            ({"snr_db": (float("nan"),)}, "snr_db"),
-            ({"schemes": (SchemeSpec("sbar", kernel="covariance", train_timeslots=2.5),)}, "train_timeslots"),
+            (lambda: {"aperture_wavelengths": float("nan")}, "aperture_in_wavelengths"),
+            (lambda: {"snr_db": (float("nan"),)}, "snr_db"),
+            (lambda: {"schemes": (SchemeSpec("sbar", kernel="covariance", train_timeslots=2.5),)}, "train_timeslots"),
         ],
         ids=["aperture-nan", "snr-nan", "train-fraction"],
     )
     def test_bad_number_fails_the_sweep_naming_it(self, overrides, name):
         # a NaN aperture gave NaN for every record, a NaN SNR failed inside the seed key,
-        # and 2.5 training timeslots trained on 2
+        # and 2.5 training timeslots trained on 2; the config or its scheme now refuses
+        # each when it is built, so the overrides are made inside the test
         with pytest.raises(ValueError, match=name):
-            run_sweep(small_config(**overrides))
+            run_sweep(small_config(**overrides()))
 
     def test_timing_toggle(self):
         cfg = small_config(record_timing=False)

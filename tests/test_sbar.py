@@ -45,7 +45,9 @@ from fasbar import (
     kernel_bessel,
     kernel_covariance,
     kernel_exponential,
+    load_plan,
     reconstruct,
+    save_plan,
     ssc_channel_from_rays,
 )
 from helpers import stacked_switch_matrix
@@ -668,6 +670,34 @@ class TestPlanValidation:
         # NaN weight gave a NaN estimate
         with pytest.raises(ValueError, match=message):
             hand_plan(**changes)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"num_ports": 6.0},
+            {"num_timeslots": np.int64(2), "antennas_per_slot": np.int64(2)},
+            {"order": (3.0, 0.0, 2.0, 5.0)},
+            {"order": np.array([3, 0, 2, 5])},
+        ],
+        ids=["float-ports", "int64-counts", "float-order", "array-order"],
+    )
+    def test_whole_numbers_build_the_int_plan(self, tmp_path, changes):
+        # 16.0 was stored as given, so str(16.0) went into another plan_id
+        plan = hand_plan()
+        variant = replace(plan, **changes)
+        save_plan(tmp_path / "plan.bin", variant)
+        save_plan(tmp_path / "plan.json", variant)
+        for same in (variant, load_plan(tmp_path / "plan.bin"), load_plan(tmp_path / "plan.json")):
+            counts = (same.num_ports, same.num_timeslots, same.antennas_per_slot)
+            assert counts == (6, 2, 2) and same.order == (3, 0, 2, 5)
+            assert all(type(v) is int for v in (*counts, *same.order))
+            assert same.plan_id == plan.plan_id
+
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    @pytest.mark.parametrize("name", ["num_ports", "num_timeslots", "antennas_per_slot"])
+    def test_counts_must_be_whole_numbers(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            replace(hand_plan(), **{name: bad})
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_accepts_weights_in_either_field(self, dtype):
